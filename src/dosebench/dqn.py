@@ -13,13 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, nets
-from .env import ACTION_HIGH, GlucoseEnv, Observation
+from .env import ACTION_HIGH, GlucoseEnv, Observation, featurize
 
 N_ACTIONS = 11
-
-# Fixed feature scaling applied to the raw 48-vector before the Q-network:
-# glucose, rate and dose live on very different ranges.
-_OBS_SCALE = np.tile(np.array([200.0, 9.0, 2.25]), 16)
 
 
 @dataclass
@@ -74,10 +70,6 @@ def bin_to_rate(bin_index: int) -> float:
     if not (0 <= bin_index < N_ACTIONS):
         raise ValueError(f"bin must lie in [0, {N_ACTIONS - 1}]")
     return 0.9 * bin_index
-
-
-def featurize(flat_obs: np.ndarray) -> np.ndarray:
-    return np.asarray(flat_obs, dtype=np.float64) / _OBS_SCALE
 
 
 class ReplayBuffer:

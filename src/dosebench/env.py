@@ -1,8 +1,9 @@
 """Discrete-time glucose-insulin environment (15-minute control interval).
 
 An episode covers 16 hours (64 control steps). Each step integrates the
-patient physiology at 1-minute RK4 substeps, applies any meal falling in the
-interval, and scores the resulting true glucose with the risk reward.
+patient physiology at 1-minute RK4 substeps in one kernel call, with any meal
+falling in the interval entering before its substep, and scores the resulting
+true glucose with the risk reward.
 Observations report sensor glucose (true + Gaussian noise); reward and
 termination always use true glucose.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import metrics
 from .patients import (Cohort, MealEvent, PatientParams, PatientState,
-                       apply_meal, get_patient, step_physiology)
+                       get_patient, integrate)
 
 CONTROL_INTERVAL_MIN = 15
 SUBSTEP_MIN = 1.0
@@ -37,6 +38,10 @@ DEFAULT_START_CLOCK = "05:00"
 # cohort scale factor, minutes after episode start (05:00 + offset).
 _DEFAULT_MEALS = ((120.0, 45.0), (420.0, 60.0), (600.0, 20.0))
 _COHORT_MEAL_SCALE = {Cohort.ADULT: 1.0, Cohort.ADOLESCENT: 0.8, Cohort.CHILD: 0.6}
+
+# Fixed feature scaling applied to the raw 48-vector before the policy
+# networks: glucose, rate and dose live on very different ranges.
+_OBS_SCALE = np.tile(np.array([200.0, 9.0, 2.25]), WINDOW_STEPS)
 
 
 def parse_clock(text: str) -> int:
@@ -138,6 +143,11 @@ def build_observation(history: list[StepRecord]) -> Observation:
     return Observation(window=tuple(rows), clock_minutes=tuple(clocks), flat=flat)
 
 
+def featurize(flat_obs: np.ndarray) -> np.ndarray:
+    """Scaled policy-network input for one flat observation or a batch."""
+    return np.asarray(flat_obs, dtype=np.float64) / _OBS_SCALE
+
+
 class GlucoseEnv:
     """Single-patient simulation environment; owns its random streams."""
 
@@ -205,24 +215,26 @@ class GlucoseEnv:
         self.history[-1].rate = float(action)
         self.history[-1].dose = float(action) / 60.0 * CONTROL_INTERVAL_MIN
 
+        # A meal is eaten in substep k when t0 + k <= offset < t0 + k + 1; t0
+        # is a whole number of minutes, so k is floor(offset - t0).
         t0 = self.state.t_elapsed
+        carbs = [()] * CONTROL_INTERVAL_MIN
         meal_carbs = 0.0
-        for minute in range(CONTROL_INTERVAL_MIN):
-            t = t0 + minute
-            for meal in self._meals:
-                if t <= meal.time_offset < t + SUBSTEP_MIN:
-                    self.state = apply_meal(self.state, meal.carbs)
-                    meal_carbs += meal.carbs
-            self.state = step_physiology(self.state, self.params, float(action),
-                                         SUBSTEP_MIN, self._noise_rng)
+        for meal in self._meals:
+            minute = math.floor(meal.time_offset - t0)
+            if 0 <= minute < CONTROL_INTERVAL_MIN:
+                carbs[minute] += (meal.carbs,)
+                meal_carbs += meal.carbs
+        self.state = integrate(self.state, self.params, float(action),
+                               SUBSTEP_MIN, carbs, self._noise_rng)
         self.state.clock += CONTROL_INTERVAL_MIN
         self._step_count += 1
 
         bg = self.state.g
         terminated = bg < BG_TERMINATE_LOW or bg > BG_TERMINATE_HIGH
         truncated = not terminated and self._step_count >= MAX_STEPS
-        reward = metrics.step_reward(bg, terminated)
         risk = metrics.risk_index(bg).ri
+        reward = metrics.risk_reward(risk, terminated)
         if terminated:
             self.termination_cause = "hypo" if bg < BG_TERMINATE_LOW else "hyper"
         self._done = terminated or truncated

@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import metrics, nets
-from .env import GlucoseEnv, Scenario, default_scenario
+from .dqn import bin_to_rate
+from .env import MAX_STEPS, GlucoseEnv, Scenario, default_scenario, featurize
 from .patients import Cohort
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
@@ -116,7 +117,6 @@ class DqnPolicy(Policy):
         self._rng = rng
 
     def act(self, observation, history):
-        from .dqn import bin_to_rate, featurize
         if self.eps_test > 0 and self._rng.random() < self.eps_test:
             return bin_to_rate(int(self._rng.integers(0, 11)))
         q, _ = nets.forward(self.qnet, featurize(observation.flat))
@@ -130,7 +130,6 @@ class PpoEvalPolicy(Policy):
         self.policy = ppo_policy
 
     def act(self, observation, history):
-        from .dqn import featurize
         a = self.policy.mean_action(featurize(observation.flat))
         return float(np.clip(a, 0.0, 9.0))
 
@@ -228,7 +227,7 @@ def run_episode(policy_spec: PolicySpec, scenario: Scenario, seed: int,
 
     bg, actions, rewards = [env.history[0].bg_true], [], []
     truncated = False
-    for _ in range(64):
+    for _ in range(MAX_STEPS):
         action = float(policy.act(obs, env.history))
         res = env.step(action)
         actions.append(action)

@@ -16,6 +16,12 @@ ENV_API_KEY = "DOSEBENCH_LLM_API_KEY"
 
 _COT_KINDS = (PromptKind.PRIOR_COT, PromptKind.PRIOR_MEAL_COT)
 
+# What a transport may raise for a failed request or a malformed response:
+# connection, timeout and HTTP status errors, undecodable JSON, and a reply
+# missing the choices/message/content path.
+_RECOVERABLE = (requests.RequestException, ValueError, KeyError, IndexError,
+                TypeError)
+
 
 @dataclass
 class LlmConfig:
@@ -54,9 +60,11 @@ class ChatExchange:
     parsed_dose: float | None
     parse_status: ParseStatus
     attempts: int = 1
+    error: str | None = None  # class name of the last transport/decode error
 
     def to_json(self) -> str:
         return json.dumps({
+            "error": self.error,
             "messages": self.messages,
             "raw_response": self.raw_response,
             "parsed_dose": self.parsed_dose,
@@ -88,8 +96,10 @@ def llm_act(history, kind: PromptKind, config: LlmConfig,
             transport=None) -> tuple[float, ChatExchange]:
     """Serialize -> prompt -> request -> parse -> clamp, with retries.
 
-    Never raises into the episode loop: transport failures and unparseable
-    replies consume retries and finally resolve to the fallback dose.
+    Transport failures, undecodable or malformed responses and unparseable
+    replies consume retries and finally resolve to the fallback dose; the
+    last such error's class is recorded in the exchange. Any other exception
+    is a programming error and propagates.
     """
     kind = PromptKind(kind)
     obs_text = serialize_observation(
@@ -99,12 +109,14 @@ def llm_act(history, kind: PromptKind, config: LlmConfig,
     send = transport or http_transport
 
     raw = None
+    error = None
     attempts = 0
     for attempt in range(config.max_retries + 1):
         attempts = attempt + 1
         try:
             raw = send(messages, config, kind)
-        except Exception:
+        except _RECOVERABLE as exc:
+            error = type(exc).__name__
             continue
         dose = parse(raw)
         if dose is None:
@@ -114,10 +126,10 @@ def llm_act(history, kind: PromptKind, config: LlmConfig,
             continue
         return action, ChatExchange(messages=messages, raw_response=raw,
                                     parsed_dose=dose, parse_status=status,
-                                    attempts=attempts)
+                                    attempts=attempts, error=error)
     return config.fallback_dose, ChatExchange(
         messages=messages, raw_response=raw, parsed_dose=None,
-        parse_status=ParseStatus.FALLBACK_USED, attempts=attempts)
+        parse_status=ParseStatus.FALLBACK_USED, attempts=attempts, error=error)
 
 
 class AuditLog:

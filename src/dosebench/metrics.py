@@ -81,7 +81,11 @@ def risk_index(bg: float) -> RiskBreakdown:
 
 def step_reward(bg: float, terminated: bool) -> float:
     """Per-step reward: scaled risk term plus the termination penalty."""
-    ri = risk_index(bg).ri
+    return risk_reward(risk_index(bg).ri, terminated)
+
+
+def risk_reward(ri: float, terminated: bool) -> float:
+    """step_reward for a glucose value whose risk index ri is already known."""
     r = (100.0 - ri) / 100.0
     if terminated:
         r += TERMINATION_PENALTY

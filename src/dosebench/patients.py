@@ -15,12 +15,16 @@ State derivatives (u = infusion rate in U/h):
     q'  = -k_abs*q
     g'  = -p1*(g - g_b) - x*g + 1000*f_bio*k_abs*q/v_g  (+ process noise)
 
-Integration is RK4 at 1-minute substeps; noise enters after each substep.
+Integration is RK4 at 1-minute substeps, one kernel call (integrate) per
+control interval. A meal enters the gut before the substep it falls in;
+process noise enters after each substep, drawn once per interval from the
+episode's noise stream.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -143,17 +147,104 @@ def get_patient(cohort: Cohort, patient_id: int) -> PatientParams:
     return make_cohort(cohort)[patient_id]
 
 
-def _derivs(s, p: PatientParams, rate: float):
-    g, s1, s2, x, q = s
-    plasma_insulin = s2 / (p.tau_sc * p.v_i)
-    ra = 1000.0 * p.f_bio * p.k_abs * q / p.v_g
-    return (
-        -p.p1 * (g - p.g_b) - x * g + ra,
-        rate / 60.0 - s1 / p.tau_sc,
-        (s1 - s2) / p.tau_sc,
-        -p.p2 * x + p.p2 * p.s_i * plasma_insulin,
-        -p.k_abs * q,
-    )
+def integrate(state: PatientState, params: PatientParams, rate: float,
+              dt: float, carbs: Sequence[Sequence[float]],
+              noise_stream: np.random.Generator | None = None
+              ) -> PatientState:
+    """RK4 over len(carbs) substeps of dt minutes at a constant rate (U/h).
+
+    carbs[k] holds the grams of each meal eaten in substep k; they enter the
+    gut one at a time, in order, before the substep is integrated. Process
+    noise for the whole interval is one standard_normal(n) draw, which gives
+    the values, and leaves the generator in the state, of n scalar draws.
+    Non-negativity is restored by flooring after every substep; glucose is
+    floored at a small positive value so downstream logs stay defined.
+
+    Every expression keeps the operand order of the module's derivatives
+    and of y + dt/6 * (k1 + 2*k2 + 2*k3 + k4), term by term, so n substeps
+    here are bit-identical to n one-substep calls; only loop-invariant
+    constants are hoisted.
+    """
+    state.check_finite()
+    n = len(carbs)
+    g, s1, s2, x, q = state.g, state.s1, state.s2, state.x, state.q_gut
+    t = state.t_elapsed
+    noise = None
+    if noise_stream is not None and params.noise_sigma > 0:
+        noise = noise_stream.standard_normal(n).tolist()
+        sigma = params.noise_sigma * math.sqrt(dt)
+
+    neg_p1, g_b = -params.p1, params.g_b
+    neg_p2, p2_s_i = -params.p2, params.p2 * params.s_i
+    tau, tau_v_i = params.tau_sc, params.tau_sc * params.v_i
+    ra_gain, v_g = 1000.0 * params.f_bio * params.k_abs, params.v_g
+    neg_k_abs = -params.k_abs
+    infusion = rate / 60.0
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    isfinite = math.isfinite
+
+    for k in range(n):
+        for grams in carbs[k]:
+            q = q + grams
+        # Stage j derivatives: gj, aj, bj, xj, qj for g, s1, s2, x, q.
+        g1 = neg_p1 * (g - g_b) - x * g + ra_gain * q / v_g
+        a1 = infusion - s1 / tau
+        b1 = (s1 - s2) / tau
+        x1 = neg_p2 * x + p2_s_i * (s2 / tau_v_i)
+        q1 = neg_k_abs * q
+
+        gs, s1s, s2s = g + half_dt * g1, s1 + half_dt * a1, s2 + half_dt * b1
+        xs, qs = x + half_dt * x1, q + half_dt * q1
+        g2 = neg_p1 * (gs - g_b) - xs * gs + ra_gain * qs / v_g
+        a2 = infusion - s1s / tau
+        b2 = (s1s - s2s) / tau
+        x2 = neg_p2 * xs + p2_s_i * (s2s / tau_v_i)
+        q2 = neg_k_abs * qs
+
+        gs, s1s, s2s = g + half_dt * g2, s1 + half_dt * a2, s2 + half_dt * b2
+        xs, qs = x + half_dt * x2, q + half_dt * q2
+        g3 = neg_p1 * (gs - g_b) - xs * gs + ra_gain * qs / v_g
+        a3 = infusion - s1s / tau
+        b3 = (s1s - s2s) / tau
+        x3 = neg_p2 * xs + p2_s_i * (s2s / tau_v_i)
+        q3 = neg_k_abs * qs
+
+        gs, s1s, s2s = g + dt * g3, s1 + dt * a3, s2 + dt * b3
+        xs, qs = x + dt * x3, q + dt * q3
+        g4 = neg_p1 * (gs - g_b) - xs * gs + ra_gain * qs / v_g
+        a4 = infusion - s1s / tau
+        b4 = (s1s - s2s) / tau
+        x4 = neg_p2 * xs + p2_s_i * (s2s / tau_v_i)
+        q4 = neg_k_abs * qs
+
+        g = g + sixth_dt * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        s1 = s1 + sixth_dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        s2 = s2 + sixth_dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        x = x + sixth_dt * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+        q = q + sixth_dt * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        if noise is not None:
+            g += sigma * noise[k]
+
+        # Written out, these are exactly max(v, floor), NaN and -0.0 included.
+        if 1.0 > g:
+            g = 1.0
+        if 0.0 > s1:
+            s1 = 0.0
+        if 0.0 > s2:
+            s2 = 0.0
+        if 0.0 > x:
+            x = 0.0
+        if 0.0 > q:
+            q = 0.0
+        t += dt
+        if not isfinite(g + s1 + s2 + x + q):
+            # A NaN or infinite field makes the sum non-finite; name it.
+            PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
+                         clock=state.clock).check_finite()
+
+    # The clock advances per control interval, not here.
+    return PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
+                        clock=state.clock)
 
 
 def step_physiology(state: PatientState, params: PatientParams, rate: float,
@@ -161,39 +252,14 @@ def step_physiology(state: PatientState, params: PatientParams, rate: float,
                     ) -> PatientState:
     """One RK4 step of the surrogate dynamics plus optional process noise.
 
-    dt is in minutes, rate in U/h held constant over the step. Non-negativity
-    is restored by flooring; glucose is floored at a small positive value so
-    downstream logs stay defined.
+    dt is in minutes, rate in U/h held constant over the step. This is the
+    one-substep, meal-free call of integrate, with its inputs validated.
     """
     if not (0 < dt <= 15):
         raise ValueError("dt must lie in (0, 15] minutes")
     if rate < 0 or not math.isfinite(rate):
         raise ValueError("infusion rate must be finite and non-negative")
-    state.check_finite()
-
-    y0 = (state.g, state.s1, state.s2, state.x, state.q_gut)
-    k1 = _derivs(y0, params, rate)
-    k2 = _derivs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)), params, rate)
-    k3 = _derivs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)), params, rate)
-    k4 = _derivs(tuple(y + dt * k for y, k in zip(y0, k3)), params, rate)
-    y1 = [y + dt / 6.0 * (a + 2 * b + 2 * c + d)
-          for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
-
-    g, s1, s2, x, q = y1
-    if noise_stream is not None and params.noise_sigma > 0:
-        g += params.noise_sigma * math.sqrt(dt) * noise_stream.standard_normal()
-
-    new = PatientState(
-        g=max(g, 1.0),
-        s1=max(s1, 0.0),
-        s2=max(s2, 0.0),
-        x=max(x, 0.0),
-        q_gut=max(q, 0.0),
-        t_elapsed=state.t_elapsed + dt,
-        clock=state.clock,  # clock advances per control interval, not here
-    )
-    new.check_finite()
-    return new
+    return integrate(state, params, rate, dt, ((),), noise_stream)
 
 
 def apply_meal(state: PatientState, carbs: float) -> PatientState:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, nets
-from .env import GlucoseEnv
+from .env import GlucoseEnv, featurize
 
 D_MAX = 9.0
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -229,11 +229,6 @@ class RolloutBuffer:
         self.__init__()
 
 
-def _featurize(flat):
-    from .dqn import featurize
-    return featurize(flat)
-
-
 def warm_start_ppo(buffer: RolloutBuffer, env: GlucoseEnv, steps: int,
                    rng: np.random.Generator, transform: str = "tanh",
                    d_max: float = D_MAX) -> RolloutBuffer:
@@ -274,7 +269,7 @@ def ppo_update(policy: PpoPolicy, value_net: nets.DenseNet,
     """
     obs, z, _a, logp_old, rewards, values, next_values, terminals = \
         rollout.arrays()
-    feats = _featurize(obs)
+    feats = featurize(obs)
     adv, returns = gae(rewards, values, next_values, terminals,
                        config.gamma, config.gae_lambda)
     if config.advantage_normalization:
@@ -416,13 +411,13 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int,
     while epoch < config.epochs:
         rollout = RolloutBuffer()
         while len(rollout) < config.steps_per_collect:
-            f = _featurize(obs.flat)
+            f = featurize(obs.flat)
             z, a, logp = policy.sample(f, rng_sample)
             v, _ = nets.forward(value_net, f)
             res = env.step(float(np.clip(a, 0.0, config.d_max)))
             nv = 0.0
             if not res.terminated:
-                nv_out, _ = nets.forward(value_net, _featurize(res.observation.flat))
+                nv_out, _ = nets.forward(value_net, featurize(res.observation.flat))
                 nv = float(nv_out[0])
             rollout.add(obs.flat, z, a, logp, res.reward, float(v[0]), nv,
                         res.terminated or res.truncated)

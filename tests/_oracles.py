@@ -2,11 +2,18 @@
 
 Everything here is deliberately written in a different style from the library
 code: high-precision arithmetic (mpmath), brute-force double loops, and
-numerical quadrature / finite differences instead of closed forms.
+numerical quadrature / finite differences instead of closed forms. The
+physiology reference is the exception: it is the per-minute RK4 step the
+package used before the interval kernel, kept verbatim so the kernel can be
+held to it bit for bit.
 """
+
+import math
 
 import mpmath
 import numpy as np
+
+from dosebench.patients import PatientParams, PatientState
 
 mpmath.mp.dps = 50
 
@@ -90,3 +97,56 @@ def relative_error(analytic, numeric):
     b = np.concatenate([np.asarray(g, dtype=float).ravel() for g in numeric])
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def _derivs(s, p: PatientParams, rate: float):
+    g, s1, s2, x, q = s
+    plasma_insulin = s2 / (p.tau_sc * p.v_i)
+    ra = 1000.0 * p.f_bio * p.k_abs * q / p.v_g
+    return (
+        -p.p1 * (g - p.g_b) - x * g + ra,
+        rate / 60.0 - s1 / p.tau_sc,
+        (s1 - s2) / p.tau_sc,
+        -p.p2 * x + p.p2 * p.s_i * plasma_insulin,
+        -p.k_abs * q,
+    )
+
+
+def step_physiology(state: PatientState, params: PatientParams, rate: float,
+                    dt: float, noise_stream: np.random.Generator | None = None
+                    ) -> PatientState:
+    """One RK4 step of the surrogate dynamics plus optional process noise.
+
+    dt is in minutes, rate in U/h held constant over the step. Non-negativity
+    is restored by flooring; glucose is floored at a small positive value so
+    downstream logs stay defined.
+    """
+    if not (0 < dt <= 15):
+        raise ValueError("dt must lie in (0, 15] minutes")
+    if rate < 0 or not math.isfinite(rate):
+        raise ValueError("infusion rate must be finite and non-negative")
+    state.check_finite()
+
+    y0 = (state.g, state.s1, state.s2, state.x, state.q_gut)
+    k1 = _derivs(y0, params, rate)
+    k2 = _derivs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)), params, rate)
+    k3 = _derivs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)), params, rate)
+    k4 = _derivs(tuple(y + dt * k for y, k in zip(y0, k3)), params, rate)
+    y1 = [y + dt / 6.0 * (a + 2 * b + 2 * c + d)
+          for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
+
+    g, s1, s2, x, q = y1
+    if noise_stream is not None and params.noise_sigma > 0:
+        g += params.noise_sigma * math.sqrt(dt) * noise_stream.standard_normal()
+
+    new = PatientState(
+        g=max(g, 1.0),
+        s1=max(s1, 0.0),
+        s2=max(s2, 0.0),
+        x=max(x, 0.0),
+        q_gut=max(q, 0.0),
+        t_elapsed=state.t_elapsed + dt,
+        clock=state.clock,  # clock advances per control interval, not here
+    )
+    new.check_finite()
+    return new

@@ -8,7 +8,9 @@ from dosebench.env import (CONTROL_INTERVAL_MIN, MAX_STEPS, OBS_DIM,
                            build_observation, default_scenario, format_clock,
                            load_scenario, noiseless, parse_clock, trace_lines,
                            write_trace)
-from dosebench.patients import Cohort, MealEvent
+from dosebench.patients import Cohort, MealEvent, apply_meal
+
+import _oracles
 
 
 def test_clock_helpers():
@@ -235,3 +237,34 @@ def test_rewards_use_true_bg_not_sensor():
     res = env.step(1.0)
     assert res.reward == pytest.approx(
         metrics.step_reward(env.history[-1].bg_true, False))
+
+
+def test_meals_enter_before_their_substep_as_per_minute_scan():
+    # Meals on an interval boundary (15.0), in its last minute (29.5), two in
+    # one minute (45.0, 45.5) and one at the last substep of a later step.
+    meals = (MealEvent(15.0, 8.0), MealEvent(29.5, 4.0),
+             MealEvent(45.0, 6.0), MealEvent(45.5, 2.5),
+             MealEvent(74.999, 5.0))
+    scenario = Scenario(cohort=Cohort.ADULT, patient_id=2, meal_schedule=meals,
+                        meal_jitter_min=0.0, meal_jitter_carb_frac=0.0)
+    env, ref = GlucoseEnv(scenario), GlucoseEnv(scenario)
+    env.reset(21)
+    ref.reset(21)
+    for _ in range(6):
+        res = env.step(0.9)
+        assert not res.terminated
+        # The per-minute scan the interval kernel replaced.
+        t0, eaten = ref.state.t_elapsed, 0.0
+        for minute in range(CONTROL_INTERVAL_MIN):
+            t = t0 + minute
+            for meal in ref._meals:
+                if t <= meal.time_offset < t + 1.0:
+                    ref.state = apply_meal(ref.state, meal.carbs)
+                    eaten += meal.carbs
+            ref.state = _oracles.step_physiology(ref.state, ref.params, 0.9,
+                                                 1.0, ref._noise_rng)
+        ref.state.clock += CONTROL_INTERVAL_MIN
+        assert env.state == ref.state
+        assert res.info["meal_carbs"] == eaten
+    assert [r.meal_carbs for r in env.history[1:6]] == [
+        0.0, 12.0, 0.0, 8.5, 5.0]

@@ -179,6 +179,39 @@ def test_llm_act_survives_transport_exceptions():
     assert action == 0.0
     assert ex.parse_status is ParseStatus.FALLBACK_USED
     assert ex.raw_response is None
+    assert ex.error == "ConnectionError"
+    assert json.loads(ex.to_json())["error"] == "ConnectionError"
+
+
+def test_llm_act_records_error_of_a_retried_request():
+    replies = iter([requests.Timeout("slow"), "2.0"])
+
+    def flaky(messages, config, kind):
+        reply = next(replies)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    cfg = LlmConfig(base_url="http://unused", max_retries=1)
+    action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+                         transport=flaky)
+    assert action == 2.0
+    assert ex.parse_status is ParseStatus.OK
+    assert ex.attempts == 2
+    assert ex.error == "Timeout"
+
+
+def test_llm_act_propagates_programming_errors():
+    calls = []
+
+    def broken(messages, config, kind):
+        calls.append(1)
+        raise AttributeError("no such attribute")
+
+    cfg = LlmConfig(base_url="http://unused", max_retries=2)
+    with pytest.raises(AttributeError):
+        llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg, transport=broken)
+    assert len(calls) == 1
 
 
 def test_audit_log_round_trip(tmp_path):
@@ -192,6 +225,7 @@ def test_audit_log_round_trip(tmp_path):
     row = json.loads(path.read_text().splitlines()[0])
     assert row["parsed_dose"] == 1.0
     assert row["parse_status"] == "ok"
+    assert row["error"] is None
 
 
 @pytest.fixture()

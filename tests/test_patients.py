@@ -3,12 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dosebench.patients import (Cohort, MealEvent, PatientParams, PatientState,
                                 apply_bolus, apply_meal, correction_drop,
-                                get_patient,
+                                get_patient, integrate,
                                 make_cohort, meal_response_std, steady_state,
                                 step_physiology)
+
+import _oracles
 
 
 def _quiet(params):
@@ -164,3 +168,112 @@ def test_larger_dose_never_raises_glucose():
             rate=rate)
     assert np.all(trajs[2.0] <= trajs[0.0] + 1e-9)
     assert np.all(trajs[4.0] <= trajs[2.0] + 1e-9)
+
+
+def _per_minute_reference(state, params, rate, dt, carbs, rng):
+    """n verbatim per-minute steps, each meal applied before its substep."""
+    for minute_meals in carbs:
+        for grams in minute_meals:
+            state = apply_meal(state, grams)
+        state = _oracles.step_physiology(state, params, rate, dt, rng)
+    return state
+
+
+def _assert_kernel_matches_reference(params, state, rate, dt, carbs, noise,
+                                     seed):
+    ref_rng = np.random.default_rng(seed) if noise else None
+    new_rng = np.random.default_rng(seed) if noise else None
+    ref = _per_minute_reference(state, params, rate, dt, carbs, ref_rng)
+    new = integrate(state, params, rate, dt, carbs, new_rng)
+    assert new == ref
+    # == treats 0.0 and -0.0 as equal; repr does not.
+    assert repr(new) == repr(ref)
+    if noise:
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def _kernel_cases(draw):
+    params = make_cohort(draw(st.sampled_from(list(Cohort))))[
+        draw(st.integers(0, 3))]
+    n = draw(st.integers(1, 15))
+    meals = draw(st.lists(
+        st.tuples(st.integers(0, n - 1),
+                  st.floats(1.0, 120.0, allow_nan=False)), max_size=4))
+    carbs = [()] * n
+    for minute, grams in meals:
+        carbs[minute] += (grams,)
+    state = PatientState(
+        g=draw(st.floats(1.0, 600.0)),
+        s1=draw(st.floats(0.0, 10.0)),
+        s2=draw(st.floats(0.0, 10.0)),
+        x=draw(st.floats(0.0, 0.1)),
+        q_gut=draw(st.floats(0.0, 150.0)),
+        t_elapsed=float(draw(st.integers(0, 945))),
+        clock=draw(st.integers(0, 2000)))
+    return dict(params=params, state=state,
+                rate=draw(st.floats(0.0, 9.0)),
+                dt=draw(st.sampled_from((1.0, 0.5, 1.0 / 3.0, 2.0))),
+                carbs=carbs, noise=draw(st.booleans()),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@given(_kernel_cases())
+def test_integrate_matches_per_minute_reference(case):
+    _assert_kernel_matches_reference(**case)
+
+
+@pytest.mark.parametrize("noise", [False, True])
+@pytest.mark.parametrize("carbs", [
+    [(30.0,)] + [()] * 14,                      # meal in minute 0
+    [()] * 14 + [(25.0,)],                      # meal in minute 14
+    [()] * 6 + [(20.0, 7.5)] + [()] * 8,         # two meals in one minute
+    [(12.0,), (), (40.0, 0.1, 3.0)] + [()] * 12,
+])
+def test_integrate_meal_placement_matches_reference(carbs, noise):
+    params = get_patient(Cohort.CHILD, 1)
+    state = PatientState(g=143.0, s1=0.4, s2=0.3, x=0.002, q_gut=11.0,
+                         t_elapsed=105.0, clock=405)
+    _assert_kernel_matches_reference(params, state, 2.7, 1.0, carbs, noise, 7)
+
+
+def test_integrate_floors_match_reference():
+    # A crushing dose drives glucose to its floor inside the interval.
+    params = get_patient(Cohort.CHILD, 0)
+    state = PatientState(g=45.0, s1=30.0, s2=30.0, x=0.5, q_gut=0.0)
+    _assert_kernel_matches_reference(params, state, 9.0, 1.0, [()] * 15,
+                                     True, 3)
+
+
+def test_integrate_sum_overflow_with_finite_fields_is_not_an_error():
+    # s1 + s2 overflows to inf although every field stays finite (a tiny
+    # insulin sensitivity keeps the remote action from overflowing x * g).
+    params = replace(_quiet(get_patient(Cohort.ADULT, 0)), s_i=1e-300)
+    state = PatientState(g=120.0, s1=1e308, s2=1e308, x=0.0, q_gut=0.0)
+    _assert_kernel_matches_reference(params, state, 0.0, 1.0, [()] * 3,
+                                     False, 0)
+
+
+def test_integrate_rejects_non_finite_input_state():
+    params = get_patient(Cohort.ADULT, 0)
+    for field in ("g", "s1", "s2", "x", "q_gut"):
+        state = replace(steady_state(params), **{field: float("nan")})
+        with pytest.raises(FloatingPointError):
+            integrate(state, params, 1.0, 1.0, [()] * 15)
+    state = replace(steady_state(params), s2=float("inf"))
+    with pytest.raises(FloatingPointError):
+        integrate(state, params, 1.0, 1.0, [()] * 15)
+
+
+def test_integrate_raises_when_state_turns_non_finite_mid_interval():
+    # A finite but enormous meal in minute 7 overflows the gut dynamics.
+    params = get_patient(Cohort.ADULT, 0)
+    carbs = [()] * 7 + [(1e308,)] + [()] * 7
+    state = steady_state(params)
+    with pytest.raises(FloatingPointError):
+        _per_minute_reference(state, params, 1.0, 1.0, carbs,
+                              np.random.default_rng(0))
+    with pytest.raises(FloatingPointError):
+        integrate(state, params, 1.0, 1.0, carbs, np.random.default_rng(0))
+    # The first seven substeps alone stay finite.
+    integrate(state, params, 1.0, 1.0, carbs[:7], np.random.default_rng(0))
