@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -307,10 +307,3 @@ def load_scenario(path) -> tuple[Scenario, list[int]]:
     )
     seeds = [int(s) for s in raw.get("seeds", [1, 100, 1000, 10000])]
     return scenario, seeds
-
-
-def noiseless(scenario: Scenario) -> GlucoseEnv:
-    """Environment with process and sensor noise switched off (testing)."""
-    params = get_patient(scenario.cohort, scenario.patient_id)
-    params = replace(params, noise_sigma=0.0, cgm_sigma=0.0)
-    return GlucoseEnv(scenario, params=params)

@@ -8,6 +8,7 @@ would be vacuous.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -216,9 +217,8 @@ def episode_seed_sequence(seed: int, repeat: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), int(repeat), 0xE7A1])
 
 
-def run_episode(policy_spec: PolicySpec, scenario: Scenario, seed: int,
+def run_episode(policy: Policy, scenario: Scenario, seed: int,
                 repeat: int) -> EpisodeRecord:
-    policy = policy_spec.resolve()
     ss = episode_seed_sequence(seed, repeat)
     env_ss, policy_ss = ss.spawn(2)
     env = GlucoseEnv(scenario)
@@ -247,7 +247,13 @@ def run_episode(policy_spec: PolicySpec, scenario: Scenario, seed: int,
 
 def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,
                  scenarios=None, workers: int = 1) -> list[EpisodeRecord]:
-    """All protocol episodes. Per-episode failures are recorded, not fatal."""
+    """All protocol episodes. Per-episode failures are recorded, not fatal.
+
+    The policy is resolved once, so a checkpoint that cannot be loaded raises
+    here. Each episode acts through its own shallow copy of it: the rng that
+    ``reset`` installs never crosses episodes or worker threads.
+    """
+    policy = policy_spec.resolve()
     jobs = []
     for cohort in protocol.cohorts:
         for pid in range(protocol.patients_per_cohort):
@@ -260,7 +266,7 @@ def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,
     def one(job):
         scenario, seed, repeat = job
         try:
-            return run_episode(policy_spec, scenario, seed, repeat)
+            return run_episode(copy.copy(policy), scenario, seed, repeat)
         except Exception as exc:  # noqa: BLE001 - recorded per episode
             return EpisodeRecord(cohort=scenario.cohort.value,
                                  patient_id=scenario.patient_id,

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import requests
 
@@ -73,8 +74,38 @@ class ChatExchange:
         }, sort_keys=True)
 
 
+_local = threading.local()  # this thread's (base URL, requests.Session)
+
+
+def _session(base_url: str) -> requests.Session:
+    """This thread's keep-alive session for ``base_url``.
+
+    A thread keeps one session; a call for another base URL closes it and
+    makes a new one. Proxy, CA-bundle and netrc settings are read from the
+    environment once, when the session is made, instead of on every request.
+    Sessions are not shared across threads: ``requests.Session`` is not
+    thread-safe.
+    """
+    url, session = getattr(_local, "session", (None, None))
+    if url != base_url:
+        if session is not None:
+            session.close()
+        session = requests.Session()
+        env = session.merge_environment_settings(base_url, {}, None, None,
+                                                 None)
+        session.proxies = env["proxies"]
+        session.verify = env["verify"]
+        session.auth = requests.utils.get_netrc_auth(base_url)
+        session.trust_env = False
+        _local.session = (base_url, session)
+    return session
+
+
 def http_transport(messages, config: LlmConfig, kind: PromptKind) -> str:
-    """POST to the chat-completions endpoint; returns the reply content."""
+    """POST to the chat-completions endpoint; returns the reply content.
+
+    Requests go over one pooled keep-alive connection per thread and base URL.
+    """
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(ENV_API_KEY)
     if api_key:
@@ -85,9 +116,10 @@ def http_transport(messages, config: LlmConfig, kind: PromptKind) -> str:
         "temperature": config.temperature,
         "max_tokens": config.tokens_for(kind),
     }
-    resp = requests.post(f"{config.resolved_base_url()}/v1/chat/completions",
-                         json=body, headers=headers,
-                         timeout=config.request_timeout)
+    base_url = config.resolved_base_url()
+    resp = _session(base_url).post(f"{base_url}/v1/chat/completions",
+                                   json=body, headers=headers,
+                                   timeout=config.request_timeout)
     resp.raise_for_status()
     return resp.json()["choices"][0]["message"]["content"]
 

@@ -2,12 +2,15 @@
 
 Replies come from a fixed script, cycling once exhausted. A script entry of
 "<error>" makes the server answer HTTP 500 once (for exercising the retry
-path). Received payloads are recorded for assertions.
+path). Received payloads are recorded for assertions. The server speaks
+HTTP/1.1 and keeps connections open between requests; ``stop`` shuts down
+the ones still open, so no request is answered after it returns.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -22,11 +25,30 @@ class ScriptedMockServer:
         self.requests: list[dict] = []
         self._lock = threading.Lock()
         self._counter = 0
+        self._connections = set()  # open client sockets, guarded by _lock
+        self._stopped = False
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # Headers and body go out in separate writes; with Nagle's
+            # algorithm on, the body waits for the client's delayed ACK.
+            disable_nagle_algorithm = True
+
             def log_message(self, *args):
                 pass
+
+            def setup(self):
+                super().setup()
+                with server._lock:
+                    server._connections.add(self.connection)
+                    if server._stopped:  # accepted just before stop()
+                        _hang_up(self.connection)
+
+            def finish(self):
+                with server._lock:
+                    server._connections.discard(self.connection)
+                super().finish()
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
@@ -83,6 +105,12 @@ class ScriptedMockServer:
 
     def stop(self):
         self._httpd.shutdown()
+        # Handler threads are daemons that server_close() does not wait for;
+        # one waiting on an idle keep-alive connection would go on serving it.
+        with self._lock:
+            self._stopped = True
+            for conn in self._connections:
+                _hang_up(conn)
         self._httpd.server_close()
 
     def __enter__(self):
@@ -90,3 +118,10 @@ class ScriptedMockServer:
 
     def __exit__(self, *exc):
         self.stop()
+
+
+def _hang_up(conn: socket.socket):
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:  # the client has already gone
+        pass

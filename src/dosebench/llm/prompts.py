@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -39,11 +39,15 @@ _ANS_RE = re.compile(r"<ans>(.*?)</ans>", re.DOTALL)
 _TAIL_WINDOW = 200
 
 
+@functools.cache
+def _read_template(name: str) -> str:
+    return (_TEMPLATE_DIR / name).read_text().rstrip("\n")
+
+
 def load_templates(kind: PromptKind) -> tuple[str, str]:
+    """(system, request) template text; each file is read from disk once."""
     system_file, request_file = _TEMPLATE_FILES[PromptKind(kind)]
-    system = (_TEMPLATE_DIR / system_file).read_text().rstrip("\n")
-    request = (_TEMPLATE_DIR / request_file).read_text().rstrip("\n")
-    return system, request
+    return _read_template(system_file), _read_template(request_file)
 
 
 def serialize_observation(history: list[StepRecord],

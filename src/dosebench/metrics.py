@@ -106,14 +106,6 @@ def tir(bg_trajectory) -> float:
     return float(hits.mean())
 
 
-def survival_rate(episodes) -> float:
-    """Fraction of episodes that reached the 64-step horizon (truncated)."""
-    episodes = list(episodes)
-    if not episodes:
-        raise ValueError("survival_rate requires a non-empty episode list")
-    return sum(1 for e in episodes if e.truncated) / len(episodes)
-
-
 def bootstrap_ci(samples, resamples: int = 1000, seed: int = 0) -> MetricSummary:
     """Percentile bootstrap: mean of resample means plus 2.5/97.5 percentiles.
 

@@ -299,19 +299,3 @@ def correction_drop(params: PatientParams, initial_bg: float, units: float,
         untreated = step_physiology(untreated, quiet, 0.0, 1.0)
         best = max(best, untreated.g - treated.g)
     return best
-
-
-def meal_response_std(params: PatientParams, initial_bg: float,
-                      carbs: float = 30.0, horizon_min: int = 240) -> float:
-    """Std over time of the noiseless BG trajectory after a single meal.
-
-    Used as the cohort volatility metric: for the same meal, the smaller the
-    patient's distribution volume, the larger the excursion and the std.
-    """
-    quiet = replace(params, noise_sigma=0.0)
-    state = apply_meal(steady_state(quiet, g=initial_bg), carbs)
-    traj = [state.g]
-    for _ in range(horizon_min):
-        state = step_physiology(state, quiet, 0.0, 1.0)
-        traj.append(state.g)
-    return float(np.std(traj))

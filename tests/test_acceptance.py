@@ -163,12 +163,13 @@ def test_criterion_07_simulator_calibration():
 
 
 def _eval_policy_spec(spec, cohort, seeds=(1, 100, 1000, 10000), repeats=2):
+    policy = spec.resolve()
     rets = []
     for pid in range(4):
         scenario = default_scenario(cohort, pid)
         for seed in seeds:
             for rep in range(repeats):
-                rec = harness.run_episode(spec, scenario, seed, rep)
+                rec = harness.run_episode(policy, scenario, seed, rep)
                 rets.append(metrics.normalized_return(rec.episode_return))
     return float(np.mean(rets))
 

@@ -7,7 +7,7 @@ from dosebench import nets
 from dosebench.dqn import (DqnConfig, ReplayBuffer, bin_to_rate, eps_schedule,
                            featurize, select_action, train_dqn, train_step,
                            uniform_probs, warm_start_fill, zero_biased_probs)
-from dosebench.env import GlucoseEnv, default_scenario, noiseless
+from dosebench.env import GlucoseEnv, default_scenario
 from dosebench.patients import Cohort
 
 

@@ -6,11 +6,12 @@ import pytest
 from dosebench.env import (CONTROL_INTERVAL_MIN, MAX_STEPS, OBS_DIM,
                            WINDOW_STEPS, GlucoseEnv, Scenario, StepRecord,
                            build_observation, default_scenario, format_clock,
-                           load_scenario, noiseless, parse_clock, trace_lines,
+                           load_scenario, parse_clock, trace_lines,
                            write_trace)
 from dosebench.patients import Cohort, MealEvent, apply_meal
 
 import _oracles
+from _helpers import noiseless
 
 
 def test_clock_helpers():

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,13 +35,14 @@ def test_scripted_policy_names():
 
 
 def test_run_episode_deterministic():
-    spec = harness.PolicySpec(kind="scripted", scripted_name="constant:1.0")
+    policy = harness.PolicySpec(kind="scripted",
+                                scripted_name="constant:1.0").resolve()
     scenario = default_scenario(Cohort.ADULT, 0)
-    a = harness.run_episode(spec, scenario, 1, 0)
-    b = harness.run_episode(spec, scenario, 1, 0)
+    a = harness.run_episode(policy, scenario, 1, 0)
+    b = harness.run_episode(policy, scenario, 1, 0)
     assert a.rewards == b.rewards
     assert a.bg == b.bg
-    c = harness.run_episode(spec, scenario, 1, 1)  # repeat perturbs the stream
+    c = harness.run_episode(policy, scenario, 1, 1)  # repeat perturbs the stream
     assert c.bg != a.bg
 
 
@@ -204,12 +206,71 @@ def test_dqn_policy_eps_zero_is_deterministic():
     assert a[0] in [0.9 * b for b in range(11)]
 
 
-def test_workers_give_same_records_as_serial():
-    spec = harness.PolicySpec(kind="scripted", scripted_name="constant:1.0")
+def _dqn_checkpoint(tmp_path):
+    path = tmp_path / "q.dnet"
+    nets.save_params(nets.init_standard([48, 8, 11], seed=0), path)
+    return str(path)
+
+
+def test_run_protocol_loads_the_checkpoint_once(tmp_path, monkeypatch):
+    path = _dqn_checkpoint(tmp_path)
+    loads = []
+    load_params = nets.load_params
+    monkeypatch.setattr(nets, "load_params",
+                        lambda p: loads.append(p) or load_params(p))
+    spec = harness.PolicySpec(kind="dqn", checkpoint_path=path)
+    records = harness.run_protocol(spec, harness.EvalProtocol())
+    assert len(records) == 240
+    assert all(r.error is None for r in records)
+    assert loads == [path]
+
+
+def test_workers_give_same_records_as_serial(tmp_path):
+    # The shared warmstart-random instance draws from the rng that reset()
+    # installed on every step; one instance shared by the worker threads
+    # would mix the episodes' streams.
+    specs = {
+        "constant": harness.PolicySpec(kind="scripted",
+                                       scripted_name="constant:1.0"),
+        "shared-random": harness.PolicySpec(
+            kind="scripted",
+            policy_obj=harness.ScriptedPolicy("warmstart-random")),
+        "dqn": harness.PolicySpec(kind="dqn",
+                                  checkpoint_path=_dqn_checkpoint(tmp_path)),
+    }
     protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1, 100),
-                                    repeats_per_seed=1)
-    serial = harness.run_protocol(spec, protocol, workers=1)
-    threaded = harness.run_protocol(spec, protocol, workers=4)
-    key = lambda r: (r.cohort, r.patient_id, r.seed, r.repeat)
-    for a, b in zip(sorted(serial, key=key), sorted(threaded, key=key)):
-        assert a.rewards == b.rewards
+                                    repeats_per_seed=2)
+    for name, spec in specs.items():
+        runs = {}
+        for workers in (1, 4):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # switch threads often, mid-episode
+            try:
+                records = harness.run_protocol(spec, protocol, workers=workers)
+            finally:
+                sys.setswitchinterval(interval)
+            path = tmp_path / f"{name}-{workers}.json"
+            harness.emit_report(harness.aggregate(records, protocol, name),
+                                path)
+            runs[workers] = (records, path.read_bytes())
+        (serial, serial_report), (threaded, threaded_report) = runs.values()
+        key = lambda r: (r.cohort, r.patient_id, r.seed, r.repeat)
+        serial, threaded = sorted(serial, key=key), sorted(threaded, key=key)
+        assert [r.actions for r in serial] == [r.actions for r in threaded], name
+        assert [r.rewards for r in serial] == [r.rewards for r in threaded], name
+        assert serial_report == threaded_report, name
+
+
+def test_run_protocol_raises_on_a_missing_checkpoint(tmp_path):
+    spec = harness.PolicySpec(kind="dqn",
+                              checkpoint_path=str(tmp_path / "absent.dnet"))
+    with pytest.raises(FileNotFoundError):
+        harness.run_protocol(spec, harness.EvalProtocol())
+
+
+def test_run_protocol_raises_on_a_corrupt_checkpoint(tmp_path):
+    path = tmp_path / "corrupt.dnet"
+    path.write_bytes(b"not a checkpoint")
+    spec = harness.PolicySpec(kind="dqn", checkpoint_path=str(path))
+    with pytest.raises(nets.CheckpointError):
+        harness.run_protocol(spec, harness.EvalProtocol())

