@@ -38,25 +38,17 @@ def cmd_train(args):
                            **{k: v for k, v in overrides.items()
                               if k in DqnConfig.__dataclass_fields__})
         result = train_dqn(args.env, config, args.seed)
-        for epoch, net in result.checkpoints:
-            nets.save_params(net, run / f"checkpoint-{epoch:03d}.dnet")
+        save = nets.save_params
     else:
-        import numpy as np
-        from .ppo import PpoConfig, PpoPolicy, default_mu_offset, train_ppo
+        from .ppo import PpoConfig, train_ppo
         transform = "tanh" if args.prior == "on" else "clip"
         config = PpoConfig(transform=transform,
                            **{k: v for k, v in overrides.items()
                               if k in PpoConfig.__dataclass_fields__})
         result = train_ppo(args.env, config, args.seed)
-        offset = config.mu_offset if config.mu_offset is not None \
-            else default_mu_offset(config.transform, config.d_max)
-        for epoch, actor, log_sigma, _value in result.checkpoints:
-            policy = PpoPolicy(actor=actor, log_sigma=np.array(log_sigma),
-                               transform=config.transform, d_max=config.d_max,
-                               conditioned_sigma=config.conditioned_sigma,
-                               mu_offset=offset)
-            harness.save_ppo_checkpoint(policy,
-                                        run / f"checkpoint-{epoch:03d}.dnet")
+        save = harness.save_ppo_checkpoint
+    for epoch, snapshot in result.checkpoints:
+        save(snapshot, run / f"checkpoint-{epoch:03d}.dnet")
     log_rows = [vars(entry) for entry in result.log]
     with open(run / "training_log.json", "w") as fh:
         json.dump(log_rows, fh, indent=2, sort_keys=True)

@@ -8,12 +8,14 @@ scripted policy over bins {0, 1, 2} before any gradient step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
-from . import metrics, nets
-from .env import ACTION_HIGH, GlucoseEnv, Observation, featurize
+from . import nets
+from .env import (EpisodeTally, GlucoseEnv, cohort_envs, featurize, rollout,
+                  seeds_from)
 
 N_ACTIONS = 11
 
@@ -27,7 +29,6 @@ class DqnConfig:
     target_sync_every: int = 100
     eps_start: float = 0.9
     eps_final: float = 0.1
-    eps_test: float = 0.001
     use_prior: bool = False
     warm_start_steps: int = 480
     replay_capacity: int = 50_000
@@ -127,21 +128,17 @@ def eps_schedule(step: int, total_steps: int, config: DqnConfig) -> float:
 
 
 def warm_start_fill(buffer: ReplayBuffer, env: GlucoseEnv, steps: int,
-                    rng: np.random.Generator, episode_seeds=None) -> ReplayBuffer:
+                    rng: np.random.Generator) -> ReplayBuffer:
     """Fill the buffer with a uniform policy over bins {0, 1, 2}."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if steps == 0:
-        return buffer
-    seed_iter = iter(episode_seeds) if episode_seeds is not None else None
-    obs = env.reset(next(seed_iter) if seed_iter else int(rng.integers(2**31)))
-    for _ in range(steps):
+
+    def act(obs, env):
         a = int(rng.integers(0, 3))
-        res = env.step(bin_to_rate(a))
+        return a, bin_to_rate(a)
+
+    for obs, a, res, _ in islice(rollout([env], act, seeds_from(rng)), steps):
         buffer.add(obs.flat, a, res.reward, res.observation.flat, res.terminated)
-        obs = res.observation
-        if res.terminated or res.truncated:
-            obs = env.reset(next(seed_iter) if seed_iter else int(rng.integers(2**31)))
     return buffer
 
 
@@ -181,34 +178,15 @@ class EpochLog:
 class TrainResult:
     checkpoints: list            # list of (epoch, DenseNet copy)
     log: list                    # list of EpochLog
-    config: DqnConfig
 
 
-def _cycle_envs(env_group: str, env_factory):
-    """Environment schedule: per-cohort groups use the 4 patients round robin;
-    'mixed' cycles all 12 patients."""
-    from .patients import Cohort
-    if env_group == "mixed":
-        specs = [(c, pid) for c in Cohort for pid in range(4)]
-    else:
-        specs = [(Cohort(env_group), pid) for pid in range(4)]
-    return [env_factory(c, pid) for c, pid in specs]
-
-
-def train_dqn(env_group: str, config: DqnConfig, seed: int,
-              env_factory=None) -> TrainResult:
+def train_dqn(env_group: str, config: DqnConfig, seed: int) -> TrainResult:
     """Train over config.epochs x config.steps_per_epoch env steps.
 
     One gradient update per environment step once the warm-started buffer can
     fill a batch; one checkpoint per epoch; the log carries per-epoch
     normalised training return and termination causes.
     """
-    from .env import default_scenario
-
-    if env_factory is None:
-        def env_factory(cohort, pid):
-            return GlucoseEnv(default_scenario(cohort, pid))
-
     root = np.random.SeedSequence([seed, 0xD09])
     net_ss, warm_ss, act_ss, sample_ss, ep_ss = root.spawn(5)
     rng_act = np.random.default_rng(act_ss)
@@ -220,48 +198,31 @@ def train_dqn(env_group: str, config: DqnConfig, seed: int,
     target = qnet.copy()
     opt = nets.make_optimizer(qnet, learning_rate=config.lr)
 
-    envs = _cycle_envs(env_group, env_factory)
-    env_idx = 0
-
+    envs = cohort_envs(env_group)
     buffer = ReplayBuffer(config.replay_capacity)
-    warm_rng = np.random.default_rng(warm_ss)
-    warm_start_fill(buffer, envs[0], config.warm_start_steps, warm_rng)
+    warm_start_fill(buffer, envs[0], config.warm_start_steps,
+                    np.random.default_rng(warm_ss))
 
     dist = zero_biased_probs(config.n_actions) if config.use_prior \
         else uniform_probs(config.n_actions)
     total_steps = config.epochs * config.steps_per_epoch
+    global_step = count()
+
+    def act(obs, env):
+        eps = eps_schedule(next(global_step), total_steps, config)
+        a = select_action(qnet, obs.flat, eps, dist, rng_act)
+        return a, bin_to_rate(a)
+
+    steps = rollout(envs, act, seeds_from(rng_episode))
+    tally = EpisodeTally()
     grad_steps = 0
-    global_step = 0
-
     checkpoints, log = [], []
-    env = envs[env_idx]
-    obs = env.reset(int(rng_episode.integers(2**31)))
-    ep_return = 0.0
-
     for epoch in range(config.epochs):
-        ep_returns, losses = [], []
-        hypo = hyper = 0
-        for _ in range(config.steps_per_epoch):
-            eps = eps_schedule(global_step, total_steps, config)
-            a = select_action(qnet, obs.flat, eps, dist, rng_act)
-            res = env.step(bin_to_rate(a))
+        losses = []
+        for obs, a, res, env in islice(steps, config.steps_per_epoch):
             buffer.add(obs.flat, a, res.reward, res.observation.flat,
                        res.terminated)
-            ep_return += res.reward
-            obs = res.observation
-            global_step += 1
-
-            if res.terminated or res.truncated:
-                ep_returns.append(metrics.normalized_return(ep_return))
-                if env.termination_cause == "hypo":
-                    hypo += 1
-                elif env.termination_cause == "hyper":
-                    hyper += 1
-                ep_return = 0.0
-                env_idx = (env_idx + 1) % len(envs)
-                env = envs[env_idx]
-                obs = env.reset(int(rng_episode.integers(2**31)))
-
+            tally.add(res, env)
             if buffer.size >= config.batch_size:
                 batch = buffer.sample(config.batch_size, rng_sample)
                 losses.append(train_step(qnet, target, batch, opt, config))
@@ -271,11 +232,7 @@ def train_dqn(env_group: str, config: DqnConfig, seed: int,
 
         checkpoints.append((epoch, qnet.copy()))
         log.append(EpochLog(
-            epoch=epoch,
-            train_return=float(np.mean(ep_returns)) if ep_returns else float("nan"),
-            episodes=len(ep_returns),
-            hypo_terminations=hypo,
-            hyper_terminations=hyper,
+            epoch=epoch, **tally.flush(),
             mean_loss=float(np.mean(losses)) if losses else float("nan"),
         ))
-    return TrainResult(checkpoints=checkpoints, log=log, config=config)
+    return TrainResult(checkpoints=checkpoints, log=log)

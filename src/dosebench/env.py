@@ -10,9 +10,10 @@ termination always use true glucose.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,6 +248,66 @@ class GlucoseEnv:
         info = {"bg_true": bg, "risk_index": risk, "meal_carbs": meal_carbs}
         return StepResult(observation=obs, reward=reward,
                           terminated=terminated, truncated=truncated, info=info)
+
+
+def cohort_envs(env_group: str) -> list[GlucoseEnv]:
+    """Training environments: a cohort's 4 patients, or all 12 for 'mixed'."""
+    cohorts = list(Cohort) if env_group == "mixed" else [Cohort(env_group)]
+    return [GlucoseEnv(default_scenario(c, pid))
+            for c in cohorts for pid in range(4)]
+
+
+def rollout(envs, act, next_seed):
+    """Play one episode per env in turn, for ever.
+
+    ``act(obs, env)`` returns (action to record, basal rate to apply) and
+    ``next_seed()`` supplies each reset seed. Yields (obs, action, result,
+    env) per step, where obs is the observation the action was chosen on.
+    The next env is reset only when the step after an episode's last one is
+    asked for, so a consumer that stops there leaves it untouched.
+    """
+    for env in itertools.cycle(envs):
+        obs = env.reset(next_seed())
+        while True:
+            action, rate = act(obs, env)
+            result = env.step(rate)
+            yield obs, action, result, env
+            if result.terminated or result.truncated:
+                break
+            obs = result.observation
+
+
+def seeds_from(rng: np.random.Generator):
+    """A rollout ``next_seed``: each call draws one reset seed from rng."""
+    return lambda: int(rng.integers(2**31))
+
+
+class EpisodeTally:
+    """Normalised returns and termination causes of the episodes that ended
+    since the last flush: the epoch-log fields DQN and PPO share."""
+
+    def __init__(self):
+        self._return = 0.0   # of the running episode; spans flushes
+        self._returns, self._hypo, self._hyper = [], 0, 0
+
+    def add(self, result: StepResult, env: GlucoseEnv):
+        self._return += result.reward
+        if result.terminated or result.truncated:
+            self._returns.append(metrics.normalized_return(self._return))
+            self._return = 0.0
+            self._hypo += env.termination_cause == "hypo"
+            self._hyper += env.termination_cause == "hyper"
+
+    def flush(self) -> dict:
+        returns = self._returns
+        fields = {
+            "train_return": float(np.mean(returns)) if returns else float("nan"),
+            "episodes": len(returns),
+            "hypo_terminations": self._hypo,
+            "hyper_terminations": self._hyper,
+        }
+        self._returns, self._hypo, self._hyper = [], 0, 0
+        return fields
 
 
 def trace_lines(env: GlucoseEnv):

@@ -15,13 +15,13 @@ import json
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics, nets
 from .dqn import bin_to_rate
-from .env import MAX_STEPS, GlucoseEnv, Scenario, default_scenario, featurize
+from .env import GlucoseEnv, Scenario, default_scenario, featurize, rollout
 from .patients import Cohort
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
@@ -159,7 +159,6 @@ class PolicySpec:
     kind: str                        # dqn | ppo | llm | scripted
     label: str = ""
     checkpoint_path: str | None = None
-    eps_test: float = 0.001
     scripted_name: str = "zero"
     llm_kind: str = "base"
     llm_config: object = None
@@ -175,7 +174,7 @@ class PolicySpec:
             if not self.checkpoint_path:
                 raise ValueError("dqn policy requires a checkpoint path")
             qnet = nets.load_params(self.checkpoint_path)
-            return DqnPolicy(qnet, eps_test=self.eps_test)
+            return DqnPolicy(qnet)
         if self.kind == "ppo":
             if not self.checkpoint_path:
                 raise ValueError("ppo policy requires a checkpoint path")
@@ -219,34 +218,30 @@ def episode_seed_sequence(seed: int, repeat: int) -> np.random.SeedSequence:
 
 def run_episode(policy: Policy, scenario: Scenario, seed: int,
                 repeat: int) -> EpisodeRecord:
-    ss = episode_seed_sequence(seed, repeat)
-    env_ss, policy_ss = ss.spawn(2)
-    env = GlucoseEnv(scenario)
-    obs = env.reset(env_ss)
+    env_ss, policy_ss = episode_seed_sequence(seed, repeat).spawn(2)
     policy.reset(np.random.default_rng(policy_ss))
 
-    bg, actions, rewards = [env.history[0].bg_true], [], []
-    truncated = False
-    for _ in range(MAX_STEPS):
+    def act(obs, env):
         action = float(policy.act(obs, env.history))
-        res = env.step(action)
-        actions.append(action)
-        rewards.append(res.reward)
-        bg.append(res.info["bg_true"])
-        obs = res.observation
+        return action, action
+
+    env = GlucoseEnv(scenario)
+    for _, _, res, _ in rollout([env], act, lambda: env_ss):
         if res.terminated or res.truncated:
-            truncated = res.truncated
             break
+    history = env.history
     return EpisodeRecord(cohort=scenario.cohort.value,
                          patient_id=scenario.patient_id,
-                         seed=seed, repeat=repeat, bg=bg, actions=actions,
-                         rewards=rewards,
+                         seed=seed, repeat=repeat,
+                         bg=[rec.bg_true for rec in history],
+                         actions=[rec.rate for rec in history[:-1]],
+                         rewards=[rec.reward for rec in history[1:]],
                          termination_cause=env.termination_cause,
-                         truncated=truncated)
+                         truncated=res.truncated)
 
 
 def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,
-                 scenarios=None, workers: int = 1) -> list[EpisodeRecord]:
+                 workers: int = 1) -> list[EpisodeRecord]:
     """All protocol episodes. Per-episode failures are recorded, not fatal.
 
     The policy is resolved once, so a checkpoint that cannot be loaded raises
@@ -257,8 +252,7 @@ def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,
     jobs = []
     for cohort in protocol.cohorts:
         for pid in range(protocol.patients_per_cohort):
-            scenario = (scenarios or {}).get((cohort, pid)) \
-                or default_scenario(cohort, pid)
+            scenario = default_scenario(cohort, pid)
             for seed in protocol.seeds:
                 for repeat in range(protocol.repeats_per_seed):
                     jobs.append((scenario, seed, repeat))
@@ -304,7 +298,7 @@ class MetricsReport:
         }
 
 
-def protocol_hash(protocol: EvalProtocol, scenarios=None) -> str:
+def protocol_hash(protocol: EvalProtocol) -> str:
     """Digest over every knob that shapes the episode set."""
     desc = {
         "cohorts": [c.value for c in protocol.cohorts],
@@ -317,8 +311,7 @@ def protocol_hash(protocol: EvalProtocol, scenarios=None) -> str:
     from .patients import get_patient
     for cohort in protocol.cohorts:
         for pid in range(protocol.patients_per_cohort):
-            scenario = (scenarios or {}).get((cohort, pid)) \
-                or default_scenario(cohort, pid)
+            scenario = default_scenario(cohort, pid)
             params = get_patient(cohort, pid)
             desc["scenarios"][f"{cohort.value}/{pid}"] = {
                 "meals": [(m.time_offset, m.carbs)
@@ -343,8 +336,8 @@ def _metric_values(records):
     }
 
 
-def aggregate(records, protocol: EvalProtocol, policy_label: str = "",
-              scenarios=None) -> MetricsReport:
+def aggregate(records, protocol: EvalProtocol,
+              policy_label: str = "") -> MetricsReport:
     records = [r for r in records]
     if not records:
         raise ValueError("aggregate requires at least one record")
@@ -368,7 +361,7 @@ def aggregate(records, protocol: EvalProtocol, policy_label: str = "",
                 values, resamples=protocol.bootstrap_resamples, seed=seed)
         strata[name] = summaries
     return MetricsReport(policy_label=policy_label,
-                         protocol_hash=protocol_hash(protocol, scenarios),
+                         protocol_hash=protocol_hash(protocol),
                          strata=strata,
                          incomplete_strata=sorted(set(incomplete)))
 
@@ -380,12 +373,11 @@ def select_best_checkpoint(training_log) -> int:
         raise ValueError("training log is empty")
     best_epoch, best_return = None, -math.inf
     for entry in entries:
-        epoch = entry.epoch if hasattr(entry, "epoch") else entry[0]
-        ret = entry.train_return if hasattr(entry, "train_return") else entry[1]
+        ret = entry.train_return
         if ret is None or (isinstance(ret, float) and math.isnan(ret)):
             continue
         if ret > best_return:
-            best_epoch, best_return = epoch, ret
+            best_epoch, best_return = entry.epoch, ret
     if best_epoch is None:
         raise ValueError("training log carries no finite returns")
     return best_epoch

@@ -91,7 +91,9 @@ class ScriptedMockServer:
                 self.wfile.write(body)
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", port), Handler)
+        # shutdown() waits for the serve loop's next poll, 0.5 s by default.
         self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.05},
                                         daemon=True)
 
     @property

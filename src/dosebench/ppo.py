@@ -10,12 +10,14 @@ pushed through the dense-net backward pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
-from . import metrics, nets
-from .env import GlucoseEnv, featurize
+from . import nets
+from .env import (EpisodeTally, GlucoseEnv, cohort_envs, featurize, rollout,
+                  seeds_from)
 
 D_MAX = 9.0
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -225,9 +227,6 @@ class RolloutBuffer:
                 np.asarray(self.values), np.asarray(self.next_values),
                 np.asarray(self.terminals, dtype=bool))
 
-    def clear(self):
-        self.__init__()
-
 
 def warm_start_ppo(buffer: RolloutBuffer, env: GlucoseEnv, steps: int,
                    rng: np.random.Generator, transform: str = "tanh",
@@ -240,22 +239,20 @@ def warm_start_ppo(buffer: RolloutBuffer, env: GlucoseEnv, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if steps == 0:
-        return buffer
-    obs = env.reset(int(rng.integers(2**31)))
     behaviour_logp = math.log(1.0 / 2.0)
-    for _ in range(steps):
+
+    def act(obs, env):
         a = float(rng.uniform(0.0, 2.0))
         if transform == "tanh":
             z = math.atanh(np.clip(2.0 * a / d_max - 1.0, -1 + 1e-9, 1 - 1e-9))
         else:
             z = 2.0 * a / d_max - 1.0
-        res = env.step(a)
+        return (z, a), a
+
+    for obs, (z, a), res, _ in islice(rollout([env], act, seeds_from(rng)),
+                                      steps):
         buffer.add(obs.flat, z, a, behaviour_logp, res.reward, 0.0, 0.0,
                    res.terminated or res.truncated)
-        obs = res.observation
-        if res.terminated or res.truncated:
-            obs = env.reset(int(rng.integers(2**31)))
     return buffer
 
 
@@ -360,21 +357,12 @@ class PpoEpochLog:
 
 @dataclass
 class PpoTrainResult:
-    checkpoints: list            # (epoch, actor copy, log_sigma, value copy)
-    log: list
-    config: PpoConfig
+    checkpoints: list            # list of (epoch, PpoPolicy snapshot)
+    log: list                    # list of PpoEpochLog
 
 
-def train_ppo(env_group: str, config: PpoConfig, seed: int,
-              env_factory=None) -> PpoTrainResult:
+def train_ppo(env_group: str, config: PpoConfig, seed: int) -> PpoTrainResult:
     """Collect/update cycles with checkpoints at 480-env-step epochs."""
-    from .dqn import _cycle_envs
-    from .env import default_scenario
-
-    if env_factory is None:
-        def env_factory(cohort, pid):
-            return GlucoseEnv(default_scenario(cohort, pid))
-
     root = np.random.SeedSequence([seed, 0xBB0])
     actor_ss, critic_ss, warm_ss, samp_ss, ep_ss, shuf_ss = root.spawn(6)
     policy = make_policy(config, seed=int(actor_ss.generate_state(1)[0]))
@@ -383,71 +371,55 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int,
     actor_opt = nets.make_optimizer(policy.actor, learning_rate=config.lr)
     critic_opt = nets.make_optimizer(value_net, learning_rate=config.lr)
     rng_sample = np.random.default_rng(samp_ss)
-    rng_episode = np.random.default_rng(ep_ss)
     rng_shuffle = np.random.default_rng(shuf_ss)
-
-    envs = _cycle_envs(env_group, env_factory)
-    env_idx = 0
-    env = envs[env_idx]
+    envs = cohort_envs(env_group)
 
     # Warm start: one off-policy update on conservative uniform-[0,2] doses.
     warm = RolloutBuffer()
-    warm_start_ppo(warm, env, config.warm_start_steps,
+    warm_start_ppo(warm, envs[0], config.warm_start_steps,
                    np.random.default_rng(warm_ss), transform=config.transform,
                    d_max=config.d_max)
     if len(warm):
         ppo_update(policy, value_net, warm, config, actor_opt, critic_opt,
                    rng_shuffle)
 
-    obs = env.reset(int(rng_episode.integers(2**31)))
-    ep_return = 0.0
+    def act(obs, env):
+        f = featurize(obs.flat)
+        z, a, logp = policy.sample(f, rng_sample)
+        v, _ = nets.forward(value_net, f)
+        return (z, a, logp, float(v[0])), float(np.clip(a, 0.0, config.d_max))
+
+    steps = rollout(envs, act, seeds_from(np.random.default_rng(ep_ss)))
+    tally = EpisodeTally()
     total_steps = 0
     checkpoints, log = [], []
-    epoch_returns, epoch_causes = [], []
-    last_stats = {"actor_loss": float("nan"), "value_loss": float("nan")}
     next_epoch_at = config.steps_per_epoch
     epoch = 0
 
     while epoch < config.epochs:
-        rollout = RolloutBuffer()
-        while len(rollout) < config.steps_per_collect:
-            f = featurize(obs.flat)
-            z, a, logp = policy.sample(f, rng_sample)
-            v, _ = nets.forward(value_net, f)
-            res = env.step(float(np.clip(a, 0.0, config.d_max)))
+        collect = RolloutBuffer()
+        for obs, (z, a, logp, v), res, env in islice(steps,
+                                                      config.steps_per_collect):
             nv = 0.0
             if not res.terminated:
-                nv_out, _ = nets.forward(value_net, featurize(res.observation.flat))
+                nv_out, _ = nets.forward(value_net,
+                                         featurize(res.observation.flat))
                 nv = float(nv_out[0])
-            rollout.add(obs.flat, z, a, logp, res.reward, float(v[0]), nv,
+            collect.add(obs.flat, z, a, logp, res.reward, v, nv,
                         res.terminated or res.truncated)
-            ep_return += res.reward
-            obs = res.observation
-            total_steps += 1
-            if res.terminated or res.truncated:
-                epoch_returns.append(metrics.normalized_return(ep_return))
-                epoch_causes.append(env.termination_cause)
-                ep_return = 0.0
-                env_idx = (env_idx + 1) % len(envs)
-                env = envs[env_idx]
-                obs = env.reset(int(rng_episode.integers(2**31)))
-        last_stats = ppo_update(policy, value_net, rollout, config,
-                                actor_opt, critic_opt, rng_shuffle)
+            tally.add(res, env)
+        total_steps += len(collect)
+        stats = ppo_update(policy, value_net, collect, config,
+                           actor_opt, critic_opt, rng_shuffle)
 
+        # An epoch ends at the first update after its last step.
         while total_steps >= next_epoch_at and epoch < config.epochs:
-            checkpoints.append((epoch, policy.actor.copy(),
-                                float(policy.log_sigma), value_net.copy()))
-            log.append(PpoEpochLog(
-                epoch=epoch,
-                train_return=float(np.mean(epoch_returns))
-                if epoch_returns else float("nan"),
-                episodes=len(epoch_returns),
-                hypo_terminations=sum(1 for c in epoch_causes if c == "hypo"),
-                hyper_terminations=sum(1 for c in epoch_causes if c == "hyper"),
-                actor_loss=last_stats["actor_loss"],
-                value_loss=last_stats["value_loss"],
-            ))
-            epoch_returns, epoch_causes = [], []
+            checkpoints.append((epoch, replace(
+                policy, actor=policy.actor.copy(),
+                log_sigma=np.array(policy.log_sigma))))
+            log.append(PpoEpochLog(epoch=epoch, **tally.flush(),
+                                   actor_loss=stats["actor_loss"],
+                                   value_loss=stats["value_loss"]))
             epoch += 1
             next_epoch_at += config.steps_per_epoch
-    return PpoTrainResult(checkpoints=checkpoints, log=log, config=config)
+    return PpoTrainResult(checkpoints=checkpoints, log=log)

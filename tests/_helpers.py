@@ -1,13 +1,14 @@
-"""Helpers that only the tests use: a noise-free environment, the cohort
-volatility metric and the survival fraction of a list of episodes."""
+"""Helpers that only the tests use: a noise-free environment, direct meal
+and bolus inputs to a patient state, the cohort volatility and correction
+metrics and the survival fraction of a list of episodes."""
 
 from dataclasses import replace
 
 import numpy as np
 
 from dosebench.env import GlucoseEnv, Scenario
-from dosebench.patients import (PatientParams, apply_meal, get_patient,
-                                steady_state, step_physiology)
+from dosebench.patients import (PatientParams, PatientState, get_patient,
+                                step_physiology)
 
 
 def survival_rate(episodes) -> float:
@@ -39,3 +40,42 @@ def meal_response_std(params: PatientParams, initial_bg: float,
         state = step_physiology(state, quiet, 0.0, 1.0)
         traj.append(state.g)
     return float(np.std(traj))
+
+
+def apply_meal(state: PatientState, carbs: float) -> PatientState:
+    """Add carbs to the gut compartment; glucose is untouched at this instant."""
+    if carbs <= 0:
+        raise ValueError("carbs must be positive")
+    return replace(state, q_gut=state.q_gut + carbs)
+
+
+def apply_bolus(state: PatientState, units: float) -> PatientState:
+    """Instantaneous subcutaneous bolus."""
+    if units < 0:
+        raise ValueError("bolus units must be non-negative")
+    return replace(state, s1=state.s1 + units)
+
+
+def steady_state(params: PatientParams, g: float | None = None) -> PatientState:
+    """Resting state with no insulin on board and an empty gut."""
+    return PatientState(g=params.g_b if g is None else g,
+                        s1=0.0, s2=0.0, x=0.0, q_gut=0.0)
+
+
+def correction_drop(params: PatientParams, initial_bg: float, units: float,
+                    horizon_min: int = 180) -> float:
+    """Peak glucose drop attributable to a correction bolus, noise off.
+
+    Measured against the untreated trajectory from the same start, so the
+    slow p1 relaxation toward basal does not count toward the correction
+    factor.
+    """
+    quiet = replace(params, noise_sigma=0.0)
+    treated = apply_bolus(steady_state(quiet, g=initial_bg), units)
+    untreated = steady_state(quiet, g=initial_bg)
+    best = 0.0
+    for _ in range(horizon_min):
+        treated = step_physiology(treated, quiet, 0.0, 1.0)
+        untreated = step_physiology(untreated, quiet, 0.0, 1.0)
+        best = max(best, untreated.g - treated.g)
+    return best

@@ -17,11 +17,11 @@ from dosebench.dqn import DqnConfig, train_dqn, zero_biased_probs
 from dosebench.env import default_scenario
 from dosebench.llm import (LlmConfig, PromptKind, ScriptedMockServer,
                            clamp_action, llm_act, parse_cot)
-from dosebench.patients import (Cohort, apply_meal, correction_drop,
-                                get_patient, make_cohort, steady_state,
+from dosebench.patients import (Cohort, get_patient, make_cohort,
                                 step_physiology)
 from dosebench.ppo import PpoConfig, gae, log_prob_tanh, train_ppo
 
+from _helpers import apply_meal, correction_drop, steady_state
 from _oracles import gae_brute_force, risk_index_hp, risk_root_hp
 from test_llm import FIXED_HISTORY
 

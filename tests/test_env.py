@@ -1,17 +1,19 @@
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from dosebench.dqn import ReplayBuffer, warm_start_fill
 from dosebench.env import (CONTROL_INTERVAL_MIN, MAX_STEPS, OBS_DIM,
                            WINDOW_STEPS, GlucoseEnv, Scenario, StepRecord,
-                           build_observation, default_scenario, format_clock,
-                           load_scenario, parse_clock, trace_lines,
-                           write_trace)
-from dosebench.patients import Cohort, MealEvent, apply_meal
+                           build_observation, cohort_envs, default_scenario,
+                           format_clock, load_scenario, parse_clock, rollout,
+                           trace_lines, write_trace)
+from dosebench.patients import Cohort, MealEvent
 
 import _oracles
-from _helpers import noiseless
+from _helpers import apply_meal, noiseless
 
 
 def test_clock_helpers():
@@ -269,3 +271,56 @@ def test_meals_enter_before_their_substep_as_per_minute_scan():
         assert res.info["meal_carbs"] == eaten
     assert [r.meal_carbs for r in env.history[1:6]] == [
         0.0, 12.0, 0.0, 8.5, 5.0]
+
+
+def _max_dose(obs, env):
+    return "max", 9.0
+
+
+def test_rollout_visits_envs_in_cycle_order():
+    envs = cohort_envs("child")[:3]
+    seeds = iter(range(100, 200))
+    episodes = []   # (env, steps) per finished episode
+    steps = 0
+    for obs, action, res, env in rollout(envs, _max_dose, seeds.__next__):
+        assert action == "max" and env.history[-1].reward == res.reward
+        steps += 1
+        if res.terminated or res.truncated:
+            episodes.append((env, steps))
+            steps = 0
+            if len(episodes) == 7:
+                break
+    assert [env for env, _ in episodes] == [*envs, *envs, envs[0]]
+    assert all(n == len(env.history) - 1 for env, n in episodes[-3:])
+    assert next(seeds) == 107   # one seed per episode, none ahead
+
+
+def test_rollout_ending_on_an_episode_end_resets_nothing_more():
+    scenario = default_scenario(Cohort.CHILD, 1)
+    ref = GlucoseEnv(scenario)
+    ref.reset(5)
+    n = 1
+    while not ref.step(9.0).terminated:
+        n += 1
+    first, second = GlucoseEnv(scenario), GlucoseEnv(scenario)
+    seeds = []
+
+    def next_seed():
+        seeds.append(5)
+        return 5
+
+    steps = rollout([first, second], _max_dose, next_seed)
+    *_, (_, _, last, env) = islice(steps, n)
+    assert env is first and last.terminated
+    assert seeds == [5] and second.state is None
+    _, _, res, env = next(steps)
+    assert env is second and seeds == [5, 5] and len(second.history) == 2
+
+
+def test_warm_start_fill_of_zero_steps_draws_nothing():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    buffer = warm_start_fill(ReplayBuffer(8), env, 0, rng)
+    assert rng.bit_generator.state == before
+    assert buffer.size == 0 and env.state is None

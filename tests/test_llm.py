@@ -322,6 +322,14 @@ def test_stop_hangs_up_an_idle_keep_alive_connection():
     assert len(server.requests) == 1
 
 
+def test_stop_right_after_a_request_returns_quickly():
+    server = ScriptedMockServer(["1.0"]).start()
+    assert _send(server) == "1.0"
+    start = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - start < 0.25
+
+
 def test_http_transport_honours_the_proxy_environment(monkeypatch):
     for var in ("http_proxy", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
         monkeypatch.delenv(var, raising=False)

@@ -7,12 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dosebench.patients import (Cohort, MealEvent, PatientParams, PatientState,
-                                apply_bolus, apply_meal, correction_drop,
-                                get_patient, integrate,
-                                make_cohort, steady_state, step_physiology)
+                                get_patient, integrate, make_cohort,
+                                step_physiology)
 
 import _oracles
-from _helpers import meal_response_std
+from _helpers import (apply_bolus, apply_meal, correction_drop,
+                      meal_response_std, steady_state)
 
 
 def _quiet(params):

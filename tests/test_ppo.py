@@ -1,4 +1,5 @@
 import math
+from itertools import chain, islice, repeat
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dosebench.ppo import (PpoConfig, PpoUpdateError, RolloutBuffer, act_clip,
                            log_prob_tanh, log_prob_tanh_grad, log_prob_tanh_z,
                            make_policy, ppo_update, squash_tanh, train_ppo,
                            unsquash_tanh, warm_start_ppo)
-from dosebench.env import GlucoseEnv, default_scenario
+from dosebench.env import GlucoseEnv, default_scenario, featurize, rollout
 from dosebench.patients import Cohort
 
 from _oracles import gae_brute_force
@@ -163,19 +164,18 @@ def test_warm_start_ppo_doses_low():
 
 def _tiny_rollout(policy, n=64, seed=0):
     rng = np.random.default_rng(seed)
+
+    def act(obs, env):
+        z, a, logp = policy.sample(featurize(obs.flat), rng)
+        return (z, a, logp), float(np.clip(a, 0, 9))
+
     env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
-    obs = env.reset(seed)
+    seeds = chain([seed], repeat(seed + 1))
     buf = RolloutBuffer()
-    from dosebench.dqn import featurize
-    for _ in range(n):
-        f = featurize(obs.flat)
-        z, a, logp = policy.sample(f, rng)
-        res = env.step(float(np.clip(a, 0, 9)))
+    for obs, (z, a, logp), res, _ in islice(
+            rollout([env], act, seeds.__next__), n):
         buf.add(obs.flat, z, a, logp, res.reward, 0.0, 0.0,
                 res.terminated or res.truncated)
-        obs = res.observation
-        if res.terminated or res.truncated:
-            obs = env.reset(seed + 1)
     return buf
 
 
@@ -217,17 +217,8 @@ def test_value_function_learns_constant_returns():
                nets.make_optimizer(value_net, cfg.lr),
                np.random.default_rng(0))
     obs = buf.arrays()[0]
-    from dosebench.dqn import featurize
     preds, _ = nets.forward(value_net, featurize(obs))
     assert float(np.abs(preds[:, 0] - 1.0).mean()) < 0.25
-
-
-def test_rollout_buffer_clear():
-    buf = RolloutBuffer()
-    buf.add(np.zeros(48), 0.0, 1.0, -0.7, 0.5, 0.0, 0.0, False)
-    assert len(buf) == 1
-    buf.clear()
-    assert len(buf) == 0
 
 
 def test_train_ppo_smoke_and_determinism():
