@@ -26,27 +26,39 @@ def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        return yaml.safe_load(fh) or {}
+        overrides = yaml.safe_load(fh) or {}
+    if not isinstance(overrides, dict):
+        raise SystemExit(f"dosebench train: --config {path} is not a YAML "
+                         f"mapping of config fields")
+    return overrides
+
+
+def _make_config(cls, overrides: dict, **from_flags):
+    """``cls(**from_flags, **overrides)``; exits naming every override key
+    that is not a field of ``cls`` or that a command-line flag already sets."""
+    rejected = sorted(map(str, set(overrides) - (set(cls.__dataclass_fields__)
+                                                 - set(from_flags))))
+    if rejected:
+        raise SystemExit(f"dosebench train: --config keys rejected: "
+                         f"{', '.join(rejected)} (keys must be {cls.__name__} "
+                         f"fields that --prior does not set)")
+    return cls(**from_flags, **overrides)
 
 
 def cmd_train(args):
     overrides = _load_config(args.config)
-    run = _run_dir(args.out, f"{args.algo}-{args.env}-{args.prior}-{args.seed}")
     if args.algo == "dqn":
         from .dqn import DqnConfig, train_dqn
-        config = DqnConfig(use_prior=args.prior == "on",
-                           **{k: v for k, v in overrides.items()
-                              if k in DqnConfig.__dataclass_fields__})
-        result = train_dqn(args.env, config, args.seed)
-        save = nets.save_params
+        config = _make_config(DqnConfig, overrides,
+                              use_prior=args.prior == "on")
+        train, save = train_dqn, nets.save_params
     else:
         from .ppo import PpoConfig, train_ppo
-        transform = "tanh" if args.prior == "on" else "clip"
-        config = PpoConfig(transform=transform,
-                           **{k: v for k, v in overrides.items()
-                              if k in PpoConfig.__dataclass_fields__})
-        result = train_ppo(args.env, config, args.seed)
-        save = harness.save_ppo_checkpoint
+        config = _make_config(PpoConfig, overrides,
+                              transform="tanh" if args.prior == "on" else "clip")
+        train, save = train_ppo, harness.save_ppo_checkpoint
+    run = _run_dir(args.out, f"{args.algo}-{args.env}-{args.prior}-{args.seed}")
+    result = train(args.env, config, args.seed)
     for epoch, snapshot in result.checkpoints:
         save(snapshot, run / f"checkpoint-{epoch:03d}.dnet")
     log_rows = [vars(entry) for entry in result.log]
@@ -126,7 +138,8 @@ def build_parser():
     p_train.add_argument("--prior", choices=["on", "off"], default="off")
     p_train.add_argument("--seed", type=int, default=1)
     p_train.add_argument("--config", default=None,
-                         help="YAML overrides for the algorithm config")
+                         help="YAML overrides for the algorithm config; keys "
+                              "must be config fields not set by --prior")
     p_train.add_argument("--out", default="runs")
     p_train.set_defaults(func=cmd_train)
 

@@ -1,4 +1,5 @@
-"""DQN over the 11-bin dose grid with zero-dose-biased exploration.
+"""DQN over an evenly spaced grid on the dose range, with zero-dose-biased
+exploration.
 
 The exploration prior puts probability p0 = n(n+1)/(2n^2 - n + 1) on the
 zero-dose bin and spreads the rest uniformly, which keeps the ratio
@@ -14,15 +15,15 @@ from itertools import count, islice
 import numpy as np
 
 from . import nets
-from .env import (EpisodeTally, GlucoseEnv, cohort_envs, featurize, rollout,
-                  seeds_from)
+from .env import (ACTION_HIGH, OBS_DIM, EpisodeTally, GlucoseEnv, cohort_envs,
+                  featurize, rollout, seeds_from)
 
-N_ACTIONS = 11
+N_ACTIONS = 11   # dose bins, 0 to ACTION_HIGH inclusive
+_BIN_WIDTH = ACTION_HIGH / (N_ACTIONS - 1)
 
 
 @dataclass
 class DqnConfig:
-    n_actions: int = N_ACTIONS
     gamma: float = 0.99
     lr: float = 1e-3
     batch_size: int = 128
@@ -67,19 +68,19 @@ def uniform_probs(n_actions: int) -> ExplorationDistribution:
 
 
 def bin_to_rate(bin_index: int) -> float:
-    """Linear 11-bin grid over [0, 9] U/h: bin * 0.9."""
+    """Basal rate of a bin on the linear grid over the dose range."""
     if not (0 <= bin_index < N_ACTIONS):
         raise ValueError(f"bin must lie in [0, {N_ACTIONS - 1}]")
-    return 0.9 * bin_index
+    return _BIN_WIDTH * bin_index
 
 
 class ReplayBuffer:
     """Ring buffer of (obs, action bin, reward, next obs, terminated)."""
 
-    def __init__(self, capacity: int, obs_dim: int = 48):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.next_obs = np.zeros((capacity, obs_dim))
+        self.obs = np.zeros((capacity, OBS_DIM))
+        self.next_obs = np.zeros((capacity, OBS_DIM))
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
         self.terminated = np.zeros(capacity, dtype=bool)
@@ -104,7 +105,7 @@ class ReplayBuffer:
                 self.next_obs[idx], self.terminated[idx])
 
 
-def select_action(qnet: nets.DenseNet, obs_flat, eps: float,
+def select_action(qnet: nets.DenseNet, obs, eps: float,
                   dist: ExplorationDistribution,
                   rng: np.random.Generator) -> int:
     """Epsilon-greedy with the configured exploration distribution.
@@ -115,7 +116,7 @@ def select_action(qnet: nets.DenseNet, obs_flat, eps: float,
         raise ValueError("eps must lie in [0, 1]")
     if eps > 0 and rng.random() < eps:
         return int(rng.choice(dist.n_actions, p=dist.probs()))
-    q, _ = nets.forward(qnet, featurize(obs_flat))
+    q, _ = nets.forward(qnet, featurize(obs))
     return int(np.argmax(q))
 
 
@@ -138,7 +139,7 @@ def warm_start_fill(buffer: ReplayBuffer, env: GlucoseEnv, steps: int,
         return a, bin_to_rate(a)
 
     for obs, a, res, _ in islice(rollout([env], act, seeds_from(rng)), steps):
-        buffer.add(obs.flat, a, res.reward, res.observation.flat, res.terminated)
+        buffer.add(obs, a, res.reward, res.observation, res.terminated)
     return buffer
 
 
@@ -193,7 +194,7 @@ def train_dqn(env_group: str, config: DqnConfig, seed: int) -> TrainResult:
     rng_sample = np.random.default_rng(sample_ss)
     rng_episode = np.random.default_rng(ep_ss)
 
-    sizes = [48, *config.hidden_sizes, config.n_actions]
+    sizes = [OBS_DIM, *config.hidden_sizes, N_ACTIONS]
     qnet = nets.init_standard(sizes, seed=int(net_ss.generate_state(1)[0]))
     target = qnet.copy()
     opt = nets.make_optimizer(qnet, learning_rate=config.lr)
@@ -203,14 +204,14 @@ def train_dqn(env_group: str, config: DqnConfig, seed: int) -> TrainResult:
     warm_start_fill(buffer, envs[0], config.warm_start_steps,
                     np.random.default_rng(warm_ss))
 
-    dist = zero_biased_probs(config.n_actions) if config.use_prior \
-        else uniform_probs(config.n_actions)
+    dist = zero_biased_probs(N_ACTIONS) if config.use_prior \
+        else uniform_probs(N_ACTIONS)
     total_steps = config.epochs * config.steps_per_epoch
     global_step = count()
 
     def act(obs, env):
         eps = eps_schedule(next(global_step), total_steps, config)
-        a = select_action(qnet, obs.flat, eps, dist, rng_act)
+        a = select_action(qnet, obs, eps, dist, rng_act)
         return a, bin_to_rate(a)
 
     steps = rollout(envs, act, seeds_from(rng_episode))
@@ -220,8 +221,7 @@ def train_dqn(env_group: str, config: DqnConfig, seed: int) -> TrainResult:
     for epoch in range(config.epochs):
         losses = []
         for obs, a, res, env in islice(steps, config.steps_per_epoch):
-            buffer.add(obs.flat, a, res.reward, res.observation.flat,
-                       res.terminated)
+            buffer.add(obs, a, res.reward, res.observation, res.terminated)
             tally.add(res, env)
             if buffer.size >= config.batch_size:
                 batch = buffer.sample(config.batch_size, rng_sample)

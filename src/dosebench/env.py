@@ -27,6 +27,8 @@ MAX_STEPS = 64
 WINDOW_STEPS = 16
 OBS_DIM = 3 * WINDOW_STEPS
 
+# The dose range every policy acts in, in U/h. The policies' dose maps (the
+# DQN grid, the PPO transforms) start at zero.
 ACTION_LOW = 0.0
 ACTION_HIGH = 9.0
 
@@ -40,9 +42,11 @@ DEFAULT_START_CLOCK = "05:00"
 _DEFAULT_MEALS = ((120.0, 45.0), (420.0, 60.0), (600.0, 20.0))
 _COHORT_MEAL_SCALE = {Cohort.ADULT: 1.0, Cohort.ADOLESCENT: 0.8, Cohort.CHILD: 0.6}
 
-# Fixed feature scaling applied to the raw 48-vector before the policy
+# Fixed feature scaling applied to the raw observation before the policy
 # networks: glucose, rate and dose live on very different ranges.
-_OBS_SCALE = np.tile(np.array([200.0, 9.0, 2.25]), WINDOW_STEPS)
+_OBS_SCALE = np.tile(np.array(
+    [200.0, ACTION_HIGH, ACTION_HIGH * CONTROL_INTERVAL_MIN / 60.0]),
+    WINDOW_STEPS)
 
 
 def parse_clock(text: str) -> int:
@@ -85,15 +89,6 @@ def default_scenario(cohort: Cohort, patient_id: int) -> Scenario:
                     meal_schedule=meals)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Stacked 16-step window of (sensor glucose, rate, dose) triples."""
-
-    window: tuple[tuple[float, float, float], ...]
-    clock_minutes: tuple[int, ...]
-    flat: np.ndarray  # 48 values, chronological, most-recent-last
-
-
 @dataclass
 class StepRecord:
     """One measurement plus the action taken at that time.
@@ -116,32 +111,26 @@ class StepRecord:
 
 @dataclass
 class StepResult:
-    observation: Observation
+    observation: np.ndarray
     reward: float
     terminated: bool
     truncated: bool
-    info: dict
 
 
-def build_observation(history: list[StepRecord]) -> Observation:
-    """Assemble the trailing 16-step window, padding before episode start.
+def build_observation(history: list[StepRecord]) -> np.ndarray:
+    """The observation: the trailing 16-step window of (sensor glucose, rate,
+    dose) triples as OBS_DIM floats, chronological, most recent last.
 
-    Padded rows replicate the initial sensor glucose with zero insulin.
+    Padded rows before episode start replicate the initial sensor glucose with
+    zero insulin. Every call returns a new array.
     """
     if not history:
         raise ValueError("history must contain at least one measurement")
-    rows = []
-    clocks = []
     first = history[0]
-    pad = WINDOW_STEPS - len(history)
-    for i in range(pad):
-        rows.append((first.bg_sensor, 0.0, 0.0))
-        clocks.append(first.clock - (pad - i) * CONTROL_INTERVAL_MIN)
+    values = [first.bg_sensor, 0.0, 0.0] * (WINDOW_STEPS - len(history))
     for rec in history[-WINDOW_STEPS:]:
-        rows.append((rec.bg_sensor, rec.rate, rec.dose))
-        clocks.append(rec.clock)
-    flat = np.asarray(rows, dtype=np.float64).reshape(-1)
-    return Observation(window=tuple(rows), clock_minutes=tuple(clocks), flat=flat)
+        values += (rec.bg_sensor, rec.rate, rec.dose)
+    return np.array(values, dtype=np.float64)
 
 
 def featurize(flat_obs: np.ndarray) -> np.ndarray:
@@ -164,7 +153,7 @@ class GlucoseEnv:
         self._done = False
         self.termination_cause: str | None = None
 
-    def reset(self, seed) -> Observation:
+    def reset(self, seed) -> np.ndarray:
         """Start an episode. `seed` is an int or a numpy SeedSequence."""
         ss = seed if isinstance(seed, np.random.SeedSequence) \
             else np.random.SeedSequence(int(seed))
@@ -244,10 +233,9 @@ class GlucoseEnv:
                          bg_true=bg, bg_sensor=self._sense(bg),
                          meal_carbs=meal_carbs, reward=reward)
         self.history.append(rec)
-        obs = build_observation(self.history)
-        info = {"bg_true": bg, "risk_index": risk, "meal_carbs": meal_carbs}
-        return StepResult(observation=obs, reward=reward,
-                          terminated=terminated, truncated=truncated, info=info)
+        return StepResult(observation=build_observation(self.history),
+                          reward=reward, terminated=terminated,
+                          truncated=truncated)
 
 
 def cohort_envs(env_group: str) -> list[GlucoseEnv]:
@@ -336,35 +324,3 @@ def write_trace(env: GlucoseEnv, path):
     with open(path, "w") as fh:
         for line in trace_lines(env):
             fh.write(line + "\n")
-
-
-def load_scenario(path) -> tuple[Scenario, list[int]]:
-    """Read a scenario file (YAML key-value schema); returns it plus seeds.
-
-    Schema::
-
-        cohort: child            # adult | adolescent | child
-        patient_id: 0
-        initial_bg_range: [120, 180]
-        episode_start_clock: "05:00"
-        meals:
-          - {time_offset: 120, carbs: 27}
-        seeds: [1, 100, 1000, 10000]
-    """
-    import yaml
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    meals = tuple(MealEvent(time_offset=float(m["time_offset"]),
-                            carbs=float(m["carbs"]))
-                  for m in raw.get("meals", []))
-    scenario = Scenario(
-        cohort=Cohort(raw["cohort"]),
-        patient_id=int(raw["patient_id"]),
-        meal_schedule=meals,
-        initial_bg_range=tuple(raw.get("initial_bg_range", (120.0, 180.0))),
-        episode_start_clock=raw.get("episode_start_clock", DEFAULT_START_CLOCK),
-        meal_jitter_min=float(raw.get("meal_jitter_min", 30.0)),
-        meal_jitter_carb_frac=float(raw.get("meal_jitter_carb_frac", 0.2)),
-    )
-    seeds = [int(s) for s in raw.get("seeds", [1, 100, 1000, 10000])]
-    return scenario, seeds

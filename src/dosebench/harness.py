@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, nets
-from .dqn import bin_to_rate
-from .env import GlucoseEnv, Scenario, default_scenario, featurize, rollout
+from .dqn import N_ACTIONS, bin_to_rate
+from .env import (ACTION_HIGH, GlucoseEnv, Scenario, default_scenario,
+                  featurize, rollout)
 from .patients import Cohort
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
@@ -93,7 +94,7 @@ class ScriptedPolicy(Policy):
         elif name == "zero":
             self._dose = 0.0
         elif name == "max":
-            self._dose = 9.0
+            self._dose = ACTION_HIGH
         elif name == "warmstart-random":
             self._dose = None
         else:
@@ -105,7 +106,7 @@ class ScriptedPolicy(Policy):
     def act(self, observation, history):
         if self._dose is not None:
             return self._dose
-        return 0.9 * int(self._rng.integers(0, 3))
+        return bin_to_rate(int(self._rng.integers(0, 3)))
 
 
 class DqnPolicy(Policy):
@@ -119,8 +120,8 @@ class DqnPolicy(Policy):
 
     def act(self, observation, history):
         if self.eps_test > 0 and self._rng.random() < self.eps_test:
-            return bin_to_rate(int(self._rng.integers(0, 11)))
-        q, _ = nets.forward(self.qnet, featurize(observation.flat))
+            return bin_to_rate(int(self._rng.integers(0, N_ACTIONS)))
+        q, _ = nets.forward(self.qnet, featurize(observation))
         return bin_to_rate(int(np.argmax(q)))
 
 
@@ -131,8 +132,7 @@ class PpoEvalPolicy(Policy):
         self.policy = ppo_policy
 
     def act(self, observation, history):
-        a = self.policy.mean_action(featurize(observation.flat))
-        return float(np.clip(a, 0.0, 9.0))
+        return self.policy.mean_action(featurize(observation))
 
 
 class LlmPolicy(Policy):
@@ -163,11 +163,8 @@ class PolicySpec:
     llm_kind: str = "base"
     llm_config: object = None
     llm_transport: object = None
-    policy_obj: Policy | None = None  # in-memory shortcut (tests, training)
 
     def resolve(self) -> Policy:
-        if self.policy_obj is not None:
-            return self.policy_obj
         if self.kind == "scripted":
             return ScriptedPolicy(self.scripted_name)
         if self.kind == "dqn":
@@ -192,7 +189,7 @@ def save_ppo_checkpoint(policy, path):
     meta = {
         "log_sigma": float(policy.log_sigma),
         "transform": policy.transform,
-        "d_max": policy.d_max,
+        "d_max": ACTION_HIGH,
         "conditioned_sigma": policy.conditioned_sigma,
         "mu_offset": policy.mu_offset,
     }
@@ -205,8 +202,12 @@ def load_ppo_checkpoint(path):
     actor = nets.load_params(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)
+    if meta["d_max"] != ACTION_HIGH:
+        raise nets.CheckpointError(
+            f"{path}: trained for doses up to {meta['d_max']} U/h, "
+            f"the environment's range ends at {ACTION_HIGH}")
     return PpoPolicy(actor=actor, log_sigma=np.array(meta["log_sigma"]),
-                     transform=meta["transform"], d_max=meta["d_max"],
+                     transform=meta["transform"],
                      conditioned_sigma=meta["conditioned_sigma"],
                      mu_offset=meta["mu_offset"])
 

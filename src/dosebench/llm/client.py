@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import requests
 
+from ..env import ACTION_HIGH, ACTION_LOW
 from .prompts import (ParseStatus, PromptKind, build_prompt, clamp_action,
                       parse_cot, parse_zero_shot, serialize_observation)
 
@@ -39,8 +40,9 @@ class LlmConfig:
             raise ValueError("temperature must be non-negative")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if not (0 <= self.fallback_dose <= 9):
-            raise ValueError("fallback_dose must lie in [0, 9]")
+        if not (ACTION_LOW <= self.fallback_dose <= ACTION_HIGH):
+            raise ValueError(f"fallback_dose must lie in "
+                             f"[{ACTION_LOW}, {ACTION_HIGH}]")
 
     def resolved_base_url(self) -> str:
         url = self.base_url or os.environ.get(ENV_BASE_URL, "")

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import functools
+import math
 import re
 from enum import Enum
 from pathlib import Path
 
-from ..env import StepRecord, format_clock
+from ..env import ACTION_HIGH, ACTION_LOW, StepRecord, format_clock
 
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
 
@@ -107,10 +108,9 @@ def parse_cot(text: str) -> float | None:
 
 
 def clamp_action(dose: float) -> tuple[float, ParseStatus]:
-    """Clamp into [0, 9] U/h; flags whether clamping changed the value."""
-    import math
+    """Clamp into the dose range; flags whether clamping changed the value."""
     if not math.isfinite(dose):
-        return 0.0, ParseStatus.UNPARSEABLE
-    clamped = min(max(dose, 0.0), 9.0)
+        return ACTION_LOW, ParseStatus.UNPARSEABLE
+    clamped = min(max(dose, ACTION_LOW), ACTION_HIGH)
     status = ParseStatus.CLAMPED if clamped != dose else ParseStatus.OK
     return clamped, status

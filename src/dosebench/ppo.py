@@ -1,10 +1,10 @@
 """PPO with clipped surrogate, GAE, and two action transforms.
 
-The tanh transform squashes an unbounded Gaussian logit into (0, d_max) with
-the exact change-of-variables log-density; the hard clip transform keeps the
-naive unsquashed Gaussian density on purpose, reproducing the common
-(theoretically inconsistent) baseline. Gradients are computed by hand and
-pushed through the dense-net backward pass.
+The tanh transform squashes an unbounded Gaussian logit into the open dose
+range (0, ACTION_HIGH) with the exact change-of-variables log-density; the
+hard clip transform keeps the naive unsquashed Gaussian density on purpose,
+reproducing the common (theoretically inconsistent) baseline. Gradients are
+computed by hand and pushed through the dense-net backward pass.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from itertools import islice
 import numpy as np
 
 from . import nets
-from .env import (EpisodeTally, GlucoseEnv, cohort_envs, featurize, rollout,
-                  seeds_from)
+from .env import (ACTION_HIGH, OBS_DIM, EpisodeTally, GlucoseEnv, cohort_envs,
+                  featurize, rollout, seeds_from)
 
-D_MAX = 9.0
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_SIGMA_MIN, _LOG_SIGMA_MAX = -5.0, 2.0
 
@@ -43,7 +42,6 @@ class PpoConfig:
     lr: float = 1e-3
     batch_size: int = 128
     transform: str = "tanh"          # "tanh" (prior) or "clip" (no prior)
-    d_max: float = D_MAX
     hidden_sizes: tuple[int, ...] = (64, 64)
     init_scale: float = 1e-3
     sigma_init: float = 0.5
@@ -53,20 +51,20 @@ class PpoConfig:
     steps_per_epoch: int = 480
 
 
-def squash_tanh(z: float, d_max: float = D_MAX) -> float:
-    """Map an unbounded logit into the open dose interval (0, d_max)."""
-    return d_max / 2.0 * (math.tanh(z) + 1.0)
+def squash_tanh(z: float) -> float:
+    """Map an unbounded logit into the open dose range (0, ACTION_HIGH)."""
+    return ACTION_HIGH / 2.0 * (math.tanh(z) + 1.0)
 
 
-def unsquash_tanh(a: float, d_max: float = D_MAX) -> float:
-    if not (0 < a < d_max):
-        raise ValueError(f"action must lie in (0, {d_max}), got {a!r}")
-    return math.atanh(2.0 * a / d_max - 1.0)
+def unsquash_tanh(a: float) -> float:
+    if not (0 < a < ACTION_HIGH):
+        raise ValueError(f"action must lie in (0, {ACTION_HIGH}), got {a!r}")
+    return math.atanh(2.0 * a / ACTION_HIGH - 1.0)
 
 
-def act_clip(z: float, d_max: float = D_MAX) -> float:
+def act_clip(z: float) -> float:
     """Hard-clip transform: saturates at the dose bounds."""
-    return d_max / 2.0 * (min(max(z, -1.0), 1.0) + 1.0)
+    return ACTION_HIGH / 2.0 * (min(max(z, -1.0), 1.0) + 1.0)
 
 
 def _log_sech2(z):
@@ -79,22 +77,21 @@ def _gauss_logpdf(z, mu, sigma):
     return -0.5 * ((z - mu) / sigma) ** 2 - np.log(sigma) - 0.5 * _LOG_2PI
 
 
-def log_prob_tanh(a: float, mu: float, sigma: float,
-                  d_max: float = D_MAX) -> float:
+def log_prob_tanh(a: float, mu: float, sigma: float) -> float:
     """Exact log-density of the squashed-Gaussian action."""
-    z = unsquash_tanh(a, d_max)
-    return float(log_prob_tanh_z(z, mu, sigma, d_max))
+    return float(log_prob_tanh_z(unsquash_tanh(a), mu, sigma))
 
 
-def log_prob_tanh_z(z, mu, sigma, d_max: float = D_MAX):
+def log_prob_tanh_z(z, mu, sigma):
     """Same density expressed in logit space (numerically stable)."""
-    return _gauss_logpdf(z, mu, sigma) - (math.log(d_max / 2.0) + _log_sech2(z))
+    return _gauss_logpdf(z, mu, sigma) - (math.log(ACTION_HIGH / 2.0)
+                                       + _log_sech2(z))
 
 
-def log_prob_tanh_grad(a: float, mu: float, sigma: float,
-                       d_max: float = D_MAX) -> tuple[float, float]:
+def log_prob_tanh_grad(a: float, mu: float,
+                       sigma: float) -> tuple[float, float]:
     """(d/dmu, d/dsigma) of log_prob_tanh; the Jacobian term has no theta."""
-    z = unsquash_tanh(a, d_max)
+    z = unsquash_tanh(a)
     d_mu = (z - mu) / sigma ** 2
     d_sigma = (z - mu) ** 2 / sigma ** 3 - 1.0 / sigma
     return d_mu, d_sigma
@@ -136,7 +133,6 @@ class PpoPolicy:
     actor: nets.DenseNet
     log_sigma: np.ndarray            # scalar parameter when not conditioned
     transform: str
-    d_max: float
     conditioned_sigma: bool
     mu_offset: float
 
@@ -154,12 +150,12 @@ class PpoPolicy:
 
     def to_action(self, z: float) -> float:
         if self.transform == "tanh":
-            return squash_tanh(z, self.d_max)
-        return act_clip(z, self.d_max)
+            return squash_tanh(z)
+        return act_clip(z)
 
     def log_prob_z(self, z, mu, sigma):
         if self.transform == "tanh":
-            return log_prob_tanh_z(z, mu, sigma, self.d_max)
+            return log_prob_tanh_z(z, mu, sigma)
         return log_prob_clip(z, mu, sigma)
 
     def sample(self, feats, rng: np.random.Generator):
@@ -174,26 +170,26 @@ class PpoPolicy:
         return self.to_action(float(mu[0]))
 
 
-def default_mu_offset(transform: str, d_max: float = D_MAX) -> float:
+def default_mu_offset(transform: str) -> float:
     """Logit offset making the fresh tanh actor start near 0.5 U/h.
 
-    The literal near-zero init maps to d_max/2 under tanh; the offset keeps
+    The literal near-zero init maps to mid-range under tanh; the offset keeps
     initial doses conservative instead. Clip keeps the literal architecture.
     """
     if transform == "tanh":
-        return math.atanh(2.0 * 0.5 / d_max - 1.0)
+        return unsquash_tanh(0.5)
     return 0.0
 
 
 def make_policy(config: PpoConfig, seed: int) -> PpoPolicy:
     out_dim = 2 if config.conditioned_sigma else 1
-    actor = nets.init_near_zero([48, *config.hidden_sizes, out_dim],
+    actor = nets.init_near_zero([OBS_DIM, *config.hidden_sizes, out_dim],
                                 scale=config.init_scale, seed=seed)
     offset = config.mu_offset if config.mu_offset is not None \
-        else default_mu_offset(config.transform, config.d_max)
+        else default_mu_offset(config.transform)
     return PpoPolicy(actor=actor,
                      log_sigma=np.array(math.log(config.sigma_init)),
-                     transform=config.transform, d_max=config.d_max,
+                     transform=config.transform,
                      conditioned_sigma=config.conditioned_sigma,
                      mu_offset=offset)
 
@@ -229,8 +225,8 @@ class RolloutBuffer:
 
 
 def warm_start_ppo(buffer: RolloutBuffer, env: GlucoseEnv, steps: int,
-                   rng: np.random.Generator, transform: str = "tanh",
-                   d_max: float = D_MAX) -> RolloutBuffer:
+                   rng: np.random.Generator,
+                   transform: str = "tanh") -> RolloutBuffer:
     """Fill a rollout with uniform actions on [0, 2] U/h.
 
     Behaviour log-prob is the uniform density log(1/2); logits are recovered
@@ -244,14 +240,15 @@ def warm_start_ppo(buffer: RolloutBuffer, env: GlucoseEnv, steps: int,
     def act(obs, env):
         a = float(rng.uniform(0.0, 2.0))
         if transform == "tanh":
-            z = math.atanh(np.clip(2.0 * a / d_max - 1.0, -1 + 1e-9, 1 - 1e-9))
+            z = math.atanh(np.clip(2.0 * a / ACTION_HIGH - 1.0,
+                                   -1 + 1e-9, 1 - 1e-9))
         else:
-            z = 2.0 * a / d_max - 1.0
+            z = 2.0 * a / ACTION_HIGH - 1.0
         return (z, a), a
 
     for obs, (z, a), res, _ in islice(rollout([env], act, seeds_from(rng)),
                                       steps):
-        buffer.add(obs.flat, z, a, behaviour_logp, res.reward, 0.0, 0.0,
+        buffer.add(obs, z, a, behaviour_logp, res.reward, 0.0, 0.0,
                    res.terminated or res.truncated)
     return buffer
 
@@ -366,7 +363,7 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int) -> PpoTrainResult:
     root = np.random.SeedSequence([seed, 0xBB0])
     actor_ss, critic_ss, warm_ss, samp_ss, ep_ss, shuf_ss = root.spawn(6)
     policy = make_policy(config, seed=int(actor_ss.generate_state(1)[0]))
-    value_net = nets.init_standard([48, *config.hidden_sizes, 1],
+    value_net = nets.init_standard([OBS_DIM, *config.hidden_sizes, 1],
                                    seed=int(critic_ss.generate_state(1)[0]))
     actor_opt = nets.make_optimizer(policy.actor, learning_rate=config.lr)
     critic_opt = nets.make_optimizer(value_net, learning_rate=config.lr)
@@ -377,17 +374,16 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int) -> PpoTrainResult:
     # Warm start: one off-policy update on conservative uniform-[0,2] doses.
     warm = RolloutBuffer()
     warm_start_ppo(warm, envs[0], config.warm_start_steps,
-                   np.random.default_rng(warm_ss), transform=config.transform,
-                   d_max=config.d_max)
+                   np.random.default_rng(warm_ss), transform=config.transform)
     if len(warm):
         ppo_update(policy, value_net, warm, config, actor_opt, critic_opt,
                    rng_shuffle)
 
     def act(obs, env):
-        f = featurize(obs.flat)
+        f = featurize(obs)
         z, a, logp = policy.sample(f, rng_sample)
         v, _ = nets.forward(value_net, f)
-        return (z, a, logp, float(v[0])), float(np.clip(a, 0.0, config.d_max))
+        return (z, a, logp, float(v[0])), a
 
     steps = rollout(envs, act, seeds_from(np.random.default_rng(ep_ss)))
     tally = EpisodeTally()
@@ -402,10 +398,9 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int) -> PpoTrainResult:
                                                       config.steps_per_collect):
             nv = 0.0
             if not res.terminated:
-                nv_out, _ = nets.forward(value_net,
-                                         featurize(res.observation.flat))
+                nv_out, _ = nets.forward(value_net, featurize(res.observation))
                 nv = float(nv_out[0])
-            collect.add(obs.flat, z, a, logp, res.reward, v, nv,
+            collect.add(obs, z, a, logp, res.reward, v, nv,
                         res.terminated or res.truncated)
             tally.add(res, env)
         total_steps += len(collect)

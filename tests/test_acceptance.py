@@ -174,15 +174,15 @@ def _eval_policy_spec(spec, cohort, seeds=(1, 100, 1000, 10000), repeats=2):
     return float(np.mean(rets))
 
 
-def test_criterion_08_training_smoke():
+def test_criterion_08_training_smoke(tmp_path):
     seeds = (1, 2, 3, 4)
     dqn_scores = []
     for seed in seeds:
         result = train_dqn("child", DqnConfig(use_prior=False), seed=seed)
         best = harness.select_best_checkpoint(result.log)
-        qnet = dict(result.checkpoints)[best]
-        spec = harness.PolicySpec(kind="dqn",
-                                  policy_obj=harness.DqnPolicy(qnet))
+        path = tmp_path / f"dqn-seed{seed}.dnet"
+        nets.save_params(dict(result.checkpoints)[best], path)   # bit-exact
+        spec = harness.PolicySpec(kind="dqn", checkpoint_path=str(path))
         dqn_scores.append(_eval_policy_spec(spec, Cohort.CHILD))
     baseline = _eval_policy_spec(
         harness.PolicySpec(kind="scripted",

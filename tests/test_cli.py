@@ -54,3 +54,33 @@ def test_eval_and_compare_round_trip(tmp_path, capsys):
     text = capsys.readouterr().out
     table = json.loads(text[text.index("{"):])
     assert table["policies"] == ["a", "b"]
+
+
+# A small budget, so that a config that is wrongly accepted trains quickly.
+_SMALL = "epochs: 1\nsteps_per_epoch: 48\nwarm_start_steps: 48\nbatch_size: 32\n"
+
+
+@pytest.mark.parametrize("algo, extra, rejected", [
+    ("dqn", "learning_rate: 0.5\neps_test: 0.2\n", "eps_test, learning_rate"),
+    ("dqn", "use_prior: true\nn_actions: 5\n", "n_actions, use_prior"),
+    ("ppo", "transform: tanh\nd_max: 5.0\n", "d_max, transform"),
+    ("ppo", "1: 2\n", "rejected: 1 "),
+], ids=["unknown", "set-by-prior", "removed", "not-a-name"])
+def test_train_rejects_config_keys_it_would_not_use(algo, extra, rejected,
+                                                    tmp_path):
+    # Unknown keys, and keys that --prior sets, stop the run before it starts.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(_SMALL + extra)
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit, match=rejected):
+        main(["train", "--algo", algo, "--env", "adult", "--seed", "1",
+              "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_train_rejects_a_config_that_is_not_a_mapping(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("- epochs\n- 2\n")
+    with pytest.raises(SystemExit, match="not a YAML mapping"):
+        main(["train", "--algo", "dqn", "--env", "adult", "--config", str(cfg),
+              "--out", str(tmp_path / "runs")])

@@ -7,7 +7,7 @@ from dosebench import nets
 from dosebench.dqn import (DqnConfig, ReplayBuffer, bin_to_rate, eps_schedule,
                            featurize, select_action, train_dqn, train_step,
                            uniform_probs, warm_start_fill, zero_biased_probs)
-from dosebench.env import GlucoseEnv, default_scenario
+from dosebench.env import OBS_DIM, GlucoseEnv, default_scenario
 from dosebench.patients import Cohort
 
 
@@ -65,9 +65,10 @@ def test_featurize_scaling():
 
 
 def test_replay_buffer_ring_and_sampling():
-    buf = ReplayBuffer(capacity=5, obs_dim=2)
+    buf = ReplayBuffer(capacity=5)
     for i in range(8):
-        buf.add(np.full(2, i), i % 3, float(i), np.full(2, i + 1), i % 2 == 0)
+        buf.add(np.full(OBS_DIM, i), i % 3, float(i), np.full(OBS_DIM, i + 1),
+                i % 2 == 0)
     assert buf.size == 5
     # Oldest three entries were overwritten by 5, 6, 7.
     stored = sorted(buf.rewards.tolist())
@@ -76,6 +77,8 @@ def test_replay_buffer_ring_and_sampling():
     rng = np.random.default_rng(0)
     obs, actions, rewards, next_obs, term = buf.sample(5, rng)
     assert sorted(rewards.tolist()) == stored  # without replacement
+    assert np.array_equal(obs, np.repeat(rewards[:, None], OBS_DIM, axis=1))
+    assert np.array_equal(next_obs, obs + 1)
     with pytest.raises(ValueError):
         buf.sample(6, rng)
 

@@ -8,8 +8,8 @@ from dosebench.dqn import ReplayBuffer, warm_start_fill
 from dosebench.env import (CONTROL_INTERVAL_MIN, MAX_STEPS, OBS_DIM,
                            WINDOW_STEPS, GlucoseEnv, Scenario, StepRecord,
                            build_observation, cohort_envs, default_scenario,
-                           format_clock, load_scenario, parse_clock, rollout,
-                           trace_lines, write_trace)
+                           format_clock, parse_clock, rollout, trace_lines,
+                           write_trace)
 from dosebench.patients import Cohort, MealEvent
 
 import _oracles
@@ -47,16 +47,15 @@ def test_reset_is_deterministic_per_seed():
     rollouts = []
     for _ in range(2):
         env = GlucoseEnv(scenario)
-        obs = env.reset(42)
-        flats = [obs.flat.copy()]
+        obs = [env.reset(42)]
         for _ in range(10):
-            flats.append(env.step(1.5).observation.flat.copy())
-        rollouts.append(np.stack(flats))
+            obs.append(env.step(1.5).observation)
+        rollouts.append(np.stack(obs))
     assert np.array_equal(rollouts[0], rollouts[1])
 
     env = GlucoseEnv(scenario)
     other = env.reset(43)
-    assert not np.array_equal(other.flat, rollouts[0][0])
+    assert not np.array_equal(other, rollouts[0][0])
 
 
 def test_initial_bg_within_configured_range():
@@ -136,18 +135,16 @@ def test_dose_is_quarter_of_rate():
 def test_observation_padding_and_layout():
     history = [StepRecord(step=0, clock=300, bg_true=150.0, bg_sensor=151.0)]
     obs = build_observation(history)
-    assert obs.flat.shape == (OBS_DIM,)
-    assert len(obs.window) == WINDOW_STEPS
-    assert all(row == (151.0, 0.0, 0.0) for row in obs.window)
-    assert obs.clock_minutes[0] == 300 - 15 * CONTROL_INTERVAL_MIN
-    assert obs.clock_minutes[-1] == 300
+    assert obs.shape == (OBS_DIM,) and obs.dtype == np.float64
+    # Padding repeats the initial sensor glucose with zero insulin.
+    assert obs.reshape(WINDOW_STEPS, 3).tolist() == \
+        [[151.0, 0.0, 0.0]] * WINDOW_STEPS
 
     history.append(StepRecord(step=1, clock=315, bg_true=140.0,
                               bg_sensor=139.0, rate=2.0, dose=0.5))
-    obs = build_observation(history)
-    assert obs.window[-1] == (139.0, 2.0, 0.5)       # most recent last
-    assert obs.window[-2] == (151.0, 0.0, 0.0)
-    assert obs.flat[-3:] == pytest.approx([139.0, 2.0, 0.5])
+    rows = build_observation(history).reshape(WINDOW_STEPS, 3).tolist()
+    assert rows[-1] == [139.0, 2.0, 0.5]       # most recent last
+    assert rows[:-1] == [[151.0, 0.0, 0.0]] * (WINDOW_STEPS - 1)
 
     with pytest.raises(ValueError):
         build_observation([])
@@ -156,12 +153,23 @@ def test_observation_padding_and_layout():
 def test_window_slides_after_sixteen_steps():
     env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
     env.reset(2)
-    for _ in range(20):
-        res = env.step(1.0)
-    window_clocks = res.observation.clock_minutes
-    assert len(window_clocks) == WINDOW_STEPS
-    assert window_clocks[-1] == 300 + 20 * 15
-    assert window_clocks[0] == 300 + 5 * 15
+    for i in range(20):
+        res = env.step(0.5 * (i % 4))
+    window = env.history[-WINDOW_STEPS:]
+    assert window[0].clock == 300 + 5 * CONTROL_INTERVAL_MIN
+    assert res.observation.reshape(WINDOW_STEPS, 3).tolist() == \
+        [[rec.bg_sensor, rec.rate, rec.dose] for rec in window]
+
+
+def test_every_observation_is_a_new_array():
+    # RolloutBuffer.add keeps the array it is given: a reused one would
+    # rewrite the observations of a PPO collect.
+    history = [StepRecord(step=0, clock=300, bg_true=150.0, bg_sensor=151.0)]
+    first, second = build_observation(history), build_observation(history)
+    assert not np.shares_memory(first, second)
+    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    obs = env.reset(2)
+    assert not np.shares_memory(obs, env.step(1.0).observation)
 
 
 def test_noiseless_env_has_equal_true_and_sensor_bg():
@@ -209,30 +217,6 @@ def test_trace_marks_termination():
     assert not any(r["terminated"] for r in rows[:-1])
 
 
-def test_scenario_yaml_round_trip(tmp_path):
-    path = tmp_path / "scenario.yaml"
-    path.write_text(
-        "cohort: child\n"
-        "patient_id: 2\n"
-        "initial_bg_range: [130, 160]\n"
-        "episode_start_clock: \"06:30\"\n"
-        "meals:\n"
-        "  - {time_offset: 90, carbs: 25}\n"
-        "  - {time_offset: 400, carbs: 40}\n"
-        "seeds: [7, 8]\n")
-    scenario, seeds = load_scenario(path)
-    assert scenario.cohort == Cohort.CHILD
-    assert scenario.patient_id == 2
-    assert scenario.initial_bg_range == (130, 160)
-    assert scenario.episode_start_clock == "06:30"
-    assert [m.carbs for m in scenario.meal_schedule] == [25.0, 40.0]
-    assert seeds == [7, 8]
-
-    env = GlucoseEnv(scenario)
-    env.reset(seeds[0])
-    assert env.history[0].clock == parse_clock("06:30")
-
-
 def test_rewards_use_true_bg_not_sensor():
     from dosebench import metrics
     env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
@@ -268,7 +252,7 @@ def test_meals_enter_before_their_substep_as_per_minute_scan():
                                                  1.0, ref._noise_rng)
         ref.state.clock += CONTROL_INTERVAL_MIN
         assert env.state == ref.state
-        assert res.info["meal_carbs"] == eaten
+        assert env.history[-1].meal_carbs == eaten
     assert [r.meal_carbs for r in env.history[1:6]] == [
         0.0, 12.0, 0.0, 8.5, 5.0]
 

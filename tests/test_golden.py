@@ -5,7 +5,10 @@ physiology path that the interval kernel replaced; any change to the
 simulator's arithmetic, meal handling, noise draws or reward shows up here as
 a digest mismatch. The checkpoint and PPO-report digests were recorded from
 the per-trainer rollout loops that the shared ``env.rollout`` replaced; they
-cover how training snapshots and saves its checkpoints.
+cover how training snapshots and saves its checkpoints. The DQN-checkpoint and
+clamped-LLM report digests were recorded while observations were still wrapped
+in an ``Observation`` object and each module wrote out the dose range itself;
+they cover the DQN evaluation grid and LLM dose clamping.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import pytest
 from dosebench import harness
 from dosebench.cli import main
 from dosebench.dqn import DqnConfig, train_dqn
+from dosebench.llm import LlmConfig
 from dosebench.patients import Cohort
 from dosebench.ppo import PpoConfig, train_ppo
 
@@ -71,6 +75,16 @@ PPO_REPORT_DIGESTS = {
     "on": "dfdce9691df47910bf43223568349515f57bbac50dcf44b423f781314e6c7eff",
     "off": "f4607e5ccfe67c3cfa8091793547d944b7d4d62f8babc9e1381e291f04d05370",
 }
+
+# The epoch-1 DQN checkpoint above on the same protocol: its eps_test draws
+# and the bin-to-rate grid.
+DQN_REPORT_DIGEST = \
+    "4a7b1d5bca74e8b686869c49fb0d53c4874cf17b259eeac60b776429116aec81"
+
+# An LLM policy whose every reply is the out-of-range dose 12, clamped to the
+# top of the dose range, on the same protocol.
+LLM_CLAMPED_REPORT_DIGEST = \
+    "c0fa8a44f49b7f5eed470bdd98efb5c305ae99b0e287ccfa652b2ecba85665b5"
 
 CHILD_PROTOCOL = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1, 100),
                                       repeats_per_seed=2)
@@ -134,3 +148,18 @@ def test_ppo_checkpoint_report_bytes(prior, train_runs, tmp_path):
         kind="ppo", label="ppo-epoch-1",
         checkpoint_path=str(train_runs["ppo", prior] / "checkpoint-001.dnet"))
     assert _report_digest(spec, tmp_path) == PPO_REPORT_DIGESTS[prior]
+
+
+def test_dqn_checkpoint_report_bytes(train_runs, tmp_path):
+    spec = harness.PolicySpec(
+        kind="dqn", label="dqn-epoch-1",
+        checkpoint_path=str(train_runs["dqn", "off"] / "checkpoint-001.dnet"))
+    assert _report_digest(spec, tmp_path) == DQN_REPORT_DIGEST
+
+
+def test_llm_clamped_report_bytes(tmp_path):
+    spec = harness.PolicySpec(
+        kind="llm", llm_kind="cot", label="llm-clamped",
+        llm_config=LlmConfig(base_url="http://127.0.0.1:9"),
+        llm_transport=lambda messages, config, kind: "<ans>12</ans>")
+    assert _report_digest(spec, tmp_path) == LLM_CLAMPED_REPORT_DIGEST

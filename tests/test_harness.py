@@ -56,12 +56,12 @@ def test_run_protocol_emits_240_records():
     assert all(r.error is None for r in records)
 
 
-def test_run_protocol_records_policy_failures():
-    class Broken(harness.Policy):
-        def act(self, observation, history):
-            raise RuntimeError("kaput")
+def test_run_protocol_records_policy_failures(monkeypatch):
+    def broken(self, observation, history):
+        raise RuntimeError("kaput")
 
-    spec = harness.PolicySpec(kind="scripted", policy_obj=Broken())
+    monkeypatch.setattr(harness.ScriptedPolicy, "act", broken)
+    spec = harness.PolicySpec(kind="scripted")
     protocol = harness.EvalProtocol(cohorts=(Cohort.ADULT,),
                                     seeds=(1,), repeats_per_seed=1)
     records = harness.run_protocol(spec, protocol)
@@ -183,6 +183,17 @@ def test_ppo_checkpoint_sidecar_round_trip(tmp_path):
     assert loaded.mean_action(obs) == policy.mean_action(obs)
 
 
+def test_ppo_checkpoint_for_another_dose_range_is_rejected(tmp_path):
+    path = tmp_path / "actor.dnet"
+    harness.save_ppo_checkpoint(make_policy(PpoConfig(), seed=3), path)
+    sidecar = tmp_path / "actor.dnet.json"
+    meta = json.loads(sidecar.read_text())
+    assert meta["d_max"] == 9.0
+    sidecar.write_text(json.dumps({**meta, "d_max": 5.0}))
+    with pytest.raises(nets.CheckpointError, match="5.0"):
+        harness.load_ppo_checkpoint(path)
+
+
 def test_policy_spec_resolution_errors():
     with pytest.raises(ValueError):
         harness.PolicySpec(kind="dqn").resolve()
@@ -197,10 +208,7 @@ def test_dqn_policy_eps_zero_is_deterministic():
     policy = harness.DqnPolicy(qnet, eps_test=0.0)
     policy.reset(np.random.default_rng(0))
 
-    class Obs:
-        flat = np.linspace(0, 200, 48)
-
-    a = [policy.act(Obs(), None) for _ in range(5)]
+    a = [policy.act(np.linspace(0, 200, 48), None) for _ in range(5)]
     assert len(set(a)) == 1
     assert a[0] in [0.9 * b for b in range(11)]
 
@@ -225,15 +233,14 @@ def test_run_protocol_loads_the_checkpoint_once(tmp_path, monkeypatch):
 
 
 def test_workers_give_same_records_as_serial(tmp_path):
-    # The shared warmstart-random instance draws from the rng that reset()
-    # installed on every step; one instance shared by the worker threads
-    # would mix the episodes' streams.
+    # The warmstart-random policy, resolved once per protocol, draws from the
+    # rng that reset() installed on every step; one instance shared by the
+    # worker threads would mix the episodes' streams.
     specs = {
         "constant": harness.PolicySpec(kind="scripted",
                                        scripted_name="constant:1.0"),
-        "shared-random": harness.PolicySpec(
-            kind="scripted",
-            policy_obj=harness.ScriptedPolicy("warmstart-random")),
+        "shared-random": harness.PolicySpec(kind="scripted",
+                                            scripted_name="warmstart-random"),
         "dqn": harness.PolicySpec(kind="dqn",
                                   checkpoint_path=_dqn_checkpoint(tmp_path)),
     }

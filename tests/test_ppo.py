@@ -166,7 +166,7 @@ def _tiny_rollout(policy, n=64, seed=0):
     rng = np.random.default_rng(seed)
 
     def act(obs, env):
-        z, a, logp = policy.sample(featurize(obs.flat), rng)
+        z, a, logp = policy.sample(featurize(obs), rng)
         return (z, a, logp), float(np.clip(a, 0, 9))
 
     env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
@@ -174,7 +174,7 @@ def _tiny_rollout(policy, n=64, seed=0):
     buf = RolloutBuffer()
     for obs, (z, a, logp), res, _ in islice(
             rollout([env], act, seeds.__next__), n):
-        buf.add(obs.flat, z, a, logp, res.reward, 0.0, 0.0,
+        buf.add(obs, z, a, logp, res.reward, 0.0, 0.0,
                 res.terminated or res.truncated)
     return buf
 
