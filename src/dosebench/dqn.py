@@ -38,33 +38,21 @@ class DqnConfig:
     steps_per_epoch: int = 480
 
 
-@dataclass(frozen=True)
-class ExplorationDistribution:
-    p0: float
-    p_other: float
-    n_actions: int
-
-    def probs(self) -> np.ndarray:
-        p = np.full(self.n_actions, self.p_other)
-        p[0] = self.p0
-        return p
-
-
-def zero_biased_probs(n_actions: int) -> ExplorationDistribution:
-    """Closed-form zero-dose prior over an n-bin dose grid."""
+def zero_biased_probs(n_actions: int) -> np.ndarray:
+    """Closed-form zero-dose prior over an n-bin dose grid, bin 0 first."""
     if n_actions < 2:
         raise ValueError("n_actions must be at least 2")
     n = n_actions
     p0 = n * (n + 1) / (2 * n * n - n + 1)
-    return ExplorationDistribution(p0=p0, p_other=(1.0 - p0) / (n - 1),
-                                   n_actions=n)
+    probs = np.full(n, (1.0 - p0) / (n - 1))
+    probs[0] = p0
+    return probs
 
 
-def uniform_probs(n_actions: int) -> ExplorationDistribution:
+def uniform_probs(n_actions: int) -> np.ndarray:
     if n_actions < 2:
         raise ValueError("n_actions must be at least 2")
-    return ExplorationDistribution(p0=1.0 / n_actions, p_other=1.0 / n_actions,
-                                   n_actions=n_actions)
+    return np.full(n_actions, 1.0 / n_actions)
 
 
 def bin_to_rate(bin_index: int) -> float:
@@ -105,17 +93,16 @@ class ReplayBuffer:
                 self.next_obs[idx], self.terminated[idx])
 
 
-def select_action(qnet: nets.DenseNet, obs, eps: float,
-                  dist: ExplorationDistribution,
+def select_action(qnet: nets.DenseNet, obs, eps: float, probs: np.ndarray,
                   rng: np.random.Generator) -> int:
-    """Epsilon-greedy with the configured exploration distribution.
+    """Epsilon-greedy; exploratory bins are drawn with probabilities probs.
 
     Greedy ties break toward the lowest bin (safest dose).
     """
     if not (0 <= eps <= 1):
         raise ValueError("eps must lie in [0, 1]")
     if eps > 0 and rng.random() < eps:
-        return int(rng.choice(dist.n_actions, p=dist.probs()))
+        return int(rng.choice(len(probs), p=probs))
     q, _ = nets.forward(qnet, featurize(obs))
     return int(np.argmax(q))
 
@@ -204,14 +191,14 @@ def train_dqn(env_group: str, config: DqnConfig, seed: int) -> TrainResult:
     warm_start_fill(buffer, envs[0], config.warm_start_steps,
                     np.random.default_rng(warm_ss))
 
-    dist = zero_biased_probs(N_ACTIONS) if config.use_prior \
+    probs = zero_biased_probs(N_ACTIONS) if config.use_prior \
         else uniform_probs(N_ACTIONS)
     total_steps = config.epochs * config.steps_per_epoch
     global_step = count()
 
     def act(obs, env):
         eps = eps_schedule(next(global_step), total_steps, config)
-        a = select_action(qnet, obs, eps, dist, rng_act)
+        a = select_action(qnet, obs, eps, probs, rng_act)
         return a, bin_to_rate(a)
 
     steps = rollout(envs, act, seeds_from(rng_episode))

@@ -11,15 +11,14 @@ termination always use true glucose.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .patients import (Cohort, MealEvent, PatientParams, PatientState,
-                       get_patient, integrate)
+from .patients import (Cohort, MealEvent, PatientState, get_patient,
+                       integrate)
 
 CONTROL_INTERVAL_MIN = 15
 SUBSTEP_MIN = 1.0
@@ -141,9 +140,9 @@ def featurize(flat_obs: np.ndarray) -> np.ndarray:
 class GlucoseEnv:
     """Single-patient simulation environment; owns its random streams."""
 
-    def __init__(self, scenario: Scenario, params: PatientParams | None = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.params = params or get_patient(scenario.cohort, scenario.patient_id)
+        self.params = get_patient(scenario.cohort, scenario.patient_id)
         self.history: list[StepRecord] = []
         self.state: PatientState | None = None
         self._meals: list[MealEvent] = []
@@ -297,30 +296,3 @@ class EpisodeTally:
         self._returns, self._hypo, self._hyper = [], 0, 0
         return fields
 
-
-def trace_lines(env: GlucoseEnv):
-    """Episode trace as JSON-lines rows, one completed step per line."""
-    lines = []
-    n = len(env.history)
-    for i, rec in enumerate(env.history):
-        terminated = (i == n - 1) and env.termination_cause is not None
-        truncated = (i == n - 1) and env._done and env.termination_cause is None
-        lines.append(json.dumps({
-            "t": rec.step,
-            "clock": "Day {}, {}".format(*format_clock(rec.clock)),
-            "bg_true": round(rec.bg_true, 4),
-            "bg_sensor": round(rec.bg_sensor, 4),
-            "rate": rec.rate,
-            "dose": rec.dose,
-            "reward": round(rec.reward, 6),
-            "terminated": terminated,
-            "truncated": truncated,
-            "meal_carbs": round(rec.meal_carbs, 3),
-        }, sort_keys=True))
-    return lines
-
-
-def write_trace(env: GlucoseEnv, path):
-    with open(path, "w") as fh:
-        for line in trace_lines(env):
-            fh.write(line + "\n")

@@ -21,13 +21,14 @@ import numpy as np
 
 from . import metrics, nets
 from .dqn import N_ACTIONS, bin_to_rate
-from .env import (ACTION_HIGH, GlucoseEnv, Scenario, default_scenario,
+from .env import (ACTION_HIGH, OBS_DIM, GlucoseEnv, Scenario, default_scenario,
                   featurize, rollout)
 from .patients import Cohort
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
 REPEATS_PER_SEED = 5
 METRIC_NAMES = ("normalized_return", "tir", "survival", "mean_dosage")
+EPS_TEST = 0.001   # chance that a DQN evaluation step draws a random bin
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,6 @@ class EvalProtocol:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     repeats_per_seed: int = REPEATS_PER_SEED
     bootstrap_resamples: int = 1000
-
-    @property
-    def episodes_per_patient(self) -> int:
-        return len(self.seeds) * self.repeats_per_seed
 
 
 @dataclass
@@ -110,16 +107,15 @@ class ScriptedPolicy(Policy):
 
 
 class DqnPolicy(Policy):
-    def __init__(self, qnet: nets.DenseNet, eps_test: float = 0.001):
+    def __init__(self, qnet: nets.DenseNet):
         self.qnet = qnet
-        self.eps_test = eps_test
         self._rng = None
 
     def reset(self, rng):
         self._rng = rng
 
     def act(self, observation, history):
-        if self.eps_test > 0 and self._rng.random() < self.eps_test:
+        if self._rng.random() < EPS_TEST:
             return bin_to_rate(int(self._rng.integers(0, N_ACTIONS)))
         q, _ = nets.forward(self.qnet, featurize(observation))
         return bin_to_rate(int(np.argmax(q)))
@@ -170,8 +166,7 @@ class PolicySpec:
         if self.kind == "dqn":
             if not self.checkpoint_path:
                 raise ValueError("dqn policy requires a checkpoint path")
-            qnet = nets.load_params(self.checkpoint_path)
-            return DqnPolicy(qnet)
+            return DqnPolicy(_load_net(self.checkpoint_path, N_ACTIONS))
         if self.kind == "ppo":
             if not self.checkpoint_path:
                 raise ValueError("ppo policy requires a checkpoint path")
@@ -183,6 +178,16 @@ class PolicySpec:
         raise ValueError(f"unknown policy kind {self.kind!r}")
 
 
+def _load_net(path, out_width: int) -> nets.DenseNet:
+    """The net saved at path, refused unless it maps OBS_DIM to out_width."""
+    net = nets.load_params(path)
+    if (net.layer_sizes[0], net.layer_sizes[-1]) != (OBS_DIM, out_width):
+        raise nets.CheckpointError(
+            f"{path}: layer sizes {net.layer_sizes} do not run from the "
+            f"observation width {OBS_DIM} to {out_width} outputs")
+    return net
+
+
 def save_ppo_checkpoint(policy, path):
     """Actor parameters plus a JSON side-car with the policy head config."""
     nets.save_params(policy.actor, path)
@@ -190,7 +195,7 @@ def save_ppo_checkpoint(policy, path):
         "log_sigma": float(policy.log_sigma),
         "transform": policy.transform,
         "d_max": ACTION_HIGH,
-        "conditioned_sigma": policy.conditioned_sigma,
+        "conditioned_sigma": False,
         "mu_offset": policy.mu_offset,
     }
     with open(str(path) + ".json", "w") as fh:
@@ -199,16 +204,18 @@ def save_ppo_checkpoint(policy, path):
 
 def load_ppo_checkpoint(path):
     from .ppo import PpoPolicy
-    actor = nets.load_params(path)
+    actor = _load_net(path, 1)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)
     if meta["d_max"] != ACTION_HIGH:
         raise nets.CheckpointError(
             f"{path}: trained for doses up to {meta['d_max']} U/h, "
             f"the environment's range ends at {ACTION_HIGH}")
+    if meta["conditioned_sigma"]:
+        raise nets.CheckpointError(f"{path}: has a state-conditioned sigma "
+                                   f"head; PPO's log sigma is one parameter")
     return PpoPolicy(actor=actor, log_sigma=np.array(meta["log_sigma"]),
                      transform=meta["transform"],
-                     conditioned_sigma=meta["conditioned_sigma"],
                      mu_offset=meta["mu_offset"])
 
 

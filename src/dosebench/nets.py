@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _MAGIC = b"DNET"
 _FORMAT_VERSION = 1
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8   # Adam, Kingma & Ba's defaults
 
 
 class CheckpointError(Exception):
@@ -46,11 +47,8 @@ class DenseNet:
 class OptimizerState:
     m: list[np.ndarray]
     v: list[np.ndarray]
+    learning_rate: float
     step: int = 0
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def _params(net: DenseNet):
@@ -124,14 +122,11 @@ def backward(net: DenseNet, cache, output_gradient):
     return w_grads, b_grads
 
 
-def make_optimizer(net: DenseNet, learning_rate: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   epsilon: float = 1e-8) -> OptimizerState:
+def make_optimizer(net: DenseNet, learning_rate: float) -> OptimizerState:
     params = _params(net)
     return OptimizerState(m=[np.zeros_like(p) for p in params],
                           v=[np.zeros_like(p) for p in params],
-                          learning_rate=learning_rate,
-                          beta1=beta1, beta2=beta2, epsilon=epsilon)
+                          learning_rate=learning_rate)
 
 
 def adam_step(net: DenseNet, grads, opt: OptimizerState):
@@ -140,14 +135,14 @@ def adam_step(net: DenseNet, grads, opt: OptimizerState):
     flat_grads = list(w_grads) + list(b_grads)
     params = _params(net)
     opt.step += 1
-    b1c = 1.0 - opt.beta1 ** opt.step
-    b2c = 1.0 - opt.beta2 ** opt.step
+    b1c = 1.0 - _BETA1 ** opt.step
+    b2c = 1.0 - _BETA2 ** opt.step
     for p, g, m, v in zip(params, flat_grads, opt.m, opt.v):
-        m *= opt.beta1
-        m += (1 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1 - opt.beta2) * g * g
-        p -= opt.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + opt.epsilon)
+        m *= _BETA1
+        m += (1 - _BETA1) * g
+        v *= _BETA2
+        v += (1 - _BETA2) * g * g
+        p -= opt.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + _EPSILON)
 
 
 def save_params(net: DenseNet, path):
@@ -164,7 +159,7 @@ def save_params(net: DenseNet, path):
         fh.write(payload)
 
 
-def load_params(path, expect_layer_sizes=None) -> DenseNet:
+def load_params(path) -> DenseNet:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -183,9 +178,6 @@ def load_params(path, expect_layer_sizes=None) -> DenseNet:
         off += 4
     except struct.error as exc:
         raise CheckpointError(f"truncated checkpoint: {exc}") from exc
-    if expect_layer_sizes is not None and sizes != list(expect_layer_sizes):
-        raise CheckpointError(
-            f"layer sizes {sizes} do not match expected {list(expect_layer_sizes)}")
     payload = data[off:]
     expected_bytes = 8 * sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
     if len(payload) != expected_bytes:

@@ -1,10 +1,13 @@
 """PPO with clipped surrogate, GAE, and two action transforms.
 
-The tanh transform squashes an unbounded Gaussian logit into the open dose
-range (0, ACTION_HIGH) with the exact change-of-variables log-density; the
-hard clip transform keeps the naive unsquashed Gaussian density on purpose,
-reproducing the common (theoretically inconsistent) baseline. Gradients are
-computed by hand and pushed through the dense-net backward pass.
+The actor's one output is the mean logit; log sigma is one state-independent
+parameter. Advantages are normalised per update and the value loss is the
+unclipped squared error. The tanh transform squashes an unbounded Gaussian
+logit into the open dose range (0, ACTION_HIGH) with the exact
+change-of-variables log-density; the hard clip transform keeps the naive
+unsquashed Gaussian density on purpose, reproducing the common (theoretically
+inconsistent) baseline. Gradients are computed by hand and pushed through the
+dense-net backward pass.
 """
 
 from __future__ import annotations
@@ -36,16 +39,12 @@ class PpoConfig:
     clip_eps: float = 0.1
     value_coef: float = 0.5
     entropy_coef: float = 0.001
-    conditioned_sigma: bool = False
-    value_clip: bool = False
-    advantage_normalization: bool = True
     lr: float = 1e-3
     batch_size: int = 128
     transform: str = "tanh"          # "tanh" (prior) or "clip" (no prior)
     hidden_sizes: tuple[int, ...] = (64, 64)
     init_scale: float = 1e-3
     sigma_init: float = 0.5
-    mu_offset: float | None = None   # None -> auto per transform
     warm_start_steps: int = 192
     epochs: int = 20
     steps_per_epoch: int = 480
@@ -77,24 +76,11 @@ def _gauss_logpdf(z, mu, sigma):
     return -0.5 * ((z - mu) / sigma) ** 2 - np.log(sigma) - 0.5 * _LOG_2PI
 
 
-def log_prob_tanh(a: float, mu: float, sigma: float) -> float:
-    """Exact log-density of the squashed-Gaussian action."""
-    return float(log_prob_tanh_z(unsquash_tanh(a), mu, sigma))
-
-
 def log_prob_tanh_z(z, mu, sigma):
-    """Same density expressed in logit space (numerically stable)."""
+    """Exact log-density of the squashed-Gaussian action squash_tanh(z),
+    expressed in logit space (numerically stable)."""
     return _gauss_logpdf(z, mu, sigma) - (math.log(ACTION_HIGH / 2.0)
                                        + _log_sech2(z))
-
-
-def log_prob_tanh_grad(a: float, mu: float,
-                       sigma: float) -> tuple[float, float]:
-    """(d/dmu, d/dsigma) of log_prob_tanh; the Jacobian term has no theta."""
-    z = unsquash_tanh(a)
-    d_mu = (z - mu) / sigma ** 2
-    d_sigma = (z - mu) ** 2 / sigma ** 3 - 1.0 / sigma
-    return d_mu, d_sigma
 
 
 def log_prob_clip(z, mu, sigma):
@@ -130,22 +116,17 @@ def gae(rewards, values, next_values, terminals, gamma: float, lam: float):
 
 @dataclass
 class PpoPolicy:
-    actor: nets.DenseNet
-    log_sigma: np.ndarray            # scalar parameter when not conditioned
+    actor: nets.DenseNet             # one output: the mean logit
+    log_sigma: np.ndarray            # scalar, the same for every state
     transform: str
-    conditioned_sigma: bool
     mu_offset: float
 
     def heads(self, feats):
         """(mu, log_sigma) per row plus the actor forward cache."""
         out, cache = nets.forward(self.actor, feats)
-        out = np.atleast_2d(out)
-        mu = out[:, 0] + self.mu_offset
-        if self.conditioned_sigma:
-            log_sigma = np.clip(out[:, 1], _LOG_SIGMA_MIN, _LOG_SIGMA_MAX)
-        else:
-            log_sigma = np.full(len(mu), float(np.clip(
-                self.log_sigma, _LOG_SIGMA_MIN, _LOG_SIGMA_MAX)))
+        mu = np.atleast_2d(out)[:, 0] + self.mu_offset
+        log_sigma = np.full(len(mu), float(np.clip(
+            self.log_sigma, _LOG_SIGMA_MIN, _LOG_SIGMA_MAX)))
         return mu, log_sigma, cache
 
     def to_action(self, z: float) -> float:
@@ -182,16 +163,12 @@ def default_mu_offset(transform: str) -> float:
 
 
 def make_policy(config: PpoConfig, seed: int) -> PpoPolicy:
-    out_dim = 2 if config.conditioned_sigma else 1
-    actor = nets.init_near_zero([OBS_DIM, *config.hidden_sizes, out_dim],
+    actor = nets.init_near_zero([OBS_DIM, *config.hidden_sizes, 1],
                                 scale=config.init_scale, seed=seed)
-    offset = config.mu_offset if config.mu_offset is not None \
-        else default_mu_offset(config.transform)
     return PpoPolicy(actor=actor,
                      log_sigma=np.array(math.log(config.sigma_init)),
                      transform=config.transform,
-                     conditioned_sigma=config.conditioned_sigma,
-                     mu_offset=offset)
+                     mu_offset=default_mu_offset(config.transform))
 
 
 class RolloutBuffer:
@@ -266,8 +243,7 @@ def ppo_update(policy: PpoPolicy, value_net: nets.DenseNet,
     feats = featurize(obs)
     adv, returns = gae(rewards, values, next_values, terminals,
                        config.gamma, config.gae_lambda)
-    if config.advantage_normalization:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     n = len(obs)
     stats = {"actor_loss": [], "value_loss": [], "entropy": []}
@@ -300,35 +276,17 @@ def ppo_update(policy: PpoPolicy, value_net: nets.DenseNet,
             d_mu = d_logp * (z[idx] - mu) / sigma ** 2
             d_log_sigma = d_logp * (((z[idx] - mu) / sigma) ** 2 - 1.0) \
                 - config.entropy_coef / m
-            grad_out = np.zeros((m, policy.actor.layer_sizes[-1]))
-            grad_out[:, 0] = d_mu
-            if policy.conditioned_sigma:
-                raw = np.atleast_2d(cache[-1])[:, 1]
-                in_band = (raw > _LOG_SIGMA_MIN) & (raw < _LOG_SIGMA_MAX)
-                grad_out[:, 1] = np.where(in_band, d_log_sigma, 0.0)
-            grads = nets.backward(policy.actor, cache, grad_out)
+            grads = nets.backward(policy.actor, cache, d_mu[:, None])
             nets.adam_step(policy.actor, grads, actor_opt)
-            if not policy.conditioned_sigma:
-                policy.log_sigma = np.clip(
-                    policy.log_sigma - actor_opt.learning_rate
-                    * float(d_log_sigma.sum()),
-                    _LOG_SIGMA_MIN, _LOG_SIGMA_MAX)
+            policy.log_sigma = np.clip(
+                policy.log_sigma - actor_opt.learning_rate
+                * float(d_log_sigma.sum()),
+                _LOG_SIGMA_MIN, _LOG_SIGMA_MAX)
 
             v_pred, v_cache = nets.forward(value_net, f)
-            v_pred = v_pred[:, 0]
-            err = v_pred - returns[idx]
-            if config.value_clip:
-                v_clipped = values[idx] + np.clip(
-                    v_pred - values[idx], -config.clip_eps, config.clip_eps)
-                err_clip = v_clipped - returns[idx]
-                use_clip = err_clip ** 2 > err ** 2
-                value_loss = float(np.maximum(err ** 2, err_clip ** 2).mean())
-                inner = (v_pred - values[idx])
-                clip_active = np.abs(inner) < config.clip_eps
-                d_v = np.where(use_clip, 2 * err_clip * clip_active, 2 * err) / m
-            else:
-                value_loss = float((err ** 2).mean())
-                d_v = 2 * err / m
+            err = v_pred[:, 0] - returns[idx]
+            value_loss = float((err ** 2).mean())
+            d_v = 2 * err / m
             if not math.isfinite(value_loss):
                 raise PpoUpdateError("non-finite value loss")
             v_grad_out = (config.value_coef * d_v)[:, None]

@@ -1,14 +1,15 @@
 """Helpers that only the tests use: a noise-free environment, direct meal
 and bolus inputs to a patient state, the cohort volatility and correction
-metrics and the survival fraction of a list of episodes."""
+metrics, the survival fraction of a list of episodes and the closed-form
+gradient of the squashed-Gaussian log-density."""
 
 from dataclasses import replace
 
 import numpy as np
 
 from dosebench.env import GlucoseEnv, Scenario
-from dosebench.patients import (PatientParams, PatientState, get_patient,
-                                step_physiology)
+from dosebench.patients import PatientParams, PatientState, step_physiology
+from dosebench.ppo import unsquash_tanh
 
 
 def survival_rate(episodes) -> float:
@@ -21,9 +22,20 @@ def survival_rate(episodes) -> float:
 
 def noiseless(scenario: Scenario) -> GlucoseEnv:
     """Environment with process and sensor noise switched off."""
-    params = get_patient(scenario.cohort, scenario.patient_id)
-    params = replace(params, noise_sigma=0.0, cgm_sigma=0.0)
-    return GlucoseEnv(scenario, params=params)
+    env = GlucoseEnv(scenario)
+    env.params = replace(env.params, noise_sigma=0.0, cgm_sigma=0.0)
+    return env
+
+
+def log_prob_tanh_grad(a: float, mu: float,
+                       sigma: float) -> tuple[float, float]:
+    """(d/dmu, d/dsigma) of the log-density of the squashed-Gaussian dose a,
+    ``ppo.log_prob_tanh_z(unsquash_tanh(a), mu, sigma)``; the Jacobian term
+    has no theta."""
+    z = unsquash_tanh(a)
+    d_mu = (z - mu) / sigma ** 2
+    d_sigma = (z - mu) ** 2 / sigma ** 3 - 1.0 / sigma
+    return d_mu, d_sigma
 
 
 def meal_response_std(params: PatientParams, initial_bg: float,

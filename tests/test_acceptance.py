@@ -9,7 +9,6 @@ import math
 import zlib
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from dosebench import harness, metrics, nets
@@ -19,9 +18,11 @@ from dosebench.llm import (LlmConfig, PromptKind, ScriptedMockServer,
                            clamp_action, llm_act, parse_cot)
 from dosebench.patients import (Cohort, get_patient, make_cohort,
                                 step_physiology)
-from dosebench.ppo import PpoConfig, gae, log_prob_tanh, train_ppo
+from dosebench.ppo import (PpoConfig, gae, log_prob_tanh_z, train_ppo,
+                           unsquash_tanh)
 
-from _helpers import apply_meal, correction_drop, steady_state
+from _helpers import (apply_meal, correction_drop, log_prob_tanh_grad,
+                      steady_state)
 from _oracles import gae_brute_force, risk_index_hp, risk_root_hp
 from test_llm import FIXED_HISTORY
 
@@ -32,12 +33,12 @@ def _verdict(n, ok, detail):
 
 
 def test_criterion_01_exploration_formula():
-    p0 = zero_biased_probs(11).p0
+    p0 = zero_biased_probs(11)[0]
     ok = abs(p0 - 0.5690) <= 1e-4
     worst = 0.0
     for n in range(2, 102):
-        d = zero_biased_probs(n)
-        worst = max(worst, abs(d.p0 / d.p_other - n * (n + 1) / (n - 1)))
+        probs = zero_biased_probs(n)
+        worst = max(worst, abs(probs[0] / probs[1] - n * (n + 1) / (n - 1)))
     ok = ok and worst <= 1e-10
     _verdict(1, ok, f"p0(11)={p0:.6f}, max ratio deviation {worst:.2e}")
 
@@ -74,16 +75,17 @@ def test_criterion_04_tanh_density():
     for _ in range(20):
         mu = float(rng.uniform(-2, 2))
         sigma = float(rng.uniform(0.3, 1.5))
-        mass, _ = quad(lambda a: math.exp(log_prob_tanh(a, mu, sigma)),
-                       1e-9, 9 - 1e-9, limit=200)
+        mass, _ = quad(
+            lambda a: math.exp(log_prob_tanh_z(unsquash_tanh(a), mu, sigma)),
+            1e-9, 9 - 1e-9, limit=200)
         worst_mass = max(worst_mass, abs(mass - 1.0))
         a = float(rng.uniform(0.5, 8.5))
-        from dosebench.ppo import log_prob_tanh_grad
         d_mu, d_sigma = log_prob_tanh_grad(a, mu, sigma)
-        fd_mu = (log_prob_tanh(a, mu + h, sigma)
-                 - log_prob_tanh(a, mu - h, sigma)) / (2 * h)
-        fd_sigma = (log_prob_tanh(a, mu, sigma + h)
-                    - log_prob_tanh(a, mu, sigma - h)) / (2 * h)
+        z = unsquash_tanh(a)
+        fd_mu = (log_prob_tanh_z(z, mu + h, sigma)
+                 - log_prob_tanh_z(z, mu - h, sigma)) / (2 * h)
+        fd_sigma = (log_prob_tanh_z(z, mu, sigma + h)
+                    - log_prob_tanh_z(z, mu, sigma - h)) / (2 * h)
         scale = max(abs(fd_mu), abs(fd_sigma), 1.0)
         worst_grad = max(worst_grad, abs(d_mu - fd_mu) / scale,
                          abs(d_sigma - fd_sigma) / scale)

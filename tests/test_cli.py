@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -63,7 +62,9 @@ _SMALL = "epochs: 1\nsteps_per_epoch: 48\nwarm_start_steps: 48\nbatch_size: 32\n
 @pytest.mark.parametrize("algo, extra, rejected", [
     ("dqn", "learning_rate: 0.5\neps_test: 0.2\n", "eps_test, learning_rate"),
     ("dqn", "use_prior: true\nn_actions: 5\n", "n_actions, use_prior"),
-    ("ppo", "transform: tanh\nd_max: 5.0\n", "d_max, transform"),
+    ("ppo", "transform: tanh\nd_max: 5.0\nvalue_clip: true\n"
+            "conditioned_sigma: true\n",
+     "conditioned_sigma, d_max, transform, value_clip"),
     ("ppo", "1: 2\n", "rejected: 1 "),
 ], ids=["unknown", "set-by-prior", "removed", "not-a-name"])
 def test_train_rejects_config_keys_it_would_not_use(algo, extra, rejected,

@@ -12,25 +12,25 @@ from dosebench.patients import Cohort
 
 
 def test_zero_biased_prior_value_for_eleven_bins():
-    dist = zero_biased_probs(11)
-    assert dist.p0 == pytest.approx(132.0 / 232.0)
-    assert dist.p0 == pytest.approx(0.5690, abs=1e-4)
-    assert dist.p_other == pytest.approx((1 - dist.p0) / 10)
+    probs = zero_biased_probs(11)
+    assert probs[0] == pytest.approx(132.0 / 232.0)
+    assert probs[0] == pytest.approx(0.5690, abs=1e-4)
+    assert np.all(probs[1:] == (1 - probs[0]) / 10)
 
 
 @given(st.integers(min_value=2, max_value=101))
 def test_zero_biased_prior_consistency(n):
-    dist = zero_biased_probs(n)
-    probs = dist.probs()
+    probs = zero_biased_probs(n)
+    assert probs.shape == (n,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert dist.p0 / dist.p_other == pytest.approx(n * (n + 1) / (n - 1),
-                                                   abs=1e-10)
-    assert dist.p0 > dist.p_other > 0
+    assert probs[0] / probs[1] == pytest.approx(n * (n + 1) / (n - 1),
+                                                abs=1e-10)
+    assert np.all(probs[1:] == probs[1])
+    assert probs[0] > probs[1] > 0
 
 
 def test_uniform_probs():
-    dist = uniform_probs(11)
-    assert np.allclose(dist.probs(), 1.0 / 11)
+    assert np.allclose(uniform_probs(11), 1.0 / 11)
     with pytest.raises(ValueError):
         uniform_probs(1)
     with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ def test_select_action_greedy_tie_breaks_to_lowest_bin():
                         biases=[np.zeros(11)])
     rng = np.random.default_rng(0)
     a = select_action(net, np.zeros(48), eps=0.0,
-                      dist=uniform_probs(11), rng=rng)
+                      probs=uniform_probs(11), rng=rng)
     assert a == 0
 
     net.biases[0][7] = 1.0
@@ -100,14 +100,14 @@ def test_select_action_greedy_tie_breaks_to_lowest_bin():
 def test_select_action_exploration_follows_prior():
     net = nets.DenseNet([48, 11], weights=[np.zeros((48, 11))],
                         biases=[np.zeros(11)])
-    dist = zero_biased_probs(11)
+    probs = zero_biased_probs(11)
     rng = np.random.default_rng(1)
-    draws = np.array([select_action(net, np.zeros(48), 1.0, dist, rng)
+    draws = np.array([select_action(net, np.zeros(48), 1.0, probs, rng)
                       for _ in range(4000)])
     freq0 = float(np.mean(draws == 0))
-    assert abs(freq0 - dist.p0) < 0.03
+    assert abs(freq0 - probs[0]) < 0.03
     other = np.bincount(draws[draws > 0], minlength=11)[1:] / len(draws)
-    assert np.all(np.abs(other - dist.p_other) < 0.02)
+    assert np.all(np.abs(other - probs[1:]) < 0.02)
 
 
 def test_td_target_hand_computed():

@@ -1,4 +1,3 @@
-import json
 from itertools import islice
 
 import numpy as np
@@ -8,8 +7,7 @@ from dosebench.dqn import ReplayBuffer, warm_start_fill
 from dosebench.env import (CONTROL_INTERVAL_MIN, MAX_STEPS, OBS_DIM,
                            WINDOW_STEPS, GlucoseEnv, Scenario, StepRecord,
                            build_observation, cohort_envs, default_scenario,
-                           format_clock, parse_clock, rollout, trace_lines,
-                           write_trace)
+                           format_clock, parse_clock, rollout)
 from dosebench.patients import Cohort, MealEvent
 
 import _oracles
@@ -187,34 +185,6 @@ def test_sensor_noise_differs_from_truth():
     env.step(1.0)
     diffs += [abs(r.bg_true - r.bg_sensor) for r in env.history[-1:]]
     assert max(diffs) > 0.0
-
-
-def test_trace_export(tmp_path):
-    env = noiseless(default_scenario(Cohort.ADULT, 0))
-    env.reset(3)
-    for _ in range(5):
-        env.step(2.0)
-    lines = trace_lines(env)
-    assert len(lines) == 6
-    rows = [json.loads(line) for line in lines]
-    assert rows[0]["clock"] == "Day 1, 05:00:00"
-    assert rows[0]["rate"] == 2.0
-    assert rows[-1]["rate"] == 0.0
-    assert not any(r["terminated"] or r["truncated"] for r in rows)
-
-    path = tmp_path / "trace.jsonl"
-    write_trace(env, path)
-    assert path.read_text().splitlines() == lines
-
-
-def test_trace_marks_termination():
-    env = noiseless(default_scenario(Cohort.CHILD, 0))
-    env.reset(1)
-    while not env.step(0.0).terminated:
-        pass
-    rows = [json.loads(line) for line in trace_lines(env)]
-    assert rows[-1]["terminated"] and not rows[-1]["truncated"]
-    assert not any(r["terminated"] for r in rows[:-1])
 
 
 def test_rewards_use_true_bg_not_sensor():

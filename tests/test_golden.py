@@ -33,8 +33,11 @@ REPORT_DIGESTS = {
 }
 
 # Two epochs on the child cohort, seed 1, rows as `dosebench train` writes them.
+# "dqn-prior" explores with the zero-biased draw; "ppo" uses the tanh prior.
 TRAINING_LOG_DIGESTS = {
     "dqn": "0d417fa0d997abeff033e63f08d329f8565899d239f9b552e10917f814bd51ab",
+    "dqn-prior":
+        "52c0b360f002d3b128dd474b21d05c7c15b7333caf9cb920acaf79fc05ba72bf",
     "ppo": "5ff3260ca0bbc4471a7eb3fd6f130386f5660ffabe34a0c9d9629b4c519a622e",
 }
 
@@ -46,6 +49,12 @@ CHECKPOINT_DIGESTS = {
             "e2beb574ba673861ae8092de1d1adb81edf9ee4bac372ac5253524be66b08808",
         "checkpoint-001.dnet":
             "eeeb9e9d56f774818a7df4597d370291fb9cb2d62d8fac5625f1b437a1325347",
+    },
+    ("dqn", "on"): {
+        "checkpoint-000.dnet":
+            "30fbc113022d1ea4fa507af5230c6de62e9060ab11d7db5226ecb942f5e42cc0",
+        "checkpoint-001.dnet":
+            "c090c6215bf0f3c95639f857683162083b022ebd64208088b1296983767f7b1e",
     },
     ("ppo", "on"): {
         "checkpoint-000.dnet":
@@ -76,7 +85,7 @@ PPO_REPORT_DIGESTS = {
     "off": "f4607e5ccfe67c3cfa8091793547d944b7d4d62f8babc9e1381e291f04d05370",
 }
 
-# The epoch-1 DQN checkpoint above on the same protocol: its eps_test draws
+# The epoch-1 DQN checkpoint above on the same protocol: its EPS_TEST draws
 # and the bin-to-rate grid.
 DQN_REPORT_DIGEST = \
     "4a7b1d5bca74e8b686869c49fb0d53c4874cf17b259eeac60b776429116aec81"
@@ -109,14 +118,15 @@ def _report_digest(spec, tmp_path) -> str:
     return _sha256(path.read_bytes())
 
 
-@pytest.mark.parametrize("algo", sorted(TRAINING_LOG_DIGESTS))
-def test_training_log_bytes(algo):
-    if algo == "dqn":
-        result = train_dqn("child", DqnConfig(epochs=2), 1)
-    else:
+@pytest.mark.parametrize("name", sorted(TRAINING_LOG_DIGESTS))
+def test_training_log_bytes(name):
+    if name == "ppo":
         result = train_ppo("child", PpoConfig(epochs=2), 1)
+    else:
+        config = DqnConfig(epochs=2, use_prior=name == "dqn-prior")
+        result = train_dqn("child", config, 1)
     log = json.dumps([vars(e) for e in result.log], indent=2, sort_keys=True)
-    assert _sha256(log.encode()) == TRAINING_LOG_DIGESTS[algo]
+    assert _sha256(log.encode()) == TRAINING_LOG_DIGESTS[name]
 
 
 @pytest.fixture(scope="module")

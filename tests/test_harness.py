@@ -1,11 +1,10 @@
 import json
-import math
 import sys
 
 import numpy as np
 import pytest
 
-from dosebench import harness, metrics, nets
+from dosebench import harness, nets
 from dosebench.env import default_scenario
 from dosebench.patients import Cohort
 from dosebench.ppo import PpoConfig, make_policy
@@ -17,7 +16,6 @@ def test_protocol_dimensions():
     assert protocol.patients_per_cohort == 4
     assert protocol.seeds == (1, 100, 1000, 10000)
     assert protocol.repeats_per_seed == 5
-    assert protocol.episodes_per_patient == 20
 
 
 def test_scripted_policy_names():
@@ -183,15 +181,46 @@ def test_ppo_checkpoint_sidecar_round_trip(tmp_path):
     assert loaded.mean_action(obs) == policy.mean_action(obs)
 
 
-def test_ppo_checkpoint_for_another_dose_range_is_rejected(tmp_path):
+@pytest.mark.parametrize("key, value, message", [
+    ("d_max", 5.0, "5.0"),
+    ("conditioned_sigma", True, "state-conditioned sigma"),
+], ids=["d_max", "conditioned_sigma"])
+def test_ppo_checkpoint_for_another_dose_range_is_rejected(key, value, message,
+                                                           tmp_path):
+    # A side-car written for another dose range or another policy head.
     path = tmp_path / "actor.dnet"
     harness.save_ppo_checkpoint(make_policy(PpoConfig(), seed=3), path)
     sidecar = tmp_path / "actor.dnet.json"
     meta = json.loads(sidecar.read_text())
-    assert meta["d_max"] == 9.0
-    sidecar.write_text(json.dumps({**meta, "d_max": 5.0}))
-    with pytest.raises(nets.CheckpointError, match="5.0"):
+    assert meta["d_max"] == 9.0 and meta["conditioned_sigma"] is False
+    sidecar.write_text(json.dumps({**meta, key: value}))
+    with pytest.raises(nets.CheckpointError, match=message):
         harness.load_ppo_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    ("dqn", [48, 8, 5]),
+    ("dqn", [48, 8, 20]),
+    ("dqn", [47, 8, 11]),
+    ("ppo", [48, 8, 3]),
+    ("ppo", [40, 8, 1]),
+], ids=["dqn-5-bins", "dqn-20-bins", "dqn-47-inputs", "ppo-3-outputs",
+        "ppo-40-inputs"])
+def test_checkpoint_with_the_wrong_layer_widths_is_refused(kind, sizes,
+                                                           tmp_path):
+    # Loaded unchecked, such a net acts on a few of the bins only, on one
+    # column of several, or fails once per episode instead of once per run.
+    path = tmp_path / "net.dnet"
+    net = nets.init_standard(sizes, seed=0)
+    if kind == "dqn":
+        nets.save_params(net, path)
+    else:
+        policy = make_policy(PpoConfig(), seed=0)
+        policy.actor = net
+        harness.save_ppo_checkpoint(policy, path)
+    spec = harness.PolicySpec(kind=kind, checkpoint_path=str(path))
+    with pytest.raises(nets.CheckpointError, match=r"layer sizes \["):
+        spec.resolve()
 
 
 def test_policy_spec_resolution_errors():
@@ -203,9 +232,10 @@ def test_policy_spec_resolution_errors():
         harness.PolicySpec(kind="wat").resolve()
 
 
-def test_dqn_policy_eps_zero_is_deterministic():
+def test_dqn_policy_eps_zero_is_deterministic(monkeypatch):
+    monkeypatch.setattr(harness, "EPS_TEST", 0.0)
     qnet = nets.init_standard([48, 8, 11], seed=0)
-    policy = harness.DqnPolicy(qnet, eps_test=0.0)
+    policy = harness.DqnPolicy(qnet)
     policy.reset(np.random.default_rng(0))
 
     a = [policy.act(np.linspace(0, 200, 48), None) for _ in range(5)]

@@ -1,6 +1,4 @@
 import json
-import math
-import os
 import threading
 import time
 from pathlib import Path

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dosebench.patients import (Cohort, MealEvent, PatientParams, PatientState,
-                                get_patient, integrate, make_cohort,
-                                step_physiology)
+from dosebench.patients import (Cohort, MealEvent, PatientState, get_patient,
+                                integrate, make_cohort, step_physiology)
 
 import _oracles
 from _helpers import (apply_bolus, apply_meal, correction_drop,

@@ -10,12 +10,13 @@ from scipy.integrate import quad
 from dosebench import nets
 from dosebench.ppo import (PpoConfig, PpoUpdateError, RolloutBuffer, act_clip,
                            default_mu_offset, gae, log_prob_clip,
-                           log_prob_tanh, log_prob_tanh_grad, log_prob_tanh_z,
-                           make_policy, ppo_update, squash_tanh, train_ppo,
-                           unsquash_tanh, warm_start_ppo)
+                           log_prob_tanh_z, make_policy, ppo_update,
+                           squash_tanh, train_ppo, unsquash_tanh,
+                           warm_start_ppo)
 from dosebench.env import GlucoseEnv, default_scenario, featurize, rollout
 from dosebench.patients import Cohort
 
+from _helpers import log_prob_tanh_grad
 from _oracles import gae_brute_force
 
 
@@ -44,8 +45,9 @@ def test_tanh_density_integrates_to_one():
     for _ in range(20):
         mu = float(rng.uniform(-2.0, 2.0))
         sigma = float(rng.uniform(0.3, 1.5))
-        total, err = quad(lambda a: math.exp(log_prob_tanh(a, mu, sigma)),
-                          1e-9, 9 - 1e-9, limit=200)
+        total, err = quad(
+            lambda a: math.exp(log_prob_tanh_z(unsquash_tanh(a), mu, sigma)),
+            1e-9, 9 - 1e-9, limit=200)
         assert 0.999 <= total <= 1.001, (mu, sigma, total)
 
 
@@ -56,7 +58,8 @@ def test_tanh_log_density_against_naive_change_of_variables():
         jac = 9 / 2 * (1 - math.tanh(z) ** 2)
         naive = (-0.5 * ((z - mu) / sigma) ** 2
                  - math.log(sigma * math.sqrt(2 * math.pi)) - math.log(jac))
-        assert log_prob_tanh(a, mu, sigma) == pytest.approx(naive, abs=1e-10)
+        assert log_prob_tanh_z(unsquash_tanh(a), mu, sigma) == \
+            pytest.approx(naive, abs=1e-10)
 
 
 def test_tanh_log_density_stable_for_extreme_logits():
@@ -74,10 +77,11 @@ def test_tanh_gradients_match_finite_differences():
         mu = float(rng.uniform(-2, 2))
         sigma = float(rng.uniform(0.3, 1.5))
         d_mu, d_sigma = log_prob_tanh_grad(a, mu, sigma)
-        fd_mu = (log_prob_tanh(a, mu + h, sigma)
-                 - log_prob_tanh(a, mu - h, sigma)) / (2 * h)
-        fd_sigma = (log_prob_tanh(a, mu, sigma + h)
-                    - log_prob_tanh(a, mu, sigma - h)) / (2 * h)
+        z = unsquash_tanh(a)
+        fd_mu = (log_prob_tanh_z(z, mu + h, sigma)
+                 - log_prob_tanh_z(z, mu - h, sigma)) / (2 * h)
+        fd_sigma = (log_prob_tanh_z(z, mu, sigma + h)
+                    - log_prob_tanh_z(z, mu, sigma - h)) / (2 * h)
         assert d_mu == pytest.approx(fd_mu, rel=1e-4, abs=1e-6)
         assert d_sigma == pytest.approx(fd_sigma, rel=1e-4, abs=1e-6)
 
@@ -142,13 +146,6 @@ def test_fresh_tanh_policy_starts_conservative():
     assert math.isfinite(logp)
 
 
-def test_conditioned_sigma_head():
-    policy = make_policy(PpoConfig(conditioned_sigma=True), seed=1)
-    mu, log_sigma, _ = policy.heads(np.zeros((3, 48)))
-    assert mu.shape == log_sigma.shape == (3,)
-    assert np.all(log_sigma >= -5.0) and np.all(log_sigma <= 2.0)
-
-
 def test_warm_start_ppo_doses_low():
     buf = RolloutBuffer()
     env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
@@ -205,8 +202,8 @@ def test_ppo_update_rejects_corrupt_log_probs():
 
 
 def test_value_function_learns_constant_returns():
-    cfg = PpoConfig(repeat_per_collect=40, batch_size=64,
-                    advantage_normalization=False, entropy_coef=0.0, lr=3e-3)
+    cfg = PpoConfig(repeat_per_collect=40, batch_size=64, entropy_coef=0.0,
+                    lr=3e-3)
     policy = make_policy(cfg, seed=0)
     value_net = nets.init_standard([48, 16, 1], seed=2)
     buf = _tiny_rollout(policy, n=64)
