@@ -33,15 +33,24 @@ def _load_config(path):
     return overrides
 
 
+_COUNTS = ("epochs", "steps_per_epoch", "batch_size", "steps_per_collect",
+           "repeat_per_collect")     # config fields that must be positive
+
+
 def _make_config(cls, overrides: dict, **from_flags):
     """``cls(**from_flags, **overrides)``; exits naming every override key
-    that is not a field of ``cls`` or that a command-line flag already sets."""
+    that is not a field of ``cls``, that a flag sets, or a count below 1."""
     rejected = sorted(map(str, set(overrides) - (set(cls.__dataclass_fields__)
                                                  - set(from_flags))))
     if rejected:
         raise SystemExit(f"dosebench train: --config keys rejected: "
                          f"{', '.join(rejected)} (keys must be {cls.__name__} "
                          f"fields that --prior does not set)")
+    bad = sorted(key for key in _COUNTS if key in overrides and not (
+        type(overrides[key]) is int and overrides[key] > 0))
+    if bad:
+        raise SystemExit(f"dosebench train: --config counts must be positive "
+                         f"integers: {', '.join(bad)}")
     return cls(**from_flags, **overrides)
 
 

@@ -345,7 +345,7 @@ def _metric_values(records):
 
 
 def aggregate(records, protocol: EvalProtocol,
-              policy_label: str = "") -> MetricsReport:
+              policy_label: str) -> MetricsReport:
     records = [r for r in records]
     if not records:
         raise ValueError("aggregate requires at least one record")
@@ -418,7 +418,7 @@ def compare_policies(reports: list[MetricsReport]) -> dict:
     return table
 
 
-def emit_report(report: MetricsReport, path, format: str = "json"):
+def emit_report(report: MetricsReport, path, format: str):
     """Write the report with stable field order; re-emission is byte-stable."""
     if format == "json":
         blob = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"

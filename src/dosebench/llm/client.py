@@ -127,7 +127,7 @@ def http_transport(messages, config: LlmConfig, kind: PromptKind) -> str:
 
 
 def llm_act(history, kind: PromptKind, config: LlmConfig,
-            transport=None) -> tuple[float, ChatExchange]:
+            transport) -> tuple[float, ChatExchange]:
     """Serialize -> prompt -> request -> parse -> clamp, with retries.
 
     Transport failures, undecodable or malformed responses and unparseable

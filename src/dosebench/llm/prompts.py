@@ -52,7 +52,7 @@ def load_templates(kind: PromptKind) -> tuple[str, str]:
 
 
 def serialize_observation(history: list[StepRecord],
-                          include_meals: bool = False) -> str:
+                          include_meals: bool) -> str:
     """One line per 15-minute step in the EHR-style text layout.
 
     The first line carries the "(initial measurement)" annotation. With

@@ -106,7 +106,7 @@ def tir(bg_trajectory) -> float:
     return float(hits.mean())
 
 
-def bootstrap_ci(samples, resamples: int = 1000, seed: int = 0) -> MetricSummary:
+def bootstrap_ci(samples, resamples: int, seed: int) -> MetricSummary:
     """Percentile bootstrap: mean of resample means plus 2.5/97.5 percentiles.
 
     Deterministic for a given seed; uses its own generator so simulation

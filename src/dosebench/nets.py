@@ -1,9 +1,10 @@
 """Minimal dense network with hand-written gradients and Adam.
 
-ReLU hidden layers, linear output. Everything is float64 numpy; forward
-returns a cache that backward consumes to produce exact parameter gradients.
-Checkpoints use a small self-describing binary container (little-endian
-float64 payload, layer header, CRC) so round trips are bit-exact.
+ReLU hidden layers, linear output, all float64. A net's parameters are one
+vector ``w0, b0, w1, b1, …`` (weights row-major, fan-in by fan-out), which
+``weights`` and ``biases`` view; gradients, Adam's moments and checkpoints
+share that layout. A ``.dnet`` checkpoint is a header (magic, version, layer
+sizes), a CRC32 and the vector as little-endian float64.
 """
 
 from __future__ import annotations
@@ -23,36 +24,46 @@ class CheckpointError(Exception):
     """Unreadable or mismatching checkpoint file."""
 
 
+def _n_params(layer_sizes) -> int:
+    return sum(a * b + b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def _layers(layer_sizes, vector: np.ndarray):
+    """(weights, biases) as views of a parameter vector: the layout."""
+    if vector.shape != (_n_params(layer_sizes),):
+        raise ValueError("parameter vector does not match the layer sizes")
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        end = pos + fan_in * fan_out
+        weights.append(vector[pos:end].reshape(fan_in, fan_out))
+        biases.append(vector[end:end + fan_out])
+        pos = end + fan_out
+    return weights, biases
+
+
 @dataclass
 class DenseNet:
     layer_sizes: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray               # float64, updated in place only
+
+    def __post_init__(self):
+        self.weights, self.biases = _layers(self.layer_sizes, self.params)
 
     def copy(self) -> "DenseNet":
-        return DenseNet(list(self.layer_sizes),
-                        [w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
+        return DenseNet(list(self.layer_sizes), self.params.copy())
 
     def copy_from(self, other: "DenseNet"):
         if other.layer_sizes != self.layer_sizes:
             raise ValueError("layer size mismatch")
-        for w, ow in zip(self.weights, other.weights):
-            w[...] = ow
-        for b, ob in zip(self.biases, other.biases):
-            b[...] = ob
+        self.params[...] = other.params
 
 
 @dataclass
 class OptimizerState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     learning_rate: float
     step: int = 0
-
-
-def _params(net: DenseNet):
-    return list(net.weights) + list(net.biases)
 
 
 def init_near_zero(layer_sizes, scale: float, seed: int) -> DenseNet:
@@ -60,22 +71,20 @@ def init_near_zero(layer_sizes, scale: float, seed: int) -> DenseNet:
     if scale < 0:
         raise ValueError("scale must be non-negative")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(rng.uniform(-scale, scale, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return DenseNet(list(layer_sizes), weights, biases)
+    net = DenseNet(list(layer_sizes), np.zeros(_n_params(layer_sizes)))
+    for w in net.weights:
+        w[...] = rng.uniform(-scale, scale, size=w.shape)
+    return net
 
 
 def init_standard(layer_sizes, seed: int) -> DenseNet:
     """Fan-in-scaled uniform init for critics and Q-networks."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return DenseNet(list(layer_sizes), weights, biases)
+    net = DenseNet(list(layer_sizes), np.zeros(_n_params(layer_sizes)))
+    for w in net.weights:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def forward(net: DenseNet, x):
@@ -103,55 +112,48 @@ def forward(net: DenseNet, x):
     return out, acts
 
 
-def backward(net: DenseNet, cache, output_gradient):
-    """Exact gradients of the forward map; returns (weight_grads, bias_grads)."""
+def backward(net: DenseNet, cache, output_gradient) -> np.ndarray:
+    """Exact gradients of the forward map, laid out like ``net.params``."""
     if len(cache) != len(net.weights) + 1:
         raise ValueError("cache does not match network depth")
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
-    w_grads = [None] * len(net.weights)
-    b_grads = [None] * len(net.biases)
+    grads = np.empty_like(net.params)
+    w_grads, b_grads = _layers(net.layer_sizes, grads)
     for i in reversed(range(len(net.weights))):
-        a_in = cache[i]
         if i < len(net.weights) - 1:
             g = g * (cache[i + 1] > 0)  # ReLU mask on this layer's output
-        w_grads[i] = a_in.T @ g
-        b_grads[i] = g.sum(axis=0)
-        g = g @ net.weights[i].T
-    return w_grads, b_grads
+        np.matmul(cache[i].T, g, out=w_grads[i])
+        g.sum(axis=0, out=b_grads[i])
+        if i > 0:                   # the input layer's gradient is not needed
+            g = g @ net.weights[i].T
+    return grads
 
 
 def make_optimizer(net: DenseNet, learning_rate: float) -> OptimizerState:
-    params = _params(net)
-    return OptimizerState(m=[np.zeros_like(p) for p in params],
-                          v=[np.zeros_like(p) for p in params],
-                          learning_rate=learning_rate)
+    zeros = np.zeros_like(net.params)
+    return OptimizerState(m=zeros, v=zeros.copy(), learning_rate=learning_rate)
 
 
-def adam_step(net: DenseNet, grads, opt: OptimizerState):
-    """Bias-corrected Adam update in place; grads = (w_grads, b_grads)."""
-    w_grads, b_grads = grads
-    flat_grads = list(w_grads) + list(b_grads)
-    params = _params(net)
+def adam_step(net: DenseNet, grads: np.ndarray, opt: OptimizerState):
+    """Bias-corrected Adam update of ``net.params`` in place."""
     opt.step += 1
     b1c = 1.0 - _BETA1 ** opt.step
     b2c = 1.0 - _BETA2 ** opt.step
-    for p, g, m, v in zip(params, flat_grads, opt.m, opt.v):
-        m *= _BETA1
-        m += (1 - _BETA1) * g
-        v *= _BETA2
-        v += (1 - _BETA2) * g * g
-        p -= opt.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + _EPSILON)
+    opt.m *= _BETA1
+    opt.m += (1 - _BETA1) * grads
+    opt.v *= _BETA2
+    opt.v += (1 - _BETA2) * grads * grads
+    net.params -= opt.learning_rate * (opt.m / b1c) \
+        / (np.sqrt(opt.v / b2c) + _EPSILON)
 
 
 def save_params(net: DenseNet, path):
     """Write the checkpoint container; round trip is bit-exact."""
     header = struct.pack("<4sII", _MAGIC, _FORMAT_VERSION, len(net.layer_sizes))
     header += struct.pack(f"<{len(net.layer_sizes)}I", *net.layer_sizes)
-    payload = b"".join(
-        arr.astype("<f8", copy=False).tobytes()
-        for pair in zip(net.weights, net.biases) for arr in pair)
+    payload = net.params.astype("<f8", copy=False).tobytes()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     with open(path, "wb") as fh:
         fh.write(header)
@@ -179,19 +181,9 @@ def load_params(path) -> DenseNet:
     except struct.error as exc:
         raise CheckpointError(f"truncated checkpoint: {exc}") from exc
     payload = data[off:]
-    expected_bytes = 8 * sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
-    if len(payload) != expected_bytes:
+    if len(payload) != 8 * _n_params(sizes):
         raise CheckpointError("checkpoint payload length mismatch")
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise CheckpointError("checkpoint CRC mismatch (corrupted file)")
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        nw = fan_in * fan_out * 8
-        weights.append(np.frombuffer(payload[pos:pos + nw], dtype="<f8")
-                       .reshape(fan_in, fan_out).copy())
-        pos += nw
-        nb = fan_out * 8
-        biases.append(np.frombuffer(payload[pos:pos + nb], dtype="<f8").copy())
-        pos += nb
-    return DenseNet(sizes, weights, biases)
+    # A writeable, native-order copy: the net may be trained further.
+    return DenseNet(sizes, np.frombuffer(payload, "<f8").astype(np.float64))

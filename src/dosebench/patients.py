@@ -149,8 +149,7 @@ def get_patient(cohort: Cohort, patient_id: int) -> PatientParams:
 
 def integrate(state: PatientState, params: PatientParams, rate: float,
               dt: float, carbs: Sequence[Sequence[float]],
-              noise_stream: np.random.Generator | None = None
-              ) -> PatientState:
+              noise_stream: np.random.Generator | None) -> PatientState:
     """RK4 over len(carbs) substeps of dt minutes at a constant rate (U/h).
 
     carbs[k] holds the grams of each meal eaten in substep k; they enter the

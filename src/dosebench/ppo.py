@@ -202,8 +202,7 @@ class RolloutBuffer:
 
 
 def warm_start_ppo(buffer: RolloutBuffer, env: GlucoseEnv, steps: int,
-                   rng: np.random.Generator,
-                   transform: str = "tanh") -> RolloutBuffer:
+                   rng: np.random.Generator, transform: str) -> RolloutBuffer:
     """Fill a rollout with uniform actions on [0, 2] U/h.
 
     Behaviour log-prob is the uniform density log(1/2); logits are recovered

@@ -130,10 +130,9 @@ def test_criterion_06_neural_gradients():
             return float(np.sum(out * g_out))
 
         _, cache = nets.forward(net, x)
-        w_grads, b_grads = nets.backward(net, cache, g_out)
-        numeric = finite_difference_grads(loss, net.weights + net.biases)
-        worst = max(worst,
-                    relative_error(list(w_grads) + list(b_grads), numeric))
+        grads = nets.backward(net, cache, g_out)
+        numeric = finite_difference_grads(loss, [net.params])
+        worst = max(worst, relative_error([grads], numeric))
     ok = worst < 1e-4
     _verdict(6, ok, f"max gradient rel err {worst:.2e} over 50 nets")
 
@@ -231,7 +230,8 @@ def test_criterion_10_llm_pipeline(tmp_path):
                  and clamp_action(130.67)[0] == 9.0)
     with ScriptedMockServer(["junk reply"]) as server:
         cfg = LlmConfig(base_url=server.base_url, max_retries=2)
-        action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg)
+        action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+                             transport=None)
         parser_ok = parser_ok and action == 0.0 and ex.attempts == 3
 
     with ScriptedMockServer(["1.0"]) as server:

@@ -85,3 +85,23 @@ def test_train_rejects_a_config_that_is_not_a_mapping(tmp_path):
     with pytest.raises(SystemExit, match="not a YAML mapping"):
         main(["train", "--algo", "dqn", "--env", "adult", "--config", str(cfg),
               "--out", str(tmp_path / "runs")])
+
+
+@pytest.mark.parametrize("algo, config, rejected", [
+    ("dqn", "epochs: 0\n", "integers: epochs$"),
+    ("dqn", "steps_per_epoch: 48\nbatch_size: -1\n", "integers: batch_size$"),
+    ("ppo", "epochs: 1\nsteps_per_epoch: -5\nsteps_per_collect: 0\n"
+            "repeat_per_collect: 1.5\n",
+     "integers: repeat_per_collect, steps_per_collect, steps_per_epoch$"),
+], ids=["dqn-no-epochs", "dqn-negative-batch", "ppo-counts"])
+def test_train_rejects_counts_that_are_not_positive(algo, config, rejected,
+                                                    tmp_path):
+    # A count of zero or less would train nothing, or crash after the run
+    # directory exists; the run stops before it starts.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit, match=rejected):
+        main(["train", "--algo", algo, "--env", "adult", "--seed", "1",
+              "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()

@@ -84,8 +84,7 @@ def test_replay_buffer_ring_and_sampling():
 
 
 def test_select_action_greedy_tie_breaks_to_lowest_bin():
-    net = nets.DenseNet([48, 11], weights=[np.zeros((48, 11))],
-                        biases=[np.zeros(11)])
+    net = nets.DenseNet([48, 11], np.zeros(48 * 11 + 11))
     rng = np.random.default_rng(0)
     a = select_action(net, np.zeros(48), eps=0.0,
                       probs=uniform_probs(11), rng=rng)
@@ -98,8 +97,7 @@ def test_select_action_greedy_tie_breaks_to_lowest_bin():
 
 
 def test_select_action_exploration_follows_prior():
-    net = nets.DenseNet([48, 11], weights=[np.zeros((48, 11))],
-                        biases=[np.zeros(11)])
+    net = nets.DenseNet([48, 11], np.zeros(48 * 11 + 11))
     probs = zero_biased_probs(11)
     rng = np.random.default_rng(1)
     draws = np.array([select_action(net, np.zeros(48), 1.0, probs, rng)
@@ -114,8 +112,7 @@ def test_td_target_hand_computed():
     # Zeroed Q and target nets make the TD target equal the reward, and the
     # loss the mean squared reward.
     cfg = DqnConfig(gamma=0.5, lr=0.0)
-    qnet = nets.DenseNet([48, 11], weights=[np.zeros((48, 11))],
-                         biases=[np.zeros(11)])
+    qnet = nets.DenseNet([48, 11], np.zeros(48 * 11 + 11))
     target = qnet.copy()
     target.biases[0][:] = 2.0  # max Q_target = 2 everywhere
     opt = nets.make_optimizer(qnet, learning_rate=0.0)

@@ -114,7 +114,7 @@ def _report_digest(spec, tmp_path) -> str:
     records = harness.run_protocol(spec, CHILD_PROTOCOL)
     report = harness.aggregate(records, CHILD_PROTOCOL, policy_label=spec.label)
     path = tmp_path / "report.json"
-    harness.emit_report(report, path)
+    harness.emit_report(report, path, "json")
     return _sha256(path.read_bytes())
 
 

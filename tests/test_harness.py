@@ -65,7 +65,7 @@ def test_run_protocol_records_policy_failures(monkeypatch):
     records = harness.run_protocol(spec, protocol)
     assert len(records) == 4
     assert all(r.error == "kaput" for r in records)
-    report = harness.aggregate(records, protocol)
+    report = harness.aggregate(records, protocol, policy_label="")
     assert "adult" in report.incomplete_strata
 
 
@@ -80,7 +80,7 @@ def test_aggregate_permutation_invariant():
     assert report.to_dict() == report2.to_dict()
     assert set(report.strata) == {"adult", "adolescent", "child", "overall"}
     with pytest.raises(ValueError):
-        harness.aggregate([], protocol)
+        harness.aggregate([], protocol, policy_label="")
 
 
 def test_degenerate_bootstrap_zero_width():
@@ -90,7 +90,7 @@ def test_degenerate_bootstrap_zero_width():
                                 truncated=True)
     records = [rec] * 12
     protocol = harness.EvalProtocol(cohorts=(Cohort.ADULT,))
-    report = harness.aggregate(records, protocol)
+    report = harness.aggregate(records, protocol, policy_label="")
     for summary in report.strata["adult"].values():
         assert summary.ci_low == summary.ci_high
         assert summary.mean == pytest.approx(summary.ci_low, abs=1e-12)
@@ -287,7 +287,7 @@ def test_workers_give_same_records_as_serial(tmp_path):
                 sys.setswitchinterval(interval)
             path = tmp_path / f"{name}-{workers}.json"
             harness.emit_report(harness.aggregate(records, protocol, name),
-                                path)
+                                path, "json")
             runs[workers] = (records, path.read_bytes())
         (serial, serial_report), (threaded, threaded_report) = runs.values()
         key = lambda r: (r.cohort, r.patient_id, r.seed, r.repeat)

@@ -9,6 +9,9 @@
   as the benchmark tracer's ``"GlucoseEnv.step"``. A package's ``__all__``,
   its imports and docstrings do not count as a use, and neither do the tests:
   code that only tests reach belongs in the tests.
+- ``src/dosebench`` has exactly ``OPTIONS`` options: defaulted function
+  parameters, dataclass fields with a default and ``add_argument`` calls. A
+  change that adds or removes one edits the number here.
 """
 
 import ast
@@ -18,6 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dosebench"
 TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
+
+OPTIONS = 84
 
 # Public definitions that nothing names yet, each with the reason it stays.
 UNNAMED_ALLOWED = {
@@ -129,3 +134,24 @@ def test_every_public_definition_is_named_outside_the_tests():
         if qualname.split(".")[-1] not in named
         and qualname.split(".")[0] not in UNNAMED_ALLOWED)
     assert unnamed == []
+
+
+def _options(tree) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults) + sum(
+                d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            count += sum(isinstance(item, ast.AnnAssign)
+                         and item.value is not None for item in node.body)
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "add_argument":
+            count += 1
+    return count
+
+
+def test_option_count():
+    assert sum(_options(tree) for _, tree in _modules(SRC)) == OPTIONS

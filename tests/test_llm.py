@@ -34,7 +34,7 @@ def render_prompt(kind):
 
 
 def test_serialize_observation_golden_line():
-    line = serialize_observation([FIXED_HISTORY[1]])
+    line = serialize_observation([FIXED_HISTORY[1]], include_meals=False)
     assert line == ("Day 1, Time: 05:15:00, glucose: 148.96 mg/dL, "
                     "insulin rate: 1.0000 unit/hour, insulin dose: 0.25 unit.")
 
@@ -51,7 +51,7 @@ def test_serialize_observation_initial_and_meal_annotations():
     assert "meal" not in plain
     assert "27" not in text
     with pytest.raises(ValueError):
-        serialize_observation([])
+        serialize_observation([], include_meals=False)
 
 
 def test_build_prompt_structure():
@@ -253,11 +253,13 @@ def test_mock_server_wire_format(mock_server):
 def test_mock_server_error_sentinel_and_cycling():
     with ScriptedMockServer([ERROR_SENTINEL, "3.0"]) as server:
         cfg = LlmConfig(base_url=server.base_url, max_retries=2)
-        action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg)
+        action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+                             transport=None)
         assert action == 3.0
         assert ex.attempts == 2          # 500 consumed the first attempt
         # Script cycles: next request hits the sentinel again.
-        action, _ = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg)
+        action, _ = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+                            transport=None)
         assert action == 3.0
 
 

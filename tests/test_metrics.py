@@ -88,24 +88,24 @@ def test_survival_rate():
 
 def test_bootstrap_is_deterministic_and_ordered():
     data = np.random.default_rng(3).normal(50, 5, size=40)
-    a = metrics.bootstrap_ci(data, seed=7)
-    b = metrics.bootstrap_ci(data, seed=7)
+    a = metrics.bootstrap_ci(data, resamples=1000, seed=7)
+    b = metrics.bootstrap_ci(data, resamples=1000, seed=7)
     assert a == b
     assert a.ci_low <= a.mean <= a.ci_high
     assert a.n == 40
-    c = metrics.bootstrap_ci(data, seed=8)
+    c = metrics.bootstrap_ci(data, resamples=1000, seed=8)
     assert c != a
 
 
 def test_bootstrap_degenerate_samples_zero_width():
-    s = metrics.bootstrap_ci([5.0] * 30, seed=0)
+    s = metrics.bootstrap_ci([5.0] * 30, resamples=1000, seed=0)
     assert s.mean == 5.0
     assert s.ci_low == s.ci_high == 5.0
 
 
 def test_bootstrap_rejects_empty():
     with pytest.raises(ValueError):
-        metrics.bootstrap_ci([])
+        metrics.bootstrap_ci([], resamples=1000, seed=0)
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2,

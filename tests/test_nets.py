@@ -33,10 +33,9 @@ def _safe_input(net, rng, margin=1e-3):
 
 
 def test_forward_hand_computed():
-    net = nets.DenseNet(
-        [2, 2, 1],
-        weights=[np.array([[1.0, -1.0], [0.5, 2.0]]), np.array([[2.0], [3.0]])],
-        biases=[np.array([0.0, 1.0]), np.array([-1.0])])
+    # w0 = [[1, -1], [0.5, 2]], b0 = [0, 1], w1 = [[2], [3]], b1 = [-1]
+    net = nets.DenseNet([2, 2, 1], np.array(
+        [1.0, -1.0, 0.5, 2.0, 0.0, 1.0, 2.0, 3.0, -1.0]))
     out, cache = nets.forward(net, np.array([1.0, 2.0]))
     # hidden pre-act: [1*1+2*0.5, 1*(-1)+2*2+1] = [2, 4]; relu same
     # output: 2*2 + 4*3 - 1 = 15
@@ -58,9 +57,8 @@ def test_forward_shapes_and_validation():
 
 
 def test_relu_only_on_hidden_layers():
-    net = nets.DenseNet([1, 1, 1],
-                        weights=[np.array([[1.0]]), np.array([[1.0]])],
-                        biases=[np.array([-5.0]), np.array([-3.0])])
+    # w0 = [[1]], b0 = [-5], w1 = [[1]], b1 = [-3]
+    net = nets.DenseNet([1, 1, 1], np.array([1.0, -5.0, 1.0, -3.0]))
     out, _ = nets.forward(net, np.array([1.0]))
     assert out == pytest.approx([-3.0])  # hidden clamped to 0, output linear
 
@@ -91,9 +89,9 @@ def test_backward_matches_finite_differences():
             return float(np.sum(out * g_out))
 
         _, cache = nets.forward(net, x)
-        w_grads, b_grads = nets.backward(net, cache, g_out)
-        numeric = finite_difference_grads(loss, net.weights + net.biases)
-        err = relative_error(list(w_grads) + list(b_grads), numeric)
+        grads = nets.backward(net, cache, g_out)
+        numeric = finite_difference_grads(loss, [net.params])
+        err = relative_error([grads], numeric)
         assert err < 1e-4, f"sizes={sizes} rel_err={err}"
 
 
@@ -105,11 +103,9 @@ def test_backward_cache_validation():
 
 
 def test_adam_first_step_hand_computed():
-    net = nets.DenseNet([1, 1], weights=[np.array([[1.0]])],
-                        biases=[np.array([0.5])])
+    net = nets.DenseNet([1, 1], np.array([1.0, 0.5]))   # w = [[1]], b = [0.5]
     opt = nets.make_optimizer(net, learning_rate=0.1)
-    g_w, g_b = np.array([[2.0]]), np.array([-3.0])
-    nets.adam_step(net, ([g_w], [g_b]), opt)
+    nets.adam_step(net, np.array([2.0, -3.0]), opt)
     # First bias-corrected step is lr * g / (|g| + eps) = lr * sign(g).
     assert net.weights[0][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-6)
     assert net.biases[0][0] == pytest.approx(0.5 + 0.1, abs=1e-6)
@@ -117,12 +113,10 @@ def test_adam_first_step_hand_computed():
 
 
 def test_adam_converges_on_quadratic():
-    net = nets.DenseNet([1, 1], weights=[np.array([[4.0]])],
-                        biases=[np.array([-2.0])])
+    net = nets.DenseNet([1, 1], np.array([4.0, -2.0]))  # w = [[4]], b = [-2]
     opt = nets.make_optimizer(net, learning_rate=0.05)
     for _ in range(2000):
-        grads = ([net.weights[0] - 1.0], [net.biases[0] - 3.0])
-        nets.adam_step(net, grads, opt)
+        nets.adam_step(net, net.params - [1.0, 3.0], opt)
     assert net.weights[0][0, 0] == pytest.approx(1.0, abs=1e-4)
     assert net.biases[0][0] == pytest.approx(3.0, abs=1e-4)
 
@@ -144,12 +138,45 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     nets.save_params(net, path)
     loaded = nets.load_params(path)
     assert loaded.layer_sizes == net.layer_sizes
+    assert np.array_equal(net.params, loaded.params)
     for w, lw in zip(net.weights, loaded.weights):
         assert np.array_equal(w, lw)
-    for b, lb in zip(net.biases, loaded.biases):
-        assert np.array_equal(b, lb)
     nets.save_params(loaded, tmp_path / "again.dnet")
     assert (tmp_path / "again.dnet").read_bytes() == path.read_bytes()
+
+
+def test_weights_and_biases_are_views_of_params(tmp_path):
+    net = nets.init_standard([3, 4, 2], seed=0)
+    assert net.params.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+    net.biases[0][1] = 7.5
+    net.weights[1][2, 0] = -2.25
+    assert net.params[3 * 4 + 1] == 7.5
+    assert net.params[3 * 4 + 4 + 2 * 2] == -2.25
+    path = tmp_path / "net.dnet"
+    nets.save_params(net, path)
+    # The payload is the parameter vector, after the 12-byte fixed header,
+    # the three layer sizes and the CRC.
+    assert path.read_bytes()[12 + 4 * 3 + 4:] == \
+        net.params.astype("<f8").tobytes()
+    with pytest.raises(ValueError, match="layer sizes"):
+        nets.DenseNet([3, 4, 2], np.zeros(10))
+
+
+def test_loaded_net_trains_and_saves_again(tmp_path):
+    net = nets.init_standard([4, 5, 2], seed=3)
+    path = tmp_path / "net.dnet"
+    nets.save_params(net, path)
+    loaded = nets.load_params(path)
+    assert loaded.params.flags.writeable and loaded.params.dtype.isnative
+    x = np.random.default_rng(0).normal(size=(6, 4))
+    _, cache = nets.forward(loaded, x)
+    grads = nets.backward(loaded, cache, np.ones((6, 2)))
+    assert grads.shape == loaded.params.shape
+    nets.adam_step(loaded, grads, nets.make_optimizer(loaded, 0.01))
+    assert not np.array_equal(loaded.params, net.params)
+    nets.save_params(loaded, tmp_path / "trained.dnet")
+    assert np.array_equal(
+        nets.load_params(tmp_path / "trained.dnet").params, loaded.params)
 
 
 def test_checkpoint_corruption_detection(tmp_path):

@@ -258,10 +258,10 @@ def test_integrate_rejects_non_finite_input_state():
     for field in ("g", "s1", "s2", "x", "q_gut"):
         state = replace(steady_state(params), **{field: float("nan")})
         with pytest.raises(FloatingPointError):
-            integrate(state, params, 1.0, 1.0, [()] * 15)
+            integrate(state, params, 1.0, 1.0, [()] * 15, None)
     state = replace(steady_state(params), s2=float("inf"))
     with pytest.raises(FloatingPointError):
-        integrate(state, params, 1.0, 1.0, [()] * 15)
+        integrate(state, params, 1.0, 1.0, [()] * 15, None)
 
 
 def test_integrate_raises_when_state_turns_non_finite_mid_interval():

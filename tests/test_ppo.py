@@ -149,14 +149,14 @@ def test_fresh_tanh_policy_starts_conservative():
 def test_warm_start_ppo_doses_low():
     buf = RolloutBuffer()
     env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
-    warm_start_ppo(buf, env, 100, np.random.default_rng(0))
+    warm_start_ppo(buf, env, 100, np.random.default_rng(0), "tanh")
     assert len(buf) == 100
     _, z, actions, logp, *_ = buf.arrays()
     assert np.all((actions >= 0.0) & (actions <= 2.0))
     assert np.allclose(logp, math.log(0.5))
     assert np.all(np.isfinite(z))
     with pytest.raises(ValueError):
-        warm_start_ppo(buf, env, -5, np.random.default_rng(0))
+        warm_start_ppo(buf, env, -5, np.random.default_rng(0), "tanh")
 
 
 def _tiny_rollout(policy, n=64, seed=0):
