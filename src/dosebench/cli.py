@@ -33,24 +33,29 @@ def _load_config(path):
     return overrides
 
 
-_COUNTS = ("epochs", "steps_per_epoch", "batch_size", "steps_per_collect",
-           "repeat_per_collect")     # config fields that must be positive
+# Config fields that must be integers, with the least value each may take.
+_COUNTS = {"epochs": 1, "steps_per_epoch": 1, "batch_size": 1,
+           "steps_per_collect": 1, "repeat_per_collect": 1,
+           "replay_capacity": 1, "warm_start_steps": 0}
 
 
 def _make_config(cls, overrides: dict, **from_flags):
     """``cls(**from_flags, **overrides)``; exits naming every override key
-    that is not a field of ``cls``, that a flag sets, or a count below 1."""
+    that is not a field of ``cls``, that a flag sets, or a count below its
+    least value."""
     rejected = sorted(map(str, set(overrides) - (set(cls.__dataclass_fields__)
                                                  - set(from_flags))))
     if rejected:
         raise SystemExit(f"dosebench train: --config keys rejected: "
                          f"{', '.join(rejected)} (keys must be {cls.__name__} "
                          f"fields that --prior does not set)")
-    bad = sorted(key for key in _COUNTS if key in overrides and not (
-        type(overrides[key]) is int and overrides[key] > 0))
+    bad = sorted(key for key, least in _COUNTS.items() if key in overrides
+                 and not (type(overrides[key]) is int
+                          and overrides[key] >= least))
     if bad:
         raise SystemExit(f"dosebench train: --config counts must be positive "
-                         f"integers: {', '.join(bad)}")
+                         f"(warm_start_steps: non-negative) integers: "
+                         f"{', '.join(bad)}")
     return cls(**from_flags, **overrides)
 
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
+import netrc
 import os
+import select
+import ssl
 import threading
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 from ..env import ACTION_HIGH, ACTION_LOW
 from .prompts import (ParseStatus, PromptKind, build_prompt, clamp_action,
@@ -19,10 +25,11 @@ ENV_API_KEY = "DOSEBENCH_LLM_API_KEY"
 _COT_KINDS = (PromptKind.PRIOR_COT, PromptKind.PRIOR_MEAL_COT)
 
 # What a transport may raise for a failed request or a malformed response:
-# connection, timeout and HTTP status errors, undecodable JSON, and a reply
-# missing the choices/message/content path.
-_RECOVERABLE = (requests.RequestException, ValueError, KeyError, IndexError,
-                TypeError)
+# socket, timeout, TLS and HTTP status errors (all OSError), broken HTTP
+# framing, undecodable JSON, and a reply missing the choices/message/content
+# path.
+_RECOVERABLE = (OSError, http.client.HTTPException, ValueError, KeyError,
+                IndexError, TypeError)
 
 
 @dataclass
@@ -76,54 +83,156 @@ class ChatExchange:
         }, sort_keys=True)
 
 
-_local = threading.local()  # this thread's (base URL, requests.Session)
+_local = threading.local()  # .connection: (base URL, *_connect(base URL))
 
 
-def _session(base_url: str) -> requests.Session:
-    """This thread's keep-alive session for ``base_url``.
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(
+        f"{user}:{password}".encode("latin1")).decode("ascii")
 
-    A thread keeps one session; a call for another base URL closes it and
-    makes a new one. Proxy, CA-bundle and netrc settings are read from the
-    environment once, when the session is made, instead of on every request.
-    Sessions are not shared across threads: ``requests.Session`` is not
-    thread-safe.
+
+def _netrc_auth(host: str) -> str | None:
+    """Basic credentials for ``host`` from ``$NETRC``, else ``~/.netrc`` or
+    ``~/_netrc``; an unreadable or malformed file gives none."""
+    path = os.environ.get("NETRC")
+    for candidate in ([path] if path is not None else ["~/.netrc", "~/_netrc"]):
+        candidate = os.path.expanduser(candidate)
+        if not os.path.exists(candidate):
+            continue
+        try:
+            entry = netrc.netrc(candidate).authenticators(host)
+        except (netrc.NetrcParseError, OSError):
+            return None
+        if entry and any(entry):
+            login, account, password = entry
+            return _basic_auth(login or account or "", password or "")
+        return None
+    return None
+
+
+def _tls_context() -> ssl.SSLContext:
+    """Verifies against ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` (a file
+    or a directory) when set, else against the system store."""
+    bundle = (os.environ.get("REQUESTS_CA_BUNDLE")
+              or os.environ.get("CURL_CA_BUNDLE"))
+    if not bundle:
+        return ssl.create_default_context()
+    if os.path.isdir(bundle):
+        return ssl.create_default_context(capath=bundle)
+    return ssl.create_default_context(cafile=bundle)
+
+
+def _connect(base_url: str, timeout: float):
+    """A keep-alive connection for ``base_url``, the chat endpoint's request
+    target on it, and the headers every request on it carries.
+
+    The environment is read here, once per connection:
+    - the proxy (``http_proxy``, ``https_proxy``, ``all_proxy``, skipped for
+      hosts in ``no_proxy``). An ``http`` target is sent to the proxy in
+      absolute form; an ``https`` target goes through a CONNECT tunnel;
+    - the CA bundle (see ``_tls_context``), for an ``https`` target;
+    - basic credentials from netrc, else from the base URL's user info. They
+      take precedence over the ``DOSEBENCH_LLM_API_KEY`` bearer token.
     """
-    url, session = getattr(_local, "session", (None, None))
-    if url != base_url:
-        if session is not None:
-            session.close()
-        session = requests.Session()
-        env = session.merge_environment_settings(base_url, {}, None, None,
-                                                 None)
-        session.proxies = env["proxies"]
-        session.verify = env["verify"]
-        session.auth = requests.utils.get_netrc_auth(base_url)
-        session.trust_env = False
-        _local.session = (base_url, session)
-    return session
+    url = urlsplit(base_url)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError(f"base URL must be http:// or https:// and name a "
+                         f"host: {base_url}")
+    netloc = url.netloc.rpartition("@")[2]
+    target = f"{url.path}/v1/chat/completions"
+    headers = {"Content-Type": "application/json"}
+    auth = _netrc_auth(url.hostname)
+    if auth is None and (url.username or url.password):
+        auth = _basic_auth(unquote(url.username or ""),
+                           unquote(url.password or ""))
+    if auth is not None:
+        headers["Authorization"] = auth
+
+    proxies = urllib.request.getproxies_environment()
+    proxy = None
+    if not urllib.request.proxy_bypass_environment(netloc, proxies):
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+    host, port, proxy_headers = url.hostname, url.port, {}
+    if proxy:
+        purl = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if purl.scheme != "http":
+            raise ValueError(f"proxy must be http://host[:port]: {proxy}")
+        host, port = purl.hostname, purl.port
+        if purl.username or purl.password:
+            proxy_headers["Proxy-Authorization"] = _basic_auth(
+                unquote(purl.username or ""), unquote(purl.password or ""))
+
+    if url.scheme == "http":
+        conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        if proxy:
+            target = f"http://{netloc}{target}"
+            headers.update(proxy_headers)
+    else:
+        conn = http.client.HTTPSConnection(host, port, timeout=timeout,
+                                           context=_tls_context())
+        if proxy:
+            conn.set_tunnel(url.hostname, url.port, headers=proxy_headers)
+    return conn, target, headers
+
+
+def _connection(base_url: str, timeout: float):
+    """This thread's keep-alive connection for ``base_url``.
+
+    A thread keeps one connection; a call for another base URL closes it and
+    makes a new one. A connection the server has hung up while it sat idle
+    is reopened before it is used, so a keep-alive timeout costs no attempt.
+    """
+    cached = getattr(_local, "connection", None)
+    if cached is None or cached[0] != base_url:
+        if cached is not None:
+            cached[1].close()
+        cached = (base_url, *_connect(base_url, timeout))
+        _local.connection = cached
+    _, conn, target, headers = cached
+    if conn.sock is not None:
+        # An idle socket is readable only if the server closed it (or sent
+        # something no request asked for); either way it cannot be reused.
+        idle = select.poll()
+        idle.register(conn.sock, select.POLLIN)
+        if idle.poll(0):
+            conn.close()
+    if conn.timeout != timeout:
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+    return conn, target, headers
 
 
 def http_transport(messages, config: LlmConfig, kind: PromptKind) -> str:
     """POST to the chat-completions endpoint; returns the reply content.
 
-    Requests go over one pooled keep-alive connection per thread and base URL.
+    Requests go over one keep-alive ``http.client`` connection per thread and
+    base URL. ``request_timeout`` bounds each socket operation. A status of
+    400 or more raises ``urllib.error.HTTPError``.
     """
-    headers = {"Content-Type": "application/json"}
+    base_url = config.resolved_base_url()
+    conn, target, headers = _connection(base_url, config.request_timeout)
     api_key = os.environ.get(ENV_API_KEY)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    body = {
+    if api_key and "Authorization" not in headers:
+        headers = {**headers, "Authorization": f"Bearer {api_key}"}
+    body = json.dumps({
         "model": config.model_name,
         "messages": messages,
         "temperature": config.temperature,
         "max_tokens": config.tokens_for(kind),
-    }
-    base_url = config.resolved_base_url()
-    resp = _session(base_url).post(f"{base_url}/v1/chat/completions",
-                                   json=body, headers=headers,
-                                   timeout=config.request_timeout)
-    resp.raise_for_status()
-    return resp.json()["choices"][0]["message"]["content"]
+    }, allow_nan=False).encode()
+    try:
+        conn.request("POST", target, body, headers)
+        resp = conn.getresponse()
+        payload = resp.read()
+    except BaseException:
+        conn.close()  # a half-sent request or unread reply spoils it
+        raise
+    if resp.status >= 400:
+        raise urllib.error.HTTPError(f"{base_url}/v1/chat/completions",
+                                     resp.status, resp.reason, resp.headers,
+                                     None)
+    return json.loads(payload)["choices"][0]["message"]["content"]
 
 
 def llm_act(history, kind: PromptKind, config: LlmConfig,

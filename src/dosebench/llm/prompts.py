@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
+import threading
 from enum import Enum
 from pathlib import Path
 
@@ -51,6 +53,35 @@ def load_templates(kind: PromptKind) -> tuple[str, str]:
     return _read_template(system_file), _read_template(request_file)
 
 
+class _FinishedLines(threading.local):
+    """This thread's formatted lines for the finished rows of one history.
+
+    A row is finished once a later row exists: the env writes the rate and
+    dose only into the last row, so a finished row's line never changes.
+    Lines are kept per row object, never per value, so a -0.0 dose keeps its
+    sign in the text.
+    """
+
+    history = include_meals = None
+    rows = lines = ()
+
+
+_finished = _FinishedLines()
+
+
+def _line(rec: StepRecord, include_meals: bool) -> str:
+    day, clock = format_clock(rec.clock)
+    time_part = f"Time: {clock}"
+    if rec.step == 0:
+        time_part += " (initial measurement)"
+    line = (f"Day {day}, {time_part}, glucose: {rec.bg_sensor:.2f} mg/dL, "
+            f"insulin rate: {rec.rate:.4f} unit/hour, "
+            f"insulin dose: {rec.dose:.2f} unit")
+    if include_meals and rec.meal_carbs > 0:
+        line += ", meal taken"
+    return line + "."
+
+
 def serialize_observation(history: list[StepRecord],
                           include_meals: bool) -> str:
     """One line per 15-minute step in the EHR-style text layout.
@@ -58,22 +89,23 @@ def serialize_observation(history: list[StepRecord],
     The first line carries the "(initial measurement)" annotation. With
     include_meals, steps whose interval contained food get a trailing
     ", meal taken" clause (amount deliberately hidden).
+
+    Called once per decision with the same, growing history, it formats each
+    finished row once per episode and the current row on every call.
     """
     if not history:
         raise ValueError("history must contain at least one step")
-    lines = []
-    for rec in history:
-        day, clock = format_clock(rec.clock)
-        time_part = f"Time: {clock}"
-        if rec.step == 0:
-            time_part += " (initial measurement)"
-        line = (f"Day {day}, {time_part}, glucose: {rec.bg_sensor:.2f} mg/dL, "
-                f"insulin rate: {rec.rate:.4f} unit/hour, "
-                f"insulin dose: {rec.dose:.2f} unit")
-        if include_meals and rec.meal_carbs > 0:
-            line += ", meal taken"
-        lines.append(line + ".")
-    return "\n".join(lines)
+    cache = _finished
+    finished = len(history) - 1
+    if (cache.history is not history or cache.include_meals != include_meals
+            or len(cache.rows) > finished
+            or not all(map(operator.is_, cache.rows, history))):
+        cache.history, cache.include_meals = history, include_meals
+        cache.rows, cache.lines = [], []
+    for rec in history[len(cache.rows):finished]:
+        cache.rows.append(rec)
+        cache.lines.append(_line(rec, include_meals))
+    return "\n".join([*cache.lines, _line(history[-1], include_meals)])
 
 
 def build_prompt(kind: PromptKind, obs_text: str) -> list[dict]:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from dosebench.cli import build_parser, main
+from dosebench.cli import _make_config, build_parser, main
+from dosebench.dqn import DqnConfig
 
 
 def test_parser_rejects_unknown_algo():
@@ -105,3 +106,29 @@ def test_train_rejects_counts_that_are_not_positive(algo, config, rejected,
         main(["train", "--algo", algo, "--env", "adult", "--seed", "1",
               "--config", str(cfg), "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algo, config, rejected", [
+    ("dqn", "epochs: 1\nsteps_per_epoch: 48\nwarm_start_steps: -1\n",
+     "integers: warm_start_steps$"),
+    ("dqn", "epochs: 1\nsteps_per_epoch: 48\nreplay_capacity: 0\n",
+     "integers: replay_capacity$"),
+    ("ppo", "epochs: 1\nsteps_per_epoch: 48\nwarm_start_steps: -1\n",
+     "integers: warm_start_steps$"),
+], ids=["dqn-negative-warm-start", "dqn-empty-replay", "ppo-negative-warm-start"])
+def test_train_rejects_warm_starts_and_replay_buffers_out_of_range(
+        algo, config, rejected, tmp_path):
+    # Training would make the run directory, then die in warm_start_fill
+    # (ValueError) or at the first ReplayBuffer.add (IndexError).
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit, match=rejected):
+        main(["train", "--algo", algo, "--env", "child", "--seed", "1",
+              "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_train_accepts_a_config_without_a_warm_start():
+    config = _make_config(DqnConfig, {"warm_start_steps": 0})
+    assert config.warm_start_steps == 0

@@ -12,10 +12,17 @@
 - ``src/dosebench`` has exactly ``OPTIONS`` options: defaulted function
   parameters, dataclass fields with a default and ``add_argument`` calls. A
   change that adds or removes one edits the number here.
+- Every module ``src/dosebench`` imports, at any depth, is in the standard
+  library, is ``dosebench`` itself, or is a runtime dependency declared in
+  ``pyproject.toml``.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dosebench"
@@ -23,6 +30,9 @@ TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
 OPTIONS = 84
+
+# Declared distributions whose import name differs from their project name.
+IMPORT_NAMES = {"pyyaml": "yaml"}
 
 # Public definitions that nothing names yet, each with the reason it stays.
 UNNAMED_ALLOWED = {
@@ -155,3 +165,25 @@ def _options(tree) -> int:
 
 def test_option_count():
     assert sum(_options(tree) for _, tree in _modules(SRC)) == OPTIONS
+
+
+def test_runtime_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = set()
+    for requirement in project["dependencies"]:
+        name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).lower()
+        declared.add(IMPORT_NAMES.get(name, name))
+    allowed = set(sys.stdlib_module_names) | {"dosebench"} | declared
+    undeclared = set()
+    for path, tree in _modules(SRC):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            undeclared |= {f"{path}: {name}" for name in names
+                           if name.split(".")[0] not in allowed}
+    assert sorted(undeclared) == []

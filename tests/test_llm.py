@@ -1,6 +1,11 @@
+import base64
+import contextlib
+import dataclasses
 import json
+import socket
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -10,7 +15,8 @@ from dosebench.env import StepRecord
 from dosebench.llm import (ERROR_SENTINEL, AuditLog, ChatExchange, LlmConfig,
                            ParseStatus, PromptKind, ScriptedMockServer,
                            build_prompt, clamp_action, http_transport, llm_act,
-                           parse_cot, parse_zero_shot, serialize_observation)
+                           parse_cot, parse_zero_shot, prompts,
+                           serialize_observation)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -317,7 +323,7 @@ def test_stop_hangs_up_an_idle_keep_alive_connection():
     stopper.join(timeout=5)
     assert not stopper.is_alive()
     # Left open, the connection's handler thread would go on answering it.
-    with pytest.raises(requests.ConnectionError):
+    with pytest.raises(OSError):
         _send(server)
     assert len(server.requests) == 1
 
@@ -335,7 +341,149 @@ def test_http_transport_honours_the_proxy_environment(monkeypatch):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
     with ScriptedMockServer(["1.0"]) as server:
-        # A new base URL gets a new session, which reads the environment.
-        with pytest.raises(requests.ConnectionError):
+        # A new base URL gets a new connection, which reads the environment.
+        with pytest.raises(OSError):
             _send(server)
     assert server.requests == []
+
+
+def _clear_proxies(monkeypatch):
+    for var in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY",
+                "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+
+
+def test_http_transport_skips_the_proxy_for_a_no_proxy_host(monkeypatch):
+    _clear_proxies(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    with ScriptedMockServer(["1.0"]) as server:
+        assert _send(server) == "1.0"
+    assert len(server.requests) == 1
+
+
+@contextlib.contextmanager
+def _http10_chat_server():
+    """An HTTP/1.0 server that closes each connection after its reply.
+
+    Every request is answered "1.0"; the request headers are recorded.
+    """
+    seen = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            seen.append(self.headers)
+            body = json.dumps({"choices": [
+                {"message": {"role": "assistant", "content": "1.0"}}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=httpd.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        host, port = httpd.server_address
+        yield f"http://{host}:{port}", seen
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
+def test_http_transport_reconnects_to_a_server_that_closes_connections():
+    with _http10_chat_server() as (base_url, seen):
+        cfg = LlmConfig(base_url=base_url, max_retries=2)
+        for _ in range(5):
+            action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+                                 transport=None)
+            assert (action, ex.attempts, ex.error) == (1.0, 1, None)
+    assert len(seen) == 5
+
+
+def test_http_transport_times_out_on_a_silent_server():
+    # The kernel completes the handshake for a listening socket; nothing
+    # ever reads the request or answers it.
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        host, port = silent.getsockname()
+        cfg = LlmConfig(base_url=f"http://{host}:{port}", request_timeout=0.2)
+        kind = PromptKind.BASE_ZERO_SHOT
+        start = time.perf_counter()
+        with pytest.raises(OSError):
+            http_transport(build_prompt(kind, "OBS"), cfg, kind)
+        assert time.perf_counter() - start < 1.5
+
+
+def test_http_transport_sends_the_api_key_as_a_bearer_token(monkeypatch,
+                                                             tmp_path):
+    monkeypatch.setenv("NETRC", str(tmp_path / "absent-netrc"))
+    monkeypatch.setenv("DOSEBENCH_LLM_API_KEY", "sekrit")
+    with _http10_chat_server() as (base_url, seen):
+        kind = PromptKind.BASE_ZERO_SHOT
+        assert http_transport(build_prompt(kind, "OBS"),
+                              LlmConfig(base_url=base_url), kind) == "1.0"
+    assert seen[0]["Authorization"] == "Bearer sekrit"
+    assert seen[0]["Content-Type"] == "application/json"
+
+
+def test_netrc_basic_auth_takes_precedence_over_the_api_key(monkeypatch,
+                                                            tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login alice password s3cret\n")
+    monkeypatch.setenv("NETRC", str(netrc))
+    monkeypatch.setenv("DOSEBENCH_LLM_API_KEY", "sekrit")
+    with _http10_chat_server() as (base_url, seen):
+        kind = PromptKind.BASE_ZERO_SHOT
+        assert http_transport(build_prompt(kind, "OBS"),
+                              LlmConfig(base_url=base_url), kind) == "1.0"
+    token = base64.b64encode(b"alice:s3cret").decode()
+    assert seen[0]["Authorization"] == f"Basic {token}"
+
+
+def _episode(rates, meal_steps=()):
+    """Yields a growing history the way the env builds it: the current row
+    is acted on (rate and dose written) before the next row is appended."""
+    history = [StepRecord(step=0, clock=300, bg_true=150.0, bg_sensor=150.23)]
+    for step, rate in enumerate(rates, start=1):
+        yield history
+        history[-1].rate = rate
+        history[-1].dose = rate / 60.0 * 15
+        history.append(StepRecord(
+            step=step, clock=300 + 15 * step, bg_true=150.0 - step,
+            bg_sensor=150.0 - step + 0.37,
+            meal_carbs=27.0 if step in meal_steps else 0.0))
+    yield history
+
+
+@pytest.mark.parametrize("include_meals", [False, True])
+def test_serialize_observation_matches_a_fresh_serialization(include_meals):
+    # -0.0 prints as -0.0000: a parsed "-0" is clamped to -0.0, not 0.0.
+    rates = [0.0, -0.0, 1.2, -0.0, 9.0, 0.5] * 3
+    texts, snapshots = [], []
+    for history in _episode(rates, meal_steps={2, 7}):
+        texts.append(serialize_observation(history, include_meals))
+        snapshots.append([dataclasses.replace(rec) for rec in history])
+    assert "insulin rate: -0.0000 unit/hour, insulin dose: -0.00 unit" \
+        in texts[-1]
+    for text, snapshot in zip(texts, snapshots):
+        assert text == serialize_observation(snapshot, include_meals)
+
+
+def test_serialize_observation_formats_each_finished_line_once(monkeypatch):
+    calls = []
+    format_clock = prompts.format_clock
+    monkeypatch.setattr(prompts, "format_clock",
+                        lambda clock: calls.append(clock) or format_clock(clock))
+    decisions = 0
+    for history in _episode([1.0] * 63):
+        serialize_observation(history, include_meals=True)
+        decisions += 1
+    # Each call formats the current row; each finished row is formatted once.
+    assert decisions == 64
+    assert len(calls) == 2 * decisions - 1
