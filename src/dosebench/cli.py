@@ -96,11 +96,14 @@ def cmd_eval(args):
                                   label=args.label or Path(args.path).stem)
     elif args.policy == "llm":
         from .llm import LlmConfig
+        try:
+            config = LlmConfig(base_url=args.base_url or "",
+                               model_name=args.model,
+                               temperature=args.temperature)
+        except ValueError as exc:
+            raise SystemExit(f"dosebench eval llm: {exc}") from exc
         spec = harness.PolicySpec(
-            kind="llm", llm_kind=args.kind,
-            llm_config=LlmConfig(base_url=args.base_url or "",
-                                 model_name=args.model,
-                                 temperature=args.temperature),
+            kind="llm", llm_kind=args.kind, llm_config=config,
             label=args.label or f"llm-{args.model}-{args.kind}")
     else:
         spec = harness.PolicySpec(kind="scripted", scripted_name=args.name,

@@ -63,12 +63,15 @@ def bin_to_rate(bin_index: int) -> float:
 
 
 class ReplayBuffer:
-    """Ring buffer of (obs, action bin, reward, next obs, terminated)."""
+    """Ring buffer of (obs, action bin, reward, next obs, terminated).
+
+    Each transition's obs and next obs are one (2, OBS_DIM) row of
+    ``obs_pairs``, so a sample gathers both with one index.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, OBS_DIM))
-        self.next_obs = np.zeros((capacity, OBS_DIM))
+        self.obs_pairs = np.zeros((capacity, 2, OBS_DIM))
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
         self.terminated = np.zeros(capacity, dtype=bool)
@@ -77,10 +80,10 @@ class ReplayBuffer:
 
     def add(self, obs, action, reward, next_obs, terminated):
         i = self._pos
-        self.obs[i] = obs
+        self.obs_pairs[i, 0] = obs
+        self.obs_pairs[i, 1] = next_obs
         self.actions[i] = action
         self.rewards[i] = reward
-        self.next_obs[i] = next_obs
         self.terminated[i] = terminated
         self._pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -89,8 +92,9 @@ class ReplayBuffer:
         if batch_size > self.size:
             raise ValueError("not enough transitions to sample a batch")
         idx = rng.choice(self.size, size=batch_size, replace=False)
-        return (self.obs[idx], self.actions[idx], self.rewards[idx],
-                self.next_obs[idx], self.terminated[idx])
+        pairs = self.obs_pairs[idx]
+        return (pairs[:, 0], self.actions[idx], self.rewards[idx],
+                pairs[:, 1], self.terminated[idx])
 
 
 def select_action(qnet: nets.DenseNet, obs, eps: float, probs: np.ndarray,

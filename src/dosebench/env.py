@@ -5,7 +5,9 @@ patient physiology at 1-minute RK4 substeps in one kernel call, with any meal
 falling in the interval entering before its substep, and scores the resulting
 true glucose with the risk reward.
 Observations report sensor glucose (true + Gaussian noise); reward and
-termination always use true glucose.
+termination always use true glucose. The env keeps the observation window as
+a flat list of OBS_DIM floats and rolls it by one row per step, so an
+observation costs the same at every step of an episode.
 """
 
 from __future__ import annotations
@@ -116,20 +118,15 @@ class StepResult:
     truncated: bool
 
 
-def build_observation(history: list[StepRecord]) -> np.ndarray:
-    """The observation: the trailing 16-step window of (sensor glucose, rate,
-    dose) triples as OBS_DIM floats, chronological, most recent last.
+def build_observation(window: list[float]) -> np.ndarray:
+    """The observation: an env's OBS_DIM-float window as a new array.
 
-    Padded rows before episode start replicate the initial sensor glucose with
-    zero insulin. Every call returns a new array.
+    The window holds the trailing 16 (sensor glucose, rate, dose) triples,
+    chronological, most recent last; rows before episode start replicate the
+    initial sensor glucose with zero insulin. Every call returns a new array,
+    so a kept observation never changes when the window rolls on.
     """
-    if not history:
-        raise ValueError("history must contain at least one measurement")
-    first = history[0]
-    values = [first.bg_sensor, 0.0, 0.0] * (WINDOW_STEPS - len(history))
-    for rec in history[-WINDOW_STEPS:]:
-        values += (rec.bg_sensor, rec.rate, rec.dose)
-    return np.array(values, dtype=np.float64)
+    return np.array(window, dtype=np.float64)
 
 
 def featurize(flat_obs: np.ndarray) -> np.ndarray:
@@ -138,12 +135,19 @@ def featurize(flat_obs: np.ndarray) -> np.ndarray:
 
 
 class GlucoseEnv:
-    """Single-patient simulation environment; owns its random streams."""
+    """Single-patient simulation environment; owns its random streams.
+
+    ``history`` holds one StepRecord per measurement. ``_window`` is the
+    observation window over it as a flat list of (sensor glucose, rate, dose)
+    triples: a step writes the chosen rate and dose into the current row,
+    drops the oldest row and appends the new measurement.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.params = get_patient(scenario.cohort, scenario.patient_id)
         self.history: list[StepRecord] = []
+        self._window: list[float] = []
         self.state: PatientState | None = None
         self._meals: list[MealEvent] = []
         self._noise_rng: np.random.Generator | None = None
@@ -182,9 +186,11 @@ class GlucoseEnv:
         self._step_count = 0
         self._done = False
         self.termination_cause = None
+        sensor0 = self._sense(bg0)
         self.history = [StepRecord(step=0, clock=clock0, bg_true=bg0,
-                                   bg_sensor=self._sense(bg0))]
-        return build_observation(self.history)
+                                   bg_sensor=sensor0)]
+        self._window = [sensor0, 0.0, 0.0] * WINDOW_STEPS
+        return build_observation(self._window)
 
     def _sense(self, bg_true: float) -> float:
         noise = self.params.cgm_sigma * self._sensor_rng.standard_normal() \
@@ -201,8 +207,13 @@ class GlucoseEnv:
                              f"got {action!r}")
 
         # Record the chosen action on the current measurement row.
-        self.history[-1].rate = float(action)
-        self.history[-1].dose = float(action) / 60.0 * CONTROL_INTERVAL_MIN
+        rate = float(action)
+        dose = rate / 60.0 * CONTROL_INTERVAL_MIN
+        self.history[-1].rate = rate
+        self.history[-1].dose = dose
+        window = self._window
+        window[-2] = rate
+        window[-1] = dose
 
         # A meal is eaten in substep k when t0 + k <= offset < t0 + k + 1; t0
         # is a whole number of minutes, so k is floor(offset - t0).
@@ -214,7 +225,7 @@ class GlucoseEnv:
             if 0 <= minute < CONTROL_INTERVAL_MIN:
                 carbs[minute] += (meal.carbs,)
                 meal_carbs += meal.carbs
-        self.state = integrate(self.state, self.params, float(action),
+        self.state = integrate(self.state, self.params, rate,
                                SUBSTEP_MIN, carbs, self._noise_rng)
         self.state.clock += CONTROL_INTERVAL_MIN
         self._step_count += 1
@@ -228,11 +239,13 @@ class GlucoseEnv:
             self.termination_cause = "hypo" if bg < BG_TERMINATE_LOW else "hyper"
         self._done = terminated or truncated
 
-        rec = StepRecord(step=self._step_count, clock=self.state.clock,
-                         bg_true=bg, bg_sensor=self._sense(bg),
-                         meal_carbs=meal_carbs, reward=reward)
-        self.history.append(rec)
-        return StepResult(observation=build_observation(self.history),
+        sensor = self._sense(bg)
+        self.history.append(StepRecord(
+            step=self._step_count, clock=self.state.clock, bg_true=bg,
+            bg_sensor=sensor, meal_carbs=meal_carbs, reward=reward))
+        del window[:3]
+        window += (sensor, 0.0, 0.0)
+        return StepResult(observation=build_observation(window),
                           reward=reward, terminated=terminated,
                           truncated=truncated)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import math
 import netrc
 import os
 import select
@@ -43,8 +44,16 @@ class LlmConfig:
     fallback_dose: float = 0.0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        # NaN passes a `< 0` test, and a NaN or infinite temperature cannot be
+        # sent as JSON; a timeout of zero or less makes every socket call
+        # fail. Either way every decision would silently fall back.
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and non-negative, "
+                             f"got {self.temperature!r}")
+        if not (math.isfinite(self.request_timeout)
+                and self.request_timeout > 0):
+            raise ValueError(f"request_timeout must be finite and positive, "
+                             f"got {self.request_timeout!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if not (ACTION_LOW <= self.fallback_dose <= ACTION_HIGH):

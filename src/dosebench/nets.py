@@ -5,6 +5,13 @@ vector ``w0, b0, w1, b1, …`` (weights row-major, fan-in by fan-out), which
 ``weights`` and ``biases`` view; gradients, Adam's moments and checkpoints
 share that layout. A ``.dnet`` checkpoint is a header (magic, version, layer
 sizes), a CRC32 and the vector as little-endian float64.
+
+The per-call work is sized for the one-row forwards and single updates of a
+training loop: ``forward`` adds the bias and applies ReLU in place on arrays
+it made, ``backward`` masks in place only gradients it computed itself, and
+Adam writes its intermediates into two scratch vectors and flushes subnormals
+from its first moment (see ``adam_step``). Each keeps the IEEE operations, and
+so the bytes, of the plain expressions.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ import numpy as np
 _MAGIC = b"DNET"
 _FORMAT_VERSION = 1
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8   # Adam, Kingma & Ba's defaults
+_TINY = np.finfo(np.float64).tiny              # the least normal float64
+_FLUSH_EVERY = 16                              # Adam steps between m flushes
 
 
 class CheckpointError(Exception):
@@ -65,6 +74,10 @@ class OptimizerState:
     learning_rate: float
     step: int = 0
 
+    def __post_init__(self):
+        # Scratch vectors for adam_step's intermediates.
+        self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
+
 
 def init_near_zero(layer_sizes, scale: float, seed: int) -> DenseNet:
     """Uniform weights in [-scale, scale], biases exactly zero."""
@@ -99,14 +112,15 @@ def forward(net: DenseNet, x):
         x = x[None, :]
     if x.shape[1] != net.layer_sizes[0]:
         raise ValueError(f"input width {x.shape[1]} != {net.layer_sizes[0]}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     acts = [x]
-    n_layers = len(net.weights)
+    last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w + b
-        if i < n_layers - 1:
-            z = np.maximum(z, 0.0)
+        z = acts[-1] @ w
+        z += b                      # the same IEEE add as ``x @ w + b``
+        if i < last:
+            np.maximum(z, 0.0, out=z)
         acts.append(z)
     out = acts[-1][0] if squeeze else acts[-1]
     return out, acts
@@ -121,9 +135,12 @@ def backward(net: DenseNet, cache, output_gradient) -> np.ndarray:
         g = g[None, :]
     grads = np.empty_like(net.params)
     w_grads, b_grads = _layers(net.layer_sizes, grads)
-    for i in reversed(range(len(net.weights))):
-        if i < len(net.weights) - 1:
-            g = g * (cache[i + 1] > 0)  # ReLU mask on this layer's output
+    last = len(net.weights) - 1
+    for i in reversed(range(last + 1)):
+        if i < last:
+            # ReLU mask on this layer's output, in place: below the output
+            # layer g is the product computed here, never the caller's array.
+            g *= cache[i + 1] > 0
         np.matmul(cache[i].T, g, out=w_grads[i])
         g.sum(axis=0, out=b_grads[i])
         if i > 0:                   # the input layer's gradient is not needed
@@ -137,16 +154,42 @@ def make_optimizer(net: DenseNet, learning_rate: float) -> OptimizerState:
 
 
 def adam_step(net: DenseNet, grads: np.ndarray, opt: OptimizerState):
-    """Bias-corrected Adam update of ``net.params`` in place."""
+    """Bias-corrected Adam update of ``net.params`` in place.
+
+    The operations and their order are those of
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    params -= lr * (m/b1c) / (sqrt(v/b2c) + eps)``, written into scratch.
+
+    An entry whose gradient stays exactly zero decays its ``m`` by b1 per
+    step into subnormals, whose arithmetic is several times slower, and takes
+    about 340 steps from the least normal float to zero. So every 16th step
+    sets first-moment entries below the least normal float to +0.0: an entry
+    stays subnormal for at most 15 steps. A flush moves a parameter by less
+    than ``lr * tiny / (b1c * eps)`` (about 2e-302 at lr = 1e-3), below half
+    an ulp of any parameter larger than about 1e-285, so the parameters keep
+    their bytes.
+    """
+    m, v, (a, b) = opt.m, opt.v, opt._scratch
     opt.step += 1
     b1c = 1.0 - _BETA1 ** opt.step
     b2c = 1.0 - _BETA2 ** opt.step
-    opt.m *= _BETA1
-    opt.m += (1 - _BETA1) * grads
-    opt.v *= _BETA2
-    opt.v += (1 - _BETA2) * grads * grads
-    net.params -= opt.learning_rate * (opt.m / b1c) \
-        / (np.sqrt(opt.v / b2c) + _EPSILON)
+    m *= _BETA1
+    np.multiply(grads, 1 - _BETA1, out=a)
+    m += a
+    if opt.step % _FLUSH_EVERY == 0:
+        np.abs(m, out=a)
+        np.copyto(m, 0.0, where=a < _TINY)
+    v *= _BETA2
+    np.multiply(grads, 1 - _BETA2, out=a)
+    a *= grads
+    v += a
+    np.divide(m, b1c, out=a)
+    a *= opt.learning_rate
+    np.divide(v, b2c, out=b)
+    np.sqrt(b, out=b)
+    b += _EPSILON
+    a /= b
+    net.params -= a
 
 
 def save_params(net: DenseNet, path):

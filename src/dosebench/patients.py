@@ -164,9 +164,13 @@ def integrate(state: PatientState, params: PatientParams, rate: float,
     here are bit-identical to n one-substep calls; only loop-invariant
     constants are hoisted.
     """
-    state.check_finite()
     n = len(carbs)
     g, s1, s2, x, q = state.g, state.s1, state.s2, state.x, state.q_gut
+    isfinite = math.isfinite
+    # A NaN or infinite field makes the sum non-finite; only then is each
+    # field checked (a sum of finite fields that overflows passes).
+    if not isfinite(g + s1 + s2 + x + q):
+        state.check_finite()
     t = state.t_elapsed
     noise = None
     if noise_stream is not None and params.noise_sigma > 0:
@@ -180,7 +184,6 @@ def integrate(state: PatientState, params: PatientParams, rate: float,
     neg_k_abs = -params.k_abs
     infusion = rate / 60.0
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    isfinite = math.isfinite
 
     for k in range(n):
         for grams in carbs[k]:

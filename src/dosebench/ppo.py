@@ -122,12 +122,18 @@ class PpoPolicy:
     mu_offset: float
 
     def heads(self, feats):
-        """(mu, log_sigma) per row plus the actor forward cache."""
+        """(mu, log_sigma) per row of a batch plus the actor forward cache."""
         out, cache = nets.forward(self.actor, feats)
-        mu = np.atleast_2d(out)[:, 0] + self.mu_offset
-        log_sigma = np.full(len(mu), float(np.clip(
-            self.log_sigma, _LOG_SIGMA_MIN, _LOG_SIGMA_MAX)))
-        return mu, log_sigma, cache
+        mu = out[:, 0] + self.mu_offset
+        return mu, np.full(len(mu), self._clipped_log_sigma()), cache
+
+    def _clipped_log_sigma(self) -> float:
+        return min(max(float(self.log_sigma), _LOG_SIGMA_MIN), _LOG_SIGMA_MAX)
+
+    def _mean_logit(self, feats) -> float:
+        """mu of one observation, as heads computes it for a row."""
+        out, _ = nets.forward(self.actor, feats)
+        return float(out[0]) + self.mu_offset
 
     def to_action(self, z: float) -> float:
         if self.transform == "tanh":
@@ -140,15 +146,16 @@ class PpoPolicy:
         return log_prob_clip(z, mu, sigma)
 
     def sample(self, feats, rng: np.random.Generator):
-        mu, log_sigma, _ = self.heads(feats)
-        sigma = np.exp(log_sigma)
-        z = float(mu[0] + sigma[0] * rng.standard_normal())
-        logp = float(self.log_prob_z(z, mu[0], sigma[0]))
+        """One observation's (logit, dose, log-prob): heads' operations on
+        scalars, with no one-element arrays."""
+        mu = self._mean_logit(feats)
+        sigma = np.exp(self._clipped_log_sigma())
+        z = float(mu + sigma * rng.standard_normal())
+        logp = float(self.log_prob_z(z, mu, sigma))
         return z, self.to_action(z), logp
 
     def mean_action(self, feats) -> float:
-        mu, _, _ = self.heads(feats)
-        return self.to_action(float(mu[0]))
+        return self.to_action(self._mean_logit(feats))
 
 
 def default_mu_offset(transform: str) -> float:
@@ -336,11 +343,20 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int) -> PpoTrainResult:
         ppo_update(policy, value_net, warm, config, actor_opt, critic_opt,
                    rng_shuffle)
 
+    # The critic's value of one observation array. Within a collect the
+    # critic is fixed and a step's observation is the array the previous
+    # step bootstrapped from, so that step's forward is reused; an update
+    # forgets it.
+    known_obs, known_value = None, 0.0
+
     def act(obs, env):
+        nonlocal known_obs, known_value
         f = featurize(obs)
         z, a, logp = policy.sample(f, rng_sample)
-        v, _ = nets.forward(value_net, f)
-        return (z, a, logp, float(v[0])), a
+        if obs is not known_obs:
+            v, _ = nets.forward(value_net, f)
+            known_obs, known_value = obs, float(v[0])
+        return (z, a, logp, known_value), a
 
     steps = rollout(envs, act, seeds_from(np.random.default_rng(ep_ss)))
     tally = EpisodeTally()
@@ -357,12 +373,14 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int) -> PpoTrainResult:
             if not res.terminated:
                 nv_out, _ = nets.forward(value_net, featurize(res.observation))
                 nv = float(nv_out[0])
+                known_obs, known_value = res.observation, nv
             collect.add(obs, z, a, logp, res.reward, v, nv,
                         res.terminated or res.truncated)
             tally.add(res, env)
         total_steps += len(collect)
         stats = ppo_update(policy, value_net, collect, config,
                            actor_opt, critic_opt, rng_shuffle)
+        known_obs = None
 
         # An epoch ends at the first update after its last step.
         while total_steps >= next_epoch_at and epoch < config.epochs:

@@ -3,9 +3,9 @@
 Everything here is deliberately written in a different style from the library
 code: high-precision arithmetic (mpmath), brute-force double loops, and
 numerical quadrature / finite differences instead of closed forms. The
-physiology reference is the exception: it is the per-minute RK4 step the
-package used before the interval kernel, kept verbatim so the kernel can be
-held to it bit for bit.
+physiology reference, the history-based observation window and the unflushed
+Adam step are the exception: each is the code the package used before a faster
+form replaced it, kept verbatim so the new form can be held to it bit for bit.
 """
 
 import math
@@ -13,6 +13,8 @@ import math
 import mpmath
 import numpy as np
 
+from dosebench import nets
+from dosebench.env import WINDOW_STEPS
 from dosebench.patients import PatientParams, PatientState
 
 mpmath.mp.dps = 50
@@ -150,3 +152,33 @@ def step_physiology(state: PatientState, params: PatientParams, rate: float,
     )
     new.check_finite()
     return new
+
+
+def observation_from_history(history) -> np.ndarray:
+    """The observation rebuilt from a whole history: the trailing 16-step
+    window of (sensor glucose, rate, dose) triples as OBS_DIM floats,
+    chronological, most recent last.
+
+    Padded rows before episode start replicate the initial sensor glucose with
+    zero insulin. Every call returns a new array.
+    """
+    if not history:
+        raise ValueError("history must contain at least one measurement")
+    first = history[0]
+    values = [first.bg_sensor, 0.0, 0.0] * (WINDOW_STEPS - len(history))
+    for rec in history[-WINDOW_STEPS:]:
+        values += (rec.bg_sensor, rec.rate, rec.dose)
+    return np.array(values, dtype=np.float64)
+
+
+def adam_step_unflushed(net, grads, opt):
+    """Bias-corrected Adam with no subnormal flush, as plain expressions."""
+    opt.step += 1
+    b1c = 1.0 - nets._BETA1 ** opt.step
+    b2c = 1.0 - nets._BETA2 ** opt.step
+    opt.m *= nets._BETA1
+    opt.m += (1 - nets._BETA1) * grads
+    opt.v *= nets._BETA2
+    opt.v += (1 - nets._BETA2) * grads * grads
+    net.params -= opt.learning_rate * (opt.m / b1c) \
+        / (np.sqrt(opt.v / b2c) + nets._EPSILON)

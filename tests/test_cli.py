@@ -132,3 +132,11 @@ def test_train_rejects_warm_starts_and_replay_buffers_out_of_range(
 def test_train_accepts_a_config_without_a_warm_start():
     config = _make_config(DqnConfig, {"warm_start_steps": 0})
     assert config.warm_start_steps == 0
+
+
+def test_eval_llm_rejects_a_nan_temperature_before_the_run(tmp_path):
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit, match="temperature must be finite"):
+        main(["eval", "llm", "--temperature", "nan",
+              "--base-url", "http://127.0.0.1:9", "--out", str(out)])
+    assert not out.exists()

@@ -2,11 +2,13 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dosebench.dqn import ReplayBuffer, warm_start_fill
-from dosebench.env import (CONTROL_INTERVAL_MIN, MAX_STEPS, OBS_DIM,
-                           WINDOW_STEPS, GlucoseEnv, Scenario, StepRecord,
-                           build_observation, cohort_envs, default_scenario,
+from dosebench.env import (ACTION_HIGH, ACTION_LOW, CONTROL_INTERVAL_MIN,
+                           MAX_STEPS, OBS_DIM, WINDOW_STEPS, GlucoseEnv,
+                           Scenario, cohort_envs, default_scenario,
                            format_clock, parse_clock, rollout)
 from dosebench.patients import Cohort, MealEvent
 
@@ -131,21 +133,20 @@ def test_dose_is_quarter_of_rate():
 
 
 def test_observation_padding_and_layout():
-    history = [StepRecord(step=0, clock=300, bg_true=150.0, bg_sensor=151.0)]
-    obs = build_observation(history)
+    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    obs = env.reset(2)
+    first = env.history[0].bg_sensor
     assert obs.shape == (OBS_DIM,) and obs.dtype == np.float64
     # Padding repeats the initial sensor glucose with zero insulin.
     assert obs.reshape(WINDOW_STEPS, 3).tolist() == \
-        [[151.0, 0.0, 0.0]] * WINDOW_STEPS
+        [[first, 0.0, 0.0]] * WINDOW_STEPS
 
-    history.append(StepRecord(step=1, clock=315, bg_true=140.0,
-                              bg_sensor=139.0, rate=2.0, dose=0.5))
-    rows = build_observation(history).reshape(WINDOW_STEPS, 3).tolist()
-    assert rows[-1] == [139.0, 2.0, 0.5]       # most recent last
-    assert rows[:-1] == [[151.0, 0.0, 0.0]] * (WINDOW_STEPS - 1)
-
-    with pytest.raises(ValueError):
-        build_observation([])
+    rows = env.step(2.0).observation.reshape(WINDOW_STEPS, 3).tolist()
+    # Most recent last: the new measurement, not yet acted on, after the
+    # row the dose was chosen on.
+    assert rows[-1] == [env.history[1].bg_sensor, 0.0, 0.0]
+    assert rows[-2] == [first, 2.0, 0.5]
+    assert rows[:-2] == [[first, 0.0, 0.0]] * (WINDOW_STEPS - 2)
 
 
 def test_window_slides_after_sixteen_steps():
@@ -160,14 +161,68 @@ def test_window_slides_after_sixteen_steps():
 
 
 def test_every_observation_is_a_new_array():
-    # RolloutBuffer.add keeps the array it is given: a reused one would
-    # rewrite the observations of a PPO collect.
-    history = [StepRecord(step=0, clock=300, bg_true=150.0, bg_sensor=151.0)]
-    first, second = build_observation(history), build_observation(history)
-    assert not np.shares_memory(first, second)
+    # RolloutBuffer.add keeps the array it is given: a reused or rewritten
+    # one would change the observations of a PPO collect.
     env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
-    obs = env.reset(2)
-    assert not np.shares_memory(obs, env.step(1.0).observation)
+    kept = [env.reset(2)]
+    for _ in range(WINDOW_STEPS + 4):
+        kept.append(env.step(1.0).observation)
+    snapshots = [obs.copy() for obs in kept]
+    for _ in range(WINDOW_STEPS):
+        env.step(1.0)
+    for i, obs in enumerate(kept):
+        assert obs.tobytes() == snapshots[i].tobytes()
+        assert not any(np.shares_memory(obs, other) for other in kept[i + 1:])
+
+
+_DOSES = st.one_of(st.sampled_from([0.0, -0.0, ACTION_HIGH]),
+                   st.floats(ACTION_LOW, ACTION_HIGH))
+
+
+def _play_checking_the_window(env, seed, episodes):
+    """Play each dose list as one episode (until it ends), checking every
+    observation against the history-based window; returns each episode's
+    (steps, terminated)."""
+    played, previous = [], None
+
+    def check(obs):
+        nonlocal previous
+        expected = _oracles.observation_from_history(env.history)
+        # tobytes tells -0.0 from 0.0: a dose's sign must survive.
+        assert obs.dtype == np.float64 and obs.tobytes() == expected.tobytes()
+        assert previous is None or not np.shares_memory(obs, previous)
+        previous = obs
+
+    for k, doses in enumerate(episodes):
+        check(env.reset(seed + k))
+        res = None
+        for dose in doses:
+            res = env.step(dose)
+            check(res.observation)
+            if res.terminated or res.truncated:
+                break
+        played.append((len(env.history) - 1, res is not None and res.terminated))
+    return played
+
+
+@given(patient=st.integers(0, 3), seed=st.integers(0, 2**31 - 1),
+       episodes=st.lists(st.lists(_DOSES, max_size=70), min_size=1,
+                         max_size=3))
+def test_rolling_window_equals_the_history_window(patient, seed, episodes):
+    _play_checking_the_window(GlucoseEnv(default_scenario(Cohort.CHILD,
+                                                          patient)),
+                              seed, episodes)
+
+
+def test_rolling_window_survives_a_long_episode_that_terminates_early():
+    # Zero doses end this child episode in a hyper termination after the
+    # window has rolled past its padding, and the reset after it starts a
+    # new window.
+    env = GlucoseEnv(default_scenario(Cohort.CHILD, 0))
+    (steps, terminated), second = _play_checking_the_window(
+        env, 1, [[-0.0] * 40, [1.0] * 20])
+    assert terminated and WINDOW_STEPS < steps < MAX_STEPS
+    assert second == (20, False)
 
 
 def test_noiseless_env_has_equal_true_and_sensor_bg():

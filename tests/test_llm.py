@@ -2,6 +2,7 @@ import base64
 import contextlib
 import dataclasses
 import json
+import math
 import socket
 import threading
 import time
@@ -129,6 +130,19 @@ def test_llm_config_validation_and_token_budgets():
         LlmConfig(fallback_dose=10.0)
     with pytest.raises(ValueError):
         LlmConfig(base_url="").resolved_base_url()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_llm_config_requires_a_finite_temperature_and_timeout(value):
+    # Each rejected value would make every request fail before it is sent,
+    # so every decision would silently fall back.
+    if value == 0.0:
+        assert LlmConfig(temperature=value).temperature == 0.0
+    else:
+        with pytest.raises(ValueError, match="temperature"):
+            LlmConfig(temperature=value)
+    with pytest.raises(ValueError, match="request_timeout"):
+        LlmConfig(request_timeout=value)
 
 
 def test_llm_act_happy_path():

@@ -3,6 +3,7 @@ import pytest
 
 from dosebench import nets
 
+import _oracles
 from _oracles import finite_difference_grads, relative_error
 
 
@@ -119,6 +120,36 @@ def test_adam_converges_on_quadratic():
         nets.adam_step(net, net.params - [1.0, 3.0], opt)
     assert net.weights[0][0, 0] == pytest.approx(1.0, abs=1e-4)
     assert net.biases[0][0] == pytest.approx(3.0, abs=1e-4)
+
+
+def _subnormal(a):
+    return bool(np.any((a != 0.0) & (np.abs(a) < np.finfo(np.float64).tiny)))
+
+
+def test_adam_flushes_subnormal_moments_and_keeps_the_bytes():
+    # Entries whose gradient stays exactly zero decay m by b1 per step: m
+    # turns subnormal after about 6,700 steps and underflows to zero after
+    # about 7,000. After each flush step m holds no subnormal, and the
+    # parameters keep the bytes of the unflushed formula throughout.
+    net = nets.init_standard([6, 8, 3], seed=4)
+    ref = net.copy()
+    opt = nets.make_optimizer(net, learning_rate=1e-3)
+    ref_opt = nets.make_optimizer(ref, learning_rate=1e-3)
+    rng = np.random.default_rng(11)
+    dead = rng.random(net.params.shape) < 0.3
+    ref_went_subnormal = False
+    for step in range(1, 10_016 + 1):
+        grads = rng.normal(size=net.params.shape)
+        if step > 16:
+            grads[dead] = 0.0
+        nets.adam_step(net, grads, opt)
+        _oracles.adam_step_unflushed(ref, grads, ref_opt)
+        ref_went_subnormal |= _subnormal(ref_opt.m)
+        if step % 16 == 0:
+            assert not _subnormal(opt.m), step
+        assert net.params.tobytes() == ref.params.tobytes(), step
+    assert ref_went_subnormal
+    assert opt.v.tobytes() == ref_opt.v.tobytes()
 
 
 def test_copy_and_copy_from():

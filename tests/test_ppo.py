@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dosebench import nets
+from dosebench import nets, ppo
 from dosebench.ppo import (PpoConfig, PpoUpdateError, RolloutBuffer, act_clip,
                            default_mu_offset, gae, log_prob_clip,
                            log_prob_tanh_z, make_policy, ppo_update,
@@ -216,6 +216,105 @@ def test_value_function_learns_constant_returns():
     obs = buf.arrays()[0]
     preds, _ = nets.forward(value_net, featurize(obs))
     assert float(np.abs(preds[:, 0] - 1.0).mean()) < 0.25
+
+
+@given(st.sampled_from(["tanh", "clip"]), st.floats(-7.0, 3.0),
+       st.integers(0, 2**31 - 1))
+def test_sample_and_mean_action_equal_the_batch_heads(transform, log_sigma,
+                                                      seed):
+    # sample and mean_action work on one observation; a one-row batch
+    # through heads must give the same bits.
+    rng = np.random.default_rng(seed)
+    policy = make_policy(PpoConfig(transform=transform), seed=seed)
+    policy.actor.params[:] = rng.normal(size=policy.actor.params.shape) * 0.3
+    policy.log_sigma = np.array(log_sigma)
+    feats = rng.normal(size=48) * 3.0
+    mu, ls, _ = policy.heads(feats[None, :])
+    sigma = np.exp(ls)
+    noise_rng = np.random.default_rng(seed + 1)
+    z = float(mu[0] + sigma[0] * noise_rng.standard_normal())
+    expected = (z, policy.to_action(z),
+                float(policy.log_prob_z(z, mu[0], sigma[0])))
+    assert policy.sample(feats, np.random.default_rng(seed + 1)) == expected
+    assert policy.mean_action(feats) == policy.to_action(float(mu[0]))
+
+
+# Collects of 12 steps: episodes (64 steps, or fewer when one terminates)
+# end inside collects, and collects end inside episodes, where the critic
+# changes between a step and the next one.
+_SHORT_RUN = PpoConfig(epochs=2, steps_per_epoch=60, steps_per_collect=12,
+                       repeat_per_collect=2, warm_start_steps=0, batch_size=8,
+                       transform="clip")
+
+
+def _recorded_rollout(monkeypatch):
+    """Make train_ppo's rollout record every step it yields in a list."""
+    steps = []
+
+    def recorded(*args):
+        for step in rollout(*args):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(ppo, "rollout", recorded)
+    return steps
+
+
+def test_collect_values_equal_fresh_critic_forwards(monkeypatch):
+    steps = _recorded_rollout(monkeypatch)
+    checked = []
+
+    def checked_update(policy, value_net, collect, *args):
+        obs, *_, values, next_values, _ = collect.arrays()
+        for t, (o, _, res, _) in enumerate(steps[-len(collect):]):
+            assert np.array_equal(obs[t], o)
+            fresh, _ = nets.forward(value_net, featurize(o))
+            assert values[t] == fresh[0]
+            if res.terminated:
+                assert next_values[t] == 0.0
+            else:
+                fresh, _ = nets.forward(value_net, featurize(res.observation))
+                assert next_values[t] == fresh[0]
+        checked.append(len(collect))
+        return ppo_update(policy, value_net, collect, *args)
+
+    monkeypatch.setattr(ppo, "ppo_update", checked_update)
+    train_ppo("child", _SHORT_RUN, seed=2)
+    assert checked == [12] * 10
+    ends = {i for i, (_, _, res, _) in enumerate(steps)
+            if res.terminated or res.truncated}
+    assert any(res.terminated for _, _, res, _ in steps)
+    assert any(i % 12 != 11 for i in ends)            # inside a collect
+    assert any(i % 12 == 11 and i not in ends         # inside an episode
+               for i in range(len(steps)))
+
+
+def test_collect_reuses_the_bootstrap_value(monkeypatch):
+    # The critic is fixed within a collect, so a step's bootstrap value is
+    # the next step's value. A collected step then costs at most one one-row
+    # critic forward, plus one at each collect's first step and one at each
+    # episode start.
+    steps = _recorded_rollout(monkeypatch)
+    critics, counted = [], []
+    init_standard, forward = nets.init_standard, nets.forward
+
+    def recorded_init(*args, **kwargs):
+        critics.append(init_standard(*args, **kwargs))
+        return critics[-1]
+
+    def counted_forward(net, x):
+        if any(net is c for c in critics) and np.ndim(x) == 1:
+            counted.append(x)
+        return forward(net, x)
+
+    monkeypatch.setattr(nets, "init_standard", recorded_init)
+    monkeypatch.setattr(nets, "forward", counted_forward)
+    train_ppo("child", _SHORT_RUN, seed=2)
+    collects = len(steps) // _SHORT_RUN.steps_per_collect
+    starts = 1 + sum(res.terminated or res.truncated
+                     for _, _, res, _ in steps[:-1])
+    assert len(critics) == 1 and collects == 10
+    assert len(counted) <= len(steps) + collects + starts
 
 
 def test_train_ppo_smoke_and_determinism():
