@@ -108,7 +108,13 @@ def cmd_eval(args):
     else:
         spec = harness.PolicySpec(kind="scripted", scripted_name=args.name,
                                   label=args.label or f"scripted-{args.name}")
-    records = harness.run_protocol(spec, protocol, workers=args.workers)
+    try:
+        records = harness.run_protocol(spec, protocol, workers=args.workers)
+    except ValueError as exc:  # the policy could not be resolved
+        raise SystemExit(f"dosebench eval {args.policy}: {exc}") from exc
+    if all(r.error is not None for r in records):
+        raise SystemExit(f"dosebench eval {args.policy}: every episode "
+                         f"failed; the first with: {records[0].error}")
     report = harness.aggregate(records, protocol, policy_label=spec.label)
     run = _run_dir(args.out, spec.label)
     harness.emit_report(report, run / "report.json", "json")

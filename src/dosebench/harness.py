@@ -1,9 +1,13 @@
 """Evaluation protocol: stratified episodes, bootstrap aggregation, reports.
 
 The protocol runs 3 cohorts x 4 patients x 4 seeds x 5 repeats = 240
-episodes. Repeats perturb the episode stream deterministically (the stream
-seed mixes seed and repeat), otherwise repeats of a deterministic policy
-would be vacuous.
+episodes, each named by one ``EpisodeKey``. Repeats perturb the episode
+stream deterministically (the stream seed mixes seed and repeat), otherwise
+repeats of a deterministic policy would be vacuous.
+
+Every evaluation policy acts on the arguments ``env.rollout`` hands its
+``act``: ``Policy.act(obs, env)`` returns the basal rate, and the LLM policy
+reads ``env.history``.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 
 from . import metrics, nets
 from .dqn import N_ACTIONS, bin_to_rate
-from .env import (ACTION_HIGH, OBS_DIM, GlucoseEnv, Scenario, default_scenario,
-                  featurize, rollout)
+from .env import (ACTION_HIGH, ACTION_LOW, OBS_DIM, GlucoseEnv,
+                  default_scenario, featurize, rollout)
 from .patients import Cohort
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
@@ -40,18 +44,30 @@ class EvalProtocol:
     bootstrap_resamples: int = 1000
 
 
-@dataclass
-class EpisodeRecord:
-    cohort: str
+@dataclass(frozen=True, order=True)
+class EpisodeKey:
+    """One protocol episode; keys sort as (cohort, patient_id, seed, repeat)."""
+
+    cohort: str          # a Cohort value
     patient_id: int
     seed: int
     repeat: int
+
+
+@dataclass
+class EpisodeRecord:
+    key: EpisodeKey
     bg: list
     actions: list
     rewards: list
     termination_cause: str | None
     truncated: bool
     error: str | None = None
+
+    cohort = property(lambda self: self.key.cohort)
+    patient_id = property(lambda self: self.key.patient_id)
+    seed = property(lambda self: self.key.seed)
+    repeat = property(lambda self: self.key.repeat)
 
     @property
     def episode_return(self) -> float:
@@ -74,9 +90,11 @@ class Policy:
     """Per-episode decision policy. Subclasses override act()."""
 
     def reset(self, rng: np.random.Generator):
-        pass
+        """Start an episode; ``rng`` is its policy stream."""
+        self._rng = rng
 
-    def act(self, observation, history) -> float:
+    def act(self, obs, env: GlucoseEnv) -> float:
+        """The basal rate (U/h) for observation ``obs`` of ``env``."""
         raise NotImplementedError
 
 
@@ -85,9 +103,14 @@ class ScriptedPolicy(Policy):
 
     def __init__(self, name: str):
         self.name = name
-        self._rng = None
         if name.startswith("constant:"):
-            self._dose = float(name.split(":", 1)[1])
+            try:
+                self._dose = float(name.split(":", 1)[1])
+            except ValueError:
+                self._dose = math.nan
+            if not ACTION_LOW <= self._dose <= ACTION_HIGH:  # NaN fails too
+                raise ValueError(f"{name!r}: the dose must be a number in "
+                                 f"[{ACTION_LOW}, {ACTION_HIGH}] U/h")
         elif name == "zero":
             self._dose = 0.0
         elif name == "max":
@@ -97,10 +120,7 @@ class ScriptedPolicy(Policy):
         else:
             raise ValueError(f"unknown scripted policy {name!r}")
 
-    def reset(self, rng):
-        self._rng = rng
-
-    def act(self, observation, history):
+    def act(self, obs, env):
         if self._dose is not None:
             return self._dose
         return bin_to_rate(int(self._rng.integers(0, 3)))
@@ -109,15 +129,11 @@ class ScriptedPolicy(Policy):
 class DqnPolicy(Policy):
     def __init__(self, qnet: nets.DenseNet):
         self.qnet = qnet
-        self._rng = None
 
-    def reset(self, rng):
-        self._rng = rng
-
-    def act(self, observation, history):
+    def act(self, obs, env):
         if self._rng.random() < EPS_TEST:
             return bin_to_rate(int(self._rng.integers(0, N_ACTIONS)))
-        q, _ = nets.forward(self.qnet, featurize(observation))
+        q, _ = nets.forward(self.qnet, featurize(obs))
         return bin_to_rate(int(np.argmax(q)))
 
 
@@ -127,24 +143,23 @@ class PpoEvalPolicy(Policy):
     def __init__(self, ppo_policy):
         self.policy = ppo_policy
 
-    def act(self, observation, history):
-        return self.policy.mean_action(featurize(observation))
+    def act(self, obs, env):
+        return self.policy.mean_action(featurize(obs))
 
 
 class LlmPolicy(Policy):
-    def __init__(self, kind, config, transport=None, audit=None):
+    """A ``transport`` of None sends each request with ``http_transport``."""
+
+    def __init__(self, kind, config, transport):
         from .llm import PromptKind
         self.kind = PromptKind(kind)
         self.config = config
         self.transport = transport
-        self.audit = audit
 
-    def act(self, observation, history):
+    def act(self, obs, env):
         from .llm import llm_act
-        action, exchange = llm_act(history, self.kind, self.config,
-                                   transport=self.transport)
-        if self.audit is not None:
-            self.audit.record(exchange)
+        action, _ = llm_act(env.history, self.kind, self.config,
+                            transport=self.transport)
         return action
 
 
@@ -172,9 +187,12 @@ class PolicySpec:
                 raise ValueError("ppo policy requires a checkpoint path")
             return PpoEvalPolicy(load_ppo_checkpoint(self.checkpoint_path))
         if self.kind == "llm":
-            from .llm import LlmConfig
+            from .llm.client import LlmConfig, check_base_url
             config = self.llm_config or LlmConfig()
-            return LlmPolicy(self.llm_kind, config, transport=self.llm_transport)
+            if self.llm_transport is None:
+                # Refused here, not as a fallback dose at every decision.
+                check_base_url(config.resolved_base_url())
+            return LlmPolicy(self.llm_kind, config, self.llm_transport)
         raise ValueError(f"unknown policy kind {self.kind!r}")
 
 
@@ -224,23 +242,20 @@ def episode_seed_sequence(seed: int, repeat: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), int(repeat), 0xE7A1])
 
 
-def run_episode(policy: Policy, scenario: Scenario, seed: int,
-                repeat: int) -> EpisodeRecord:
-    env_ss, policy_ss = episode_seed_sequence(seed, repeat).spawn(2)
+def run_episode(policy: Policy, key: EpisodeKey) -> EpisodeRecord:
+    env_ss, policy_ss = episode_seed_sequence(key.seed, key.repeat).spawn(2)
     policy.reset(np.random.default_rng(policy_ss))
 
     def act(obs, env):
-        action = float(policy.act(obs, env.history))
-        return action, action
+        rate = float(policy.act(obs, env))
+        return rate, rate
 
-    env = GlucoseEnv(scenario)
+    env = GlucoseEnv(default_scenario(key.cohort, key.patient_id))
     for _, _, res, _ in rollout([env], act, lambda: env_ss):
         if res.terminated or res.truncated:
             break
     history = env.history
-    return EpisodeRecord(cohort=scenario.cohort.value,
-                         patient_id=scenario.patient_id,
-                         seed=seed, repeat=repeat,
+    return EpisodeRecord(key=key,
                          bg=[rec.bg_true for rec in history],
                          actions=[rec.rate for rec in history[:-1]],
                          rewards=[rec.reward for rec in history[1:]],
@@ -257,31 +272,24 @@ def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,
     ``reset`` installs never crosses episodes or worker threads.
     """
     policy = policy_spec.resolve()
-    jobs = []
-    for cohort in protocol.cohorts:
-        for pid in range(protocol.patients_per_cohort):
-            scenario = default_scenario(cohort, pid)
-            for seed in protocol.seeds:
-                for repeat in range(protocol.repeats_per_seed):
-                    jobs.append((scenario, seed, repeat))
+    keys = [EpisodeKey(cohort.value, pid, seed, repeat)
+            for cohort in protocol.cohorts
+            for pid in range(protocol.patients_per_cohort)
+            for seed in protocol.seeds
+            for repeat in range(protocol.repeats_per_seed)]
 
-    def one(job):
-        scenario, seed, repeat = job
+    def one(key):
         try:
-            return run_episode(copy.copy(policy), scenario, seed, repeat)
+            return run_episode(copy.copy(policy), key)
         except Exception as exc:  # noqa: BLE001 - recorded per episode
-            return EpisodeRecord(cohort=scenario.cohort.value,
-                                 patient_id=scenario.patient_id,
-                                 seed=seed, repeat=repeat, bg=[], actions=[],
-                                 rewards=[], termination_cause=None,
-                                 truncated=False, error=str(exc))
+            return EpisodeRecord(key=key, bg=[], actions=[], rewards=[],
+                                 termination_cause=None, truncated=False,
+                                 error=str(exc))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, jobs))
-    else:
-        records = [one(job) for job in jobs]
-    return records
+            return list(pool.map(one, keys))
+    return [one(key) for key in keys]
 
 
 @dataclass
@@ -346,11 +354,10 @@ def _metric_values(records):
 
 def aggregate(records, protocol: EvalProtocol,
               policy_label: str) -> MetricsReport:
-    records = [r for r in records]
+    # Stable order so aggregation is permutation-invariant.
+    records = sorted(records, key=lambda r: r.key)
     if not records:
         raise ValueError("aggregate requires at least one record")
-    # Stable order so aggregation is permutation-invariant.
-    records.sort(key=lambda r: (r.cohort, r.patient_id, r.seed, r.repeat))
     ok = [r for r in records if r.error is None]
     incomplete = sorted({r.cohort for r in records if r.error is not None})
 

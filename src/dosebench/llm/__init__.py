@@ -1,10 +1,10 @@
-from .client import AuditLog, ChatExchange, LlmConfig, http_transport, llm_act
+from .client import ChatExchange, LlmConfig, http_transport, llm_act
 from .mock_server import ERROR_SENTINEL, ScriptedMockServer
 from .prompts import (ParseStatus, PromptKind, build_prompt, clamp_action,
                       parse_cot, parse_zero_shot, serialize_observation)
 
 __all__ = [
-    "AuditLog", "ChatExchange", "LlmConfig", "http_transport", "llm_act",
+    "ChatExchange", "LlmConfig", "http_transport", "llm_act",
     "ERROR_SENTINEL", "ScriptedMockServer",
     "ParseStatus", "PromptKind", "build_prompt", "clamp_action",
     "parse_cot", "parse_zero_shot", "serialize_observation",

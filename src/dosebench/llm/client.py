@@ -1,4 +1,4 @@
-"""Chat-completions client: request, parse, clamp, retry, fallback, audit."""
+"""Chat-completions client: request, parse, clamp, retry, fallback."""
 
 from __future__ import annotations
 
@@ -81,16 +81,6 @@ class ChatExchange:
     attempts: int = 1
     error: str | None = None  # class name of the last transport/decode error
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "error": self.error,
-            "messages": self.messages,
-            "raw_response": self.raw_response,
-            "parsed_dose": self.parsed_dose,
-            "parse_status": self.parse_status.value,
-            "attempts": self.attempts,
-        }, sort_keys=True)
-
 
 _local = threading.local()  # .connection: (base URL, *_connect(base URL))
 
@@ -131,6 +121,16 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context(cafile=bundle)
 
 
+def check_base_url(base_url: str):
+    """``urlsplit(base_url)``; refused unless its scheme is http or https and
+    it names a host."""
+    url = urlsplit(base_url)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError(f"base URL must be http:// or https:// and name a "
+                         f"host: {base_url}")
+    return url
+
+
 def _connect(base_url: str, timeout: float):
     """A keep-alive connection for ``base_url``, the chat endpoint's request
     target on it, and the headers every request on it carries.
@@ -143,10 +143,7 @@ def _connect(base_url: str, timeout: float):
     - basic credentials from netrc, else from the base URL's user info. They
       take precedence over the ``DOSEBENCH_LLM_API_KEY`` bearer token.
     """
-    url = urlsplit(base_url)
-    if url.scheme not in ("http", "https") or not url.hostname:
-        raise ValueError(f"base URL must be http:// or https:// and name a "
-                         f"host: {base_url}")
+    url = check_base_url(base_url)
     netloc = url.netloc.rpartition("@")[2]
     target = f"{url.path}/v1/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -282,17 +279,3 @@ def llm_act(history, kind: PromptKind, config: LlmConfig,
     return config.fallback_dose, ChatExchange(
         messages=messages, raw_response=raw, parsed_dose=None,
         parse_status=ParseStatus.FALLBACK_USED, attempts=attempts, error=error)
-
-
-class AuditLog:
-    """JSON-lines exchange log, one exchange per line."""
-
-    def __init__(self, path):
-        self._fh = open(path, "a")
-
-    def record(self, exchange: ChatExchange):
-        self._fh.write(exchange.to_json() + "\n")
-        self._fh.flush()
-
-    def close(self):
-        self._fh.close()

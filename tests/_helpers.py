@@ -1,12 +1,14 @@
 """Helpers that only the tests use: a noise-free environment, direct meal
 and bolus inputs to a patient state, the cohort volatility and correction
-metrics, the survival fraction of a list of episodes and the closed-form
-gradient of the squashed-Gaussian log-density."""
+metrics, the survival fraction of a list of episodes, the closed-form
+gradient of the squashed-Gaussian log-density and one training run for a
+worker process."""
 
 from dataclasses import replace
 
 import numpy as np
 
+from dosebench import harness
 from dosebench.env import GlucoseEnv, Scenario
 from dosebench.patients import PatientParams, PatientState, step_physiology
 from dosebench.ppo import unsquash_tanh
@@ -91,3 +93,13 @@ def correction_drop(params: PatientParams, initial_bg: float, units: float,
         untreated = step_physiology(untreated, quiet, 0.0, 1.0)
         best = max(best, untreated.g - treated.g)
     return best
+
+
+def train_in_worker(train, cohort: str, config, seed: int):
+    """``train(cohort, config, seed)``, for a process pool: the log rows
+    ``dosebench train`` writes and the parameter vector of the best
+    checkpoint (a PPO checkpoint's actor)."""
+    result = train(cohort, config, seed)
+    best = dict(result.checkpoints)[harness.select_best_checkpoint(result.log)]
+    return [vars(entry) for entry in result.log], \
+        getattr(best, "actor", best).params

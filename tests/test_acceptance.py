@@ -2,18 +2,21 @@
 
 Each test prints a single PASS/FAIL line (visible with -v or on failure)
 naming the criterion it certifies. Training-based checks use the full
-20 x 480-step budget and therefore take a few minutes combined.
+20 x 480-step budget; their independent trainings run in parallel processes.
 """
 
 import math
+import multiprocessing
+import os
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy.integrate import quad
 
 from dosebench import harness, metrics, nets
-from dosebench.dqn import DqnConfig, train_dqn, zero_biased_probs
-from dosebench.env import default_scenario
+from dosebench.dqn import N_ACTIONS, DqnConfig, train_dqn, zero_biased_probs
+from dosebench.env import OBS_DIM
 from dosebench.llm import (LlmConfig, PromptKind, ScriptedMockServer,
                            clamp_action, llm_act, parse_cot)
 from dosebench.patients import (Cohort, get_patient, make_cohort,
@@ -22,7 +25,7 @@ from dosebench.ppo import (PpoConfig, gae, log_prob_tanh_z, train_ppo,
                            unsquash_tanh)
 
 from _helpers import (apply_meal, correction_drop, log_prob_tanh_grad,
-                      steady_state)
+                      steady_state, train_in_worker)
 from _oracles import gae_brute_force, risk_index_hp, risk_root_hp
 from test_llm import FIXED_HISTORY
 
@@ -167,22 +170,40 @@ def _eval_policy_spec(spec, cohort, seeds=(1, 100, 1000, 10000), repeats=2):
     policy = spec.resolve()
     rets = []
     for pid in range(4):
-        scenario = default_scenario(cohort, pid)
         for seed in seeds:
             for rep in range(repeats):
-                rec = harness.run_episode(policy, scenario, seed, rep)
+                key = harness.EpisodeKey(cohort.value, pid, seed, rep)
+                rec = harness.run_episode(policy, key)
                 rets.append(metrics.normalized_return(rec.episode_return))
     return float(np.mean(rets))
 
 
-def test_criterion_08_training_smoke(tmp_path):
+def _train_in_parallel(jobs, monkeypatch):
+    """``train_in_worker(*job)`` for each job, in job order. The trainings
+    are independent and seeded, so they run in fresh processes, one per CPU
+    this process may use, each with one BLAS thread."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")   # read by each worker's numpy import
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(train_in_worker, *zip(*jobs)))
+
+
+def test_criterion_08_training_smoke(tmp_path, monkeypatch):
     seeds = (1, 2, 3, 4)
+    dqn_config = DqnConfig(use_prior=False)
+    results = _train_in_parallel(
+        [(train_dqn, "child", dqn_config, seed) for seed in seeds]
+        + [(train_ppo, "child", PpoConfig(transform="tanh"), seed)
+           for seed in seeds], monkeypatch)
+    dqn_results, ppo_results = results[:len(seeds)], results[len(seeds):]
+
     dqn_scores = []
-    for seed in seeds:
-        result = train_dqn("child", DqnConfig(use_prior=False), seed=seed)
-        best = harness.select_best_checkpoint(result.log)
+    sizes = [OBS_DIM, *dqn_config.hidden_sizes, N_ACTIONS]
+    for seed, (_, params) in zip(seeds, dqn_results):
         path = tmp_path / f"dqn-seed{seed}.dnet"
-        nets.save_params(dict(result.checkpoints)[best], path)   # bit-exact
+        nets.save_params(nets.DenseNet(sizes, params), path)   # bit-exact
         spec = harness.PolicySpec(kind="dqn", checkpoint_path=str(path))
         dqn_scores.append(_eval_policy_spec(spec, Cohort.CHILD))
     baseline = _eval_policy_spec(
@@ -190,27 +211,24 @@ def test_criterion_08_training_smoke(tmp_path):
                            scripted_name="warmstart-random"), Cohort.CHILD)
     margin = float(np.mean(dqn_scores)) - baseline
 
-    ppo_finite = True
-    for seed in seeds:
-        result = train_ppo("child", PpoConfig(transform="tanh"), seed=seed)
-        ppo_finite = ppo_finite and all(
-            math.isfinite(e.actor_loss) and math.isfinite(e.value_loss)
-            for e in result.log)
+    ppo_finite = all(
+        math.isfinite(row["actor_loss"]) and math.isfinite(row["value_loss"])
+        for rows, _ in ppo_results for row in rows)
     ok = margin >= 10.0 and ppo_finite
     _verdict(8, ok, f"DQN mean {np.mean(dqn_scores):.1f} vs warm-start random "
                     f"{baseline:.1f} (margin {margin:+.1f}), "
                     f"PPO losses finite: {ppo_finite}")
 
 
-def test_criterion_09_prior_injection_direction():
+def test_criterion_09_prior_injection_direction(monkeypatch):
     seeds = (1, 2, 3, 4)
+    jobs = [(train_dqn, "adult", DqnConfig(use_prior=use_prior), seed)
+            for use_prior in (False, True) for seed in seeds]
     early = {True: [], False: []}
-    for use_prior in (False, True):
-        for seed in seeds:
-            result = train_dqn("adult", DqnConfig(use_prior=use_prior),
-                               seed=seed)
-            early[use_prior].append(
-                sum(e.hypo_terminations for e in result.log[:5]))
+    for (_, _, config, _), (rows, _) in zip(
+            jobs, _train_in_parallel(jobs, monkeypatch)):
+        early[config.use_prior].append(
+            sum(row["hypo_terminations"] for row in rows[:5]))
     mean_with = float(np.mean(early[True]))
     mean_without = float(np.mean(early[False]))
     ok = mean_with < mean_without

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dosebench import harness
 from dosebench.cli import _make_config, build_parser, main
 from dosebench.dqn import DqnConfig
 
@@ -139,4 +140,46 @@ def test_eval_llm_rejects_a_nan_temperature_before_the_run(tmp_path):
     with pytest.raises(SystemExit, match="temperature must be finite"):
         main(["eval", "llm", "--temperature", "nan",
               "--base-url", "http://127.0.0.1:9", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base_url, message", [
+    (None, "dosebench eval llm: no base URL configured "
+           r"\(set DOSEBENCH_LLM_BASE_URL\)"),
+    ("ftp://example", "dosebench eval llm: base URL must be http://"),
+], ids=["none", "ftp"])
+def test_eval_llm_without_a_usable_server_stops_before_the_run(
+        base_url, message, tmp_path, monkeypatch):
+    # Otherwise every decision falls back to 0 U/h and the run still writes
+    # a report under the model's name.
+    monkeypatch.delenv("DOSEBENCH_LLM_BASE_URL", raising=False)
+    out = tmp_path / "runs"
+    argv = ["eval", "llm", "--out", str(out)]
+    if base_url is not None:
+        argv += ["--base-url", base_url]
+    with pytest.raises(SystemExit, match=message):
+        main(argv)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["constant:20", "constant:nan",
+                                  "constant:abc"])
+def test_eval_scripted_rejects_a_bad_dose_before_the_run(name, tmp_path):
+    # 20 and nan used to run 240 failing episodes, then die on a report
+    # with no strata; abc died with a bare ValueError.
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit, match="dosebench eval scripted: "
+                                         f"'{name}': the dose must be"):
+        main(["eval", "scripted", "--name", name, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_eval_stops_when_every_episode_failed(tmp_path, monkeypatch):
+    def broken(self, obs, env):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(harness.ScriptedPolicy, "act", broken)
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit, match="every episode failed.*kaput"):
+        main(["eval", "scripted", "--name", "zero", "--out", str(out)])
     assert not out.exists()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dosebench import harness, nets
-from dosebench.env import default_scenario
 from dosebench.patients import Cohort
 from dosebench.ppo import PpoConfig, make_policy
 
@@ -30,18 +29,78 @@ def test_scripted_policy_names():
     assert draws == {0.0, 0.9, 1.8}
     with pytest.raises(ValueError):
         harness.ScriptedPolicy("nope")
+    # A dose outside the action range would fail every episode at its first
+    # step.
+    for name in ("constant:20", "constant:-0.5", "constant:nan",
+                 "constant:inf", "constant:abc"):
+        with pytest.raises(ValueError, match=r"a number in \[0.0, 9.0\]"):
+            harness.ScriptedPolicy(name)
 
 
 def test_run_episode_deterministic():
     policy = harness.PolicySpec(kind="scripted",
                                 scripted_name="constant:1.0").resolve()
-    scenario = default_scenario(Cohort.ADULT, 0)
-    a = harness.run_episode(policy, scenario, 1, 0)
-    b = harness.run_episode(policy, scenario, 1, 0)
+    key = harness.EpisodeKey("adult", 0, 1, 0)
+    a = harness.run_episode(policy, key)
+    b = harness.run_episode(policy, key)
+    assert a.key == key
     assert a.rewards == b.rewards
     assert a.bg == b.bg
-    c = harness.run_episode(policy, scenario, 1, 1)  # repeat perturbs the stream
+    # The repeat perturbs the stream.
+    c = harness.run_episode(policy, harness.EpisodeKey("adult", 0, 1, 1))
     assert c.bg != a.bg
+
+
+def test_policy_acts_on_the_rollouts_observation_and_env():
+    seen = []
+
+    class Recording(harness.Policy):
+        def act(self, obs, env):
+            seen.append((obs[-3], env.history[-1].bg_sensor, len(env.history)))
+            return 1.0
+
+    rec = harness.run_episode(Recording(), harness.EpisodeKey("child", 1, 1, 0))
+    assert len(seen) == len(rec.actions) == 64
+    for step, (obs_sensor, env_sensor, measurements) in enumerate(seen):
+        assert obs_sensor == env_sensor       # obs is the env's latest
+        assert measurements == step + 1
+
+
+def test_run_protocol_keys_episodes_in_protocol_order():
+    spec = harness.PolicySpec(kind="scripted", scripted_name="zero")
+    protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD, Cohort.ADULT),
+                                    patients_per_cohort=2, seeds=(100, 1),
+                                    repeats_per_seed=2)
+    keys = [r.key for r in harness.run_protocol(spec, protocol)]
+    assert keys == [harness.EpisodeKey(c, pid, seed, rep)
+                    for c in ("child", "adult") for pid in (0, 1)
+                    for seed in (100, 1) for rep in (0, 1)]
+    assert sorted(keys) == sorted(keys, key=lambda k: (
+        k.cohort, k.patient_id, k.seed, k.repeat))
+
+
+def test_llm_policy_needs_a_base_url_only_without_a_transport(monkeypatch):
+    from dosebench.llm import LlmConfig
+    monkeypatch.delenv("DOSEBENCH_LLM_BASE_URL", raising=False)
+    with pytest.raises(ValueError, match="DOSEBENCH_LLM_BASE_URL"):
+        harness.PolicySpec(kind="llm").resolve()
+    with pytest.raises(ValueError, match="http:// or https://"):
+        harness.PolicySpec(kind="llm", llm_config=LlmConfig(
+            base_url="ftp://example")).resolve()
+    monkeypatch.setenv("DOSEBENCH_LLM_BASE_URL", "http://127.0.0.1:9")
+    assert harness.PolicySpec(kind="llm").resolve().transport is None
+
+    monkeypatch.delenv("DOSEBENCH_LLM_BASE_URL")
+    prompts = []
+
+    def transport(messages, config, kind):
+        prompts.append(messages[-1]["content"])
+        return "1.5"
+
+    policy = harness.PolicySpec(kind="llm", llm_transport=transport).resolve()
+    rec = harness.run_episode(policy, harness.EpisodeKey("adult", 0, 1, 0))
+    assert rec.actions == [1.5] * 64 and len(prompts) == 64
+    assert "(initial measurement)" in prompts[0]
 
 
 def test_run_protocol_emits_240_records():
@@ -55,7 +114,7 @@ def test_run_protocol_emits_240_records():
 
 
 def test_run_protocol_records_policy_failures(monkeypatch):
-    def broken(self, observation, history):
+    def broken(self, obs, env):
         raise RuntimeError("kaput")
 
     monkeypatch.setattr(harness.ScriptedPolicy, "act", broken)
@@ -84,7 +143,7 @@ def test_aggregate_permutation_invariant():
 
 
 def test_degenerate_bootstrap_zero_width():
-    rec = harness.EpisodeRecord(cohort="adult", patient_id=0, seed=1, repeat=0,
+    rec = harness.EpisodeRecord(key=harness.EpisodeKey("adult", 0, 1, 0),
                                 bg=[100.0] * 65, actions=[1.0] * 64,
                                 rewards=[0.5] * 64, termination_cause=None,
                                 truncated=True)

@@ -29,16 +29,13 @@ SRC = ROOT / "src" / "dosebench"
 TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
-OPTIONS = 84
+OPTIONS = 82
 
 # Declared distributions whose import name differs from their project name.
 IMPORT_NAMES = {"pyyaml": "yaml"}
 
 # Public definitions that nothing names yet, each with the reason it stays.
-UNNAMED_ALLOWED = {
-    "AuditLog": "the LLM exchange log, to be wired to an `eval llm --audit` "
-                "flag rather than deleted",
-}
+UNNAMED_ALLOWED = {}
 
 
 def _modules(*dirs):
