@@ -128,7 +128,10 @@ def cmd_eval(args):
 
 def cmd_compare(args):
     reports = [harness.load_report(p) for p in args.reports]
-    table = harness.compare_policies(reports)
+    try:
+        table = harness.compare_policies(reports)
+    except ValueError as exc:  # one report, or protocol hashes that differ
+        raise SystemExit(f"dosebench compare: {exc}") from exc
     print(json.dumps(table, indent=2, sort_keys=True))
 
 

@@ -167,9 +167,9 @@ class EpochLog:
 
 
 @dataclass
-class TrainResult:
-    checkpoints: list            # list of (epoch, DenseNet copy)
-    log: list                    # list of EpochLog
+class TrainResult:              # of train_dqn and train_ppo
+    checkpoints: list    # (epoch, snapshot): a DenseNet copy, or a PpoPolicy
+    log: list            # one EpochLog (PPO: PpoEpochLog) per epoch
 
 
 def train_dqn(env_group: str, config: DqnConfig, seed: int) -> TrainResult:

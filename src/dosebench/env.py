@@ -1,5 +1,10 @@
 """Discrete-time glucose-insulin environment (15-minute control interval).
 
+An environment is one patient, ``GlucoseEnv(cohort, patient_id)``. Every
+episode starts at 05:00 with glucose drawn in 120-180 mg/dL and follows the
+cohort's ``meal_plan``, each meal moved by up to +-30 min and +-20% carbs.
+The protocol hash covers these constants.
+
 An episode covers 16 hours (64 control steps). Each step integrates the
 patient physiology at 1-minute RK4 substeps in one kernel call, with any meal
 falling in the interval entering before its substep, and scores the resulting
@@ -36,11 +41,14 @@ ACTION_HIGH = 9.0
 BG_TERMINATE_LOW = 40.0
 BG_TERMINATE_HIGH = 500.0
 
-DEFAULT_START_CLOCK = "05:00"
+INITIAL_BG_RANGE = (120.0, 180.0)   # mg/dL, drawn uniformly per episode
+START_CLOCK = "05:00"
+MEAL_JITTER_MIN = 30.0              # each meal moves by up to +- this
+MEAL_JITTER_CARB_FRAC = 0.2         # and its carbs by up to +- this share
 
-# Default meal plan: breakfast / lunch / afternoon snack, grams before the
-# cohort scale factor, minutes after episode start (05:00 + offset).
-_DEFAULT_MEALS = ((120.0, 45.0), (420.0, 60.0), (600.0, 20.0))
+# Meal plan: breakfast / lunch / afternoon snack, grams before the cohort
+# scale factor, minutes after episode start (05:00 + offset).
+_MEALS = ((120.0, 45.0), (420.0, 60.0), (600.0, 20.0))
 _COHORT_MEAL_SCALE = {Cohort.ADULT: 1.0, Cohort.ADOLESCENT: 0.8, Cohort.CHILD: 0.6}
 
 # Fixed feature scaling applied to the raw observation before the policy
@@ -63,31 +71,10 @@ def format_clock(total_minutes: int) -> tuple[int, str]:
     return day, f"{rem // 60:02d}:{rem % 60:02d}:00"
 
 
-@dataclass(frozen=True)
-class Scenario:
-    cohort: Cohort
-    patient_id: int
-    meal_schedule: tuple[MealEvent, ...]
-    initial_bg_range: tuple[float, float] = (120.0, 180.0)
-    episode_start_clock: str = DEFAULT_START_CLOCK
-    meal_jitter_min: float = 30.0
-    meal_jitter_carb_frac: float = 0.2
-
-    def __post_init__(self):
-        lo, hi = self.initial_bg_range
-        if not (0 < lo <= hi):
-            raise ValueError("initial_bg_range must satisfy 0 < low <= high")
-        offsets = [m.time_offset for m in self.meal_schedule]
-        if offsets != sorted(offsets) or len(set(offsets)) != len(offsets):
-            raise ValueError("meal times must be strictly increasing")
-
-
-def default_scenario(cohort: Cohort, patient_id: int) -> Scenario:
+def meal_plan(cohort: Cohort) -> tuple[MealEvent, ...]:
+    """The cohort's meals in time order, before each episode's jitter."""
     scale = _COHORT_MEAL_SCALE[Cohort(cohort)]
-    meals = tuple(MealEvent(time_offset=t, carbs=c * scale)
-                  for t, c in _DEFAULT_MEALS)
-    return Scenario(cohort=Cohort(cohort), patient_id=patient_id,
-                    meal_schedule=meals)
+    return tuple(MealEvent(time_offset=t, carbs=c * scale) for t, c in _MEALS)
 
 
 @dataclass
@@ -143,9 +130,9 @@ class GlucoseEnv:
     drops the oldest row and appends the new measurement.
     """
 
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.params = get_patient(scenario.cohort, scenario.patient_id)
+    def __init__(self, cohort: Cohort, patient_id: int):
+        self.params = get_patient(cohort, patient_id)
+        self._plan = meal_plan(cohort)
         self.history: list[StepRecord] = []
         self._window: list[float] = []
         self.state: PatientState | None = None
@@ -165,22 +152,20 @@ class GlucoseEnv:
         self._sensor_rng = np.random.default_rng(sensor_ss)
 
         init_rng = np.random.default_rng(init_ss)
-        lo, hi = self.scenario.initial_bg_range
-        bg0 = float(init_rng.uniform(lo, hi))
+        bg0 = float(init_rng.uniform(*INITIAL_BG_RANGE))
 
         jitter_rng = np.random.default_rng(jitter_ss)
         self._meals = []
-        for meal in self.scenario.meal_schedule:
-            dt = jitter_rng.uniform(-self.scenario.meal_jitter_min,
-                                    self.scenario.meal_jitter_min)
-            dc = jitter_rng.uniform(-self.scenario.meal_jitter_carb_frac,
-                                    self.scenario.meal_jitter_carb_frac)
+        for meal in self._plan:
+            dt = jitter_rng.uniform(-MEAL_JITTER_MIN, MEAL_JITTER_MIN)
+            dc = jitter_rng.uniform(-MEAL_JITTER_CARB_FRAC,
+                                    MEAL_JITTER_CARB_FRAC)
             t = min(max(meal.time_offset + dt, 0.0), 959.0)
             self._meals.append(MealEvent(time_offset=t,
                                          carbs=max(meal.carbs * (1 + dc), 1.0)))
         self._meals.sort(key=lambda m: m.time_offset)
 
-        clock0 = parse_clock(self.scenario.episode_start_clock)
+        clock0 = parse_clock(START_CLOCK)
         self.state = PatientState(g=bg0, s1=0.0, s2=0.0, x=0.0, q_gut=0.0,
                                   t_elapsed=0.0, clock=clock0)
         self._step_count = 0
@@ -253,8 +238,7 @@ class GlucoseEnv:
 def cohort_envs(env_group: str) -> list[GlucoseEnv]:
     """Training environments: a cohort's 4 patients, or all 12 for 'mixed'."""
     cohorts = list(Cohort) if env_group == "mixed" else [Cohort(env_group)]
-    return [GlucoseEnv(default_scenario(c, pid))
-            for c in cohorts for pid in range(4)]
+    return [GlucoseEnv(c, pid) for c in cohorts for pid in range(4)]
 
 
 def rollout(envs, act, next_seed):

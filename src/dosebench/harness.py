@@ -25,8 +25,9 @@ import numpy as np
 
 from . import metrics, nets
 from .dqn import N_ACTIONS, bin_to_rate
-from .env import (ACTION_HIGH, ACTION_LOW, OBS_DIM, GlucoseEnv,
-                  default_scenario, featurize, rollout)
+from .env import (ACTION_HIGH, ACTION_LOW, INITIAL_BG_RANGE,
+                  MEAL_JITTER_CARB_FRAC, MEAL_JITTER_MIN, OBS_DIM, START_CLOCK,
+                  GlucoseEnv, featurize, meal_plan, rollout)
 from .patients import Cohort
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
@@ -250,7 +251,7 @@ def run_episode(policy: Policy, key: EpisodeKey) -> EpisodeRecord:
         rate = float(policy.act(obs, env))
         return rate, rate
 
-    env = GlucoseEnv(default_scenario(key.cohort, key.patient_id))
+    env = GlucoseEnv(key.cohort, key.patient_id)
     for _, _, res, _ in rollout([env], act, lambda: env_ss):
         if res.terminated or res.truncated:
             break
@@ -284,7 +285,7 @@ def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,
         except Exception as exc:  # noqa: BLE001 - recorded per episode
             return EpisodeRecord(key=key, bg=[], actions=[], rewards=[],
                                  termination_cause=None, truncated=False,
-                                 error=str(exc))
+                                 error=f"{type(exc).__name__}: {exc}")
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -327,15 +328,12 @@ def protocol_hash(protocol: EvalProtocol) -> str:
     from .patients import get_patient
     for cohort in protocol.cohorts:
         for pid in range(protocol.patients_per_cohort):
-            scenario = default_scenario(cohort, pid)
             params = get_patient(cohort, pid)
             desc["scenarios"][f"{cohort.value}/{pid}"] = {
-                "meals": [(m.time_offset, m.carbs)
-                          for m in scenario.meal_schedule],
-                "initial_bg_range": list(scenario.initial_bg_range),
-                "start_clock": scenario.episode_start_clock,
-                "jitter": [scenario.meal_jitter_min,
-                           scenario.meal_jitter_carb_frac],
+                "meals": [(m.time_offset, m.carbs) for m in meal_plan(cohort)],
+                "initial_bg_range": list(INITIAL_BG_RANGE),
+                "start_clock": START_CLOCK,
+                "jitter": [MEAL_JITTER_MIN, MEAL_JITTER_CARB_FRAC],
                 "noise": [params.noise_sigma, params.cgm_sigma],
             }
     blob = json.dumps(desc, sort_keys=True).encode()
@@ -399,23 +397,40 @@ def select_best_checkpoint(training_log) -> int:
 
 
 def compare_policies(reports: list[MetricsReport]) -> dict:
-    """Side-by-side table of >= 2 reports sharing a protocol hash."""
+    """Side-by-side table of >= 2 reports sharing a protocol hash.
+
+    Reports rank by overall normalised return, best first. The rows cover
+    every stratum that any report has, cohorts in ``Cohort`` order and then
+    ``overall``. A report without the stratum (every episode of it failed)
+    has a null cell, and overlap is judged against the best-ranked report
+    that has the stratum.
+    """
     if len(reports) < 2:
         raise ValueError("need at least two reports to compare")
-    hashes = {r.protocol_hash for r in reports}
+    hashes = sorted({r.protocol_hash for r in reports})
     if len(hashes) != 1:
-        raise ValueError(f"protocol hash mismatch across reports: {hashes}")
-    ordered = sorted(
-        reports,
-        key=lambda r: -r.strata["overall"]["normalized_return"].mean)
+        raise ValueError(f"protocol hash mismatch across reports: "
+                         f"{', '.join(hashes)}")
+
+    def rank(report):
+        overall = report.strata.get("overall")
+        return -overall["normalized_return"].mean if overall else math.inf
+
+    ordered = sorted(reports, key=rank)
     table = {"policies": [r.policy_label for r in ordered],
-             "protocol_hash": ordered[0].protocol_hash, "rows": []}
-    best = ordered[0]
-    for stratum in ordered[0].strata:
+             "protocol_hash": hashes[0], "rows": []}
+    present = {name for r in reports for name in r.strata}
+    for stratum in [*(c.value for c in Cohort), "overall"]:
+        if stratum not in present:
+            continue
+        best = next(r for r in ordered if stratum in r.strata)
         for metric_name in METRIC_NAMES:
             cells = []
             ref = best.strata[stratum][metric_name]
             for report in ordered:
+                if stratum not in report.strata:
+                    cells.append(None)
+                    continue
                 s = report.strata[stratum][metric_name]
                 overlap = not (s.ci_low > ref.ci_high or s.ci_high < ref.ci_low)
                 cells.append({"mean": s.mean, "ci": [s.ci_low, s.ci_high],

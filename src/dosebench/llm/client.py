@@ -16,7 +16,7 @@ import urllib.request
 from dataclasses import dataclass
 from urllib.parse import unquote, urlsplit
 
-from ..env import ACTION_HIGH, ACTION_LOW
+from ..env import ACTION_LOW
 from .prompts import (ParseStatus, PromptKind, build_prompt, clamp_action,
                       parse_cot, parse_zero_shot, serialize_observation)
 
@@ -24,6 +24,14 @@ ENV_BASE_URL = "DOSEBENCH_LLM_BASE_URL"
 ENV_API_KEY = "DOSEBENCH_LLM_API_KEY"
 
 _COT_KINDS = (PromptKind.PRIOR_COT, PromptKind.PRIOR_MEAL_COT)
+
+# The request protocol every LLM run uses: the token budget of a zero-shot
+# and of a chain-of-thought reply, the retries after a failed or unparseable
+# attempt, and the dose a decision falls back to when every attempt failed.
+MAX_TOKENS_ZERO_SHOT = 16
+MAX_TOKENS_COT = 1024
+MAX_RETRIES = 2
+FALLBACK_DOSE = ACTION_LOW
 
 # What a transport may raise for a failed request or a malformed response:
 # socket, timeout, TLS and HTTP status errors (all OSError), broken HTTP
@@ -38,10 +46,7 @@ class LlmConfig:
     base_url: str = ""
     model_name: str = "qwen2.5-7b-instruct"
     temperature: float = 0.7
-    max_tokens: int | None = None    # None -> 16 zero-shot, 1024 CoT
     request_timeout: float = 30.0
-    max_retries: int = 2
-    fallback_dose: float = 0.0
 
     def __post_init__(self):
         # NaN passes a `< 0` test, and a NaN or infinite temperature cannot be
@@ -54,11 +59,6 @@ class LlmConfig:
                 and self.request_timeout > 0):
             raise ValueError(f"request_timeout must be finite and positive, "
                              f"got {self.request_timeout!r}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if not (ACTION_LOW <= self.fallback_dose <= ACTION_HIGH):
-            raise ValueError(f"fallback_dose must lie in "
-                             f"[{ACTION_LOW}, {ACTION_HIGH}]")
 
     def resolved_base_url(self) -> str:
         url = self.base_url or os.environ.get(ENV_BASE_URL, "")
@@ -66,10 +66,11 @@ class LlmConfig:
             raise ValueError(f"no base URL configured (set {ENV_BASE_URL})")
         return url.rstrip("/")
 
-    def tokens_for(self, kind: PromptKind) -> int:
-        if self.max_tokens is not None:
-            return self.max_tokens
-        return 1024 if PromptKind(kind) in _COT_KINDS else 16
+
+def tokens_for(kind: PromptKind) -> int:
+    """The reply's token budget for a prompt kind."""
+    return MAX_TOKENS_COT if PromptKind(kind) in _COT_KINDS \
+        else MAX_TOKENS_ZERO_SHOT
 
 
 @dataclass
@@ -78,8 +79,8 @@ class ChatExchange:
     raw_response: str | None
     parsed_dose: float | None
     parse_status: ParseStatus
-    attempts: int = 1
-    error: str | None = None  # class name of the last transport/decode error
+    attempts: int
+    error: str | None  # class name of the last transport/decode error
 
 
 _local = threading.local()  # .connection: (base URL, *_connect(base URL))
@@ -225,7 +226,7 @@ def http_transport(messages, config: LlmConfig, kind: PromptKind) -> str:
         "model": config.model_name,
         "messages": messages,
         "temperature": config.temperature,
-        "max_tokens": config.tokens_for(kind),
+        "max_tokens": tokens_for(kind),
     }, allow_nan=False).encode()
     try:
         conn.request("POST", target, body, headers)
@@ -260,7 +261,7 @@ def llm_act(history, kind: PromptKind, config: LlmConfig,
     raw = None
     error = None
     attempts = 0
-    for attempt in range(config.max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         attempts = attempt + 1
         try:
             raw = send(messages, config, kind)
@@ -276,6 +277,6 @@ def llm_act(history, kind: PromptKind, config: LlmConfig,
         return action, ChatExchange(messages=messages, raw_response=raw,
                                     parsed_dose=dose, parse_status=status,
                                     attempts=attempts, error=error)
-    return config.fallback_dose, ChatExchange(
+    return FALLBACK_DOSE, ChatExchange(
         messages=messages, raw_response=raw, parsed_dose=None,
         parse_status=ParseStatus.FALLBACK_USED, attempts=attempts, error=error)

@@ -70,8 +70,8 @@ class PatientState:
     s2: float       # subcutaneous insulin, second compartment, U
     x: float        # remote insulin action, 1/min
     q_gut: float    # gut carbohydrate, g
-    t_elapsed: float = 0.0   # minutes since episode start
-    clock: int = 300         # wall-clock minutes since day-1 midnight
+    t_elapsed: float    # minutes since episode start
+    clock: int          # wall-clock minutes since day-1 midnight
 
     def check_finite(self):
         vals = (self.g, self.s1, self.s2, self.x, self.q_gut)
@@ -250,7 +250,7 @@ def integrate(state: PatientState, params: PatientParams, rate: float,
 
 
 def step_physiology(state: PatientState, params: PatientParams, rate: float,
-                    dt: float, noise_stream: np.random.Generator | None = None
+                    dt: float, noise_stream: np.random.Generator | None
                     ) -> PatientState:
     """One RK4 step of the surrogate dynamics plus optional process noise.
 

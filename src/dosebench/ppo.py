@@ -19,6 +19,7 @@ from itertools import islice
 import numpy as np
 
 from . import nets
+from .dqn import TrainResult
 from .env import (ACTION_HIGH, OBS_DIM, EpisodeTally, GlucoseEnv, cohort_envs,
                   featurize, rollout, seeds_from)
 
@@ -182,7 +183,7 @@ class RolloutBuffer:
     """Chronological on-policy transitions for one or more collects."""
 
     def __init__(self):
-        self.obs, self.z, self.actions = [], [], []
+        self.obs, self.z = [], []
         self.log_probs, self.rewards = [], []
         self.values, self.next_values = [], []
         self.terminals = []
@@ -190,11 +191,9 @@ class RolloutBuffer:
     def __len__(self):
         return len(self.obs)
 
-    def add(self, obs, z, action, log_prob, reward, value, next_value,
-            terminal):
+    def add(self, obs, z, log_prob, reward, value, next_value, terminal):
         self.obs.append(np.asarray(obs, dtype=float))
         self.z.append(z)
-        self.actions.append(action)
         self.log_probs.append(log_prob)
         self.rewards.append(reward)
         self.values.append(value)
@@ -202,7 +201,7 @@ class RolloutBuffer:
         self.terminals.append(terminal)
 
     def arrays(self):
-        return (np.stack(self.obs), np.asarray(self.z), np.asarray(self.actions),
+        return (np.stack(self.obs), np.asarray(self.z),
                 np.asarray(self.log_probs), np.asarray(self.rewards),
                 np.asarray(self.values), np.asarray(self.next_values),
                 np.asarray(self.terminals, dtype=bool))
@@ -227,11 +226,10 @@ def warm_start_ppo(buffer: RolloutBuffer, env: GlucoseEnv, steps: int,
                                    -1 + 1e-9, 1 - 1e-9))
         else:
             z = 2.0 * a / ACTION_HIGH - 1.0
-        return (z, a), a
+        return z, a
 
-    for obs, (z, a), res, _ in islice(rollout([env], act, seeds_from(rng)),
-                                      steps):
-        buffer.add(obs, z, a, behaviour_logp, res.reward, 0.0, 0.0,
+    for obs, z, res, _ in islice(rollout([env], act, seeds_from(rng)), steps):
+        buffer.add(obs, z, behaviour_logp, res.reward, 0.0, 0.0,
                    res.terminated or res.truncated)
     return buffer
 
@@ -244,7 +242,7 @@ def ppo_update(policy: PpoPolicy, value_net: nets.DenseNet,
 
     Returns mean losses. Raises PpoUpdateError on non-finite losses.
     """
-    obs, z, _a, logp_old, rewards, values, next_values, terminals = \
+    obs, z, logp_old, rewards, values, next_values, terminals = \
         rollout.arrays()
     feats = featurize(obs)
     adv, returns = gae(rewards, values, next_values, terminals,
@@ -316,13 +314,7 @@ class PpoEpochLog:
     value_loss: float
 
 
-@dataclass
-class PpoTrainResult:
-    checkpoints: list            # list of (epoch, PpoPolicy snapshot)
-    log: list                    # list of PpoEpochLog
-
-
-def train_ppo(env_group: str, config: PpoConfig, seed: int) -> PpoTrainResult:
+def train_ppo(env_group: str, config: PpoConfig, seed: int) -> TrainResult:
     """Collect/update cycles with checkpoints at 480-env-step epochs."""
     root = np.random.SeedSequence([seed, 0xBB0])
     actor_ss, critic_ss, warm_ss, samp_ss, ep_ss, shuf_ss = root.spawn(6)
@@ -356,7 +348,7 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int) -> PpoTrainResult:
         if obs is not known_obs:
             v, _ = nets.forward(value_net, f)
             known_obs, known_value = obs, float(v[0])
-        return (z, a, logp, known_value), a
+        return (z, logp, known_value), a
 
     steps = rollout(envs, act, seeds_from(np.random.default_rng(ep_ss)))
     tally = EpisodeTally()
@@ -367,14 +359,14 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int) -> PpoTrainResult:
 
     while epoch < config.epochs:
         collect = RolloutBuffer()
-        for obs, (z, a, logp, v), res, env in islice(steps,
-                                                      config.steps_per_collect):
+        for obs, (z, logp, v), res, env in islice(steps,
+                                                   config.steps_per_collect):
             nv = 0.0
             if not res.terminated:
                 nv_out, _ = nets.forward(value_net, featurize(res.observation))
                 nv = float(nv_out[0])
                 known_obs, known_value = res.observation, nv
-            collect.add(obs, z, a, logp, res.reward, v, nv,
+            collect.add(obs, z, logp, res.reward, v, nv,
                         res.terminated or res.truncated)
             tally.add(res, env)
         total_steps += len(collect)
@@ -392,4 +384,4 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int) -> PpoTrainResult:
                                    value_loss=stats["value_loss"]))
             epoch += 1
             next_epoch_at += config.steps_per_epoch
-    return PpoTrainResult(checkpoints=checkpoints, log=log)
+    return TrainResult(checkpoints=checkpoints, log=log)

@@ -9,8 +9,9 @@ from dataclasses import replace
 import numpy as np
 
 from dosebench import harness
-from dosebench.env import GlucoseEnv, Scenario
-from dosebench.patients import PatientParams, PatientState, step_physiology
+from dosebench.env import START_CLOCK, GlucoseEnv, parse_clock
+from dosebench.patients import (Cohort, PatientParams, PatientState,
+                                step_physiology)
 from dosebench.ppo import unsquash_tanh
 
 
@@ -22,9 +23,9 @@ def survival_rate(episodes) -> float:
     return sum(1 for e in episodes if e.truncated) / len(episodes)
 
 
-def noiseless(scenario: Scenario) -> GlucoseEnv:
+def noiseless(cohort: Cohort, patient_id: int) -> GlucoseEnv:
     """Environment with process and sensor noise switched off."""
-    env = GlucoseEnv(scenario)
+    env = GlucoseEnv(cohort, patient_id)
     env.params = replace(env.params, noise_sigma=0.0, cgm_sigma=0.0)
     return env
 
@@ -51,7 +52,7 @@ def meal_response_std(params: PatientParams, initial_bg: float,
     state = apply_meal(steady_state(quiet, g=initial_bg), carbs)
     traj = [state.g]
     for _ in range(horizon_min):
-        state = step_physiology(state, quiet, 0.0, 1.0)
+        state = step_physiology(state, quiet, 0.0, 1.0, None)
         traj.append(state.g)
     return float(np.std(traj))
 
@@ -71,9 +72,11 @@ def apply_bolus(state: PatientState, units: float) -> PatientState:
 
 
 def steady_state(params: PatientParams, g: float | None = None) -> PatientState:
-    """Resting state with no insulin on board and an empty gut."""
+    """Resting state with no insulin on board and an empty gut, at the
+    start of an episode."""
     return PatientState(g=params.g_b if g is None else g,
-                        s1=0.0, s2=0.0, x=0.0, q_gut=0.0)
+                        s1=0.0, s2=0.0, x=0.0, q_gut=0.0, t_elapsed=0.0,
+                        clock=parse_clock(START_CLOCK))
 
 
 def correction_drop(params: PatientParams, initial_bg: float, units: float,
@@ -89,8 +92,8 @@ def correction_drop(params: PatientParams, initial_bg: float, units: float,
     untreated = steady_state(quiet, g=initial_bg)
     best = 0.0
     for _ in range(horizon_min):
-        treated = step_physiology(treated, quiet, 0.0, 1.0)
-        untreated = step_physiology(untreated, quiet, 0.0, 1.0)
+        treated = step_physiology(treated, quiet, 0.0, 1.0, None)
+        untreated = step_physiology(untreated, quiet, 0.0, 1.0, None)
         best = max(best, untreated.g - treated.g)
     return best
 

@@ -247,7 +247,7 @@ def test_criterion_10_llm_pipeline(tmp_path):
     parser_ok = (parse_cot("thinking... <ans>2.84</ans>") == 2.84
                  and clamp_action(130.67)[0] == 9.0)
     with ScriptedMockServer(["junk reply"]) as server:
-        cfg = LlmConfig(base_url=server.base_url, max_retries=2)
+        cfg = LlmConfig(base_url=server.base_url)
         action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
                              transport=None)
         parser_ok = parser_ok and action == 0.0 and ex.attempts == 3

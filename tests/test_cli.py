@@ -5,6 +5,7 @@ import pytest
 from dosebench import harness
 from dosebench.cli import _make_config, build_parser, main
 from dosebench.dqn import DqnConfig
+from dosebench.patients import Cohort
 
 
 def test_parser_rejects_unknown_algo():
@@ -55,6 +56,28 @@ def test_eval_and_compare_round_trip(tmp_path, capsys):
     text = capsys.readouterr().out
     table = json.loads(text[text.index("{"):])
     assert table["policies"] == ["a", "b"]
+
+
+def test_compare_exits_with_a_message_on_reports_it_cannot_compare(tmp_path):
+    protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,),
+                                    patients_per_cohort=1, seeds=(1,),
+                                    repeats_per_seed=1)
+    paths = []
+    for name in ("zero", "max"):
+        spec = harness.PolicySpec(kind="scripted", scripted_name=name)
+        report = harness.aggregate(harness.run_protocol(spec, protocol),
+                                   protocol, policy_label=name)
+        paths.append(tmp_path / f"{name}.json")
+        harness.emit_report(report, paths[-1], "json")
+    with pytest.raises(SystemExit,
+                       match="^dosebench compare: need at least two reports"):
+        main(["compare", str(paths[0])])
+    blob = json.loads(paths[1].read_text())
+    blob["protocol_hash"] = "deadbeefdeadbeef"
+    paths[1].write_text(json.dumps(blob))
+    with pytest.raises(SystemExit,
+                       match="^dosebench compare: protocol hash mismatch"):
+        main(["compare", str(paths[0]), str(paths[1])])
 
 
 # A small budget, so that a config that is wrongly accepted trains quickly.

@@ -7,7 +7,7 @@ from dosebench import nets
 from dosebench.dqn import (DqnConfig, ReplayBuffer, bin_to_rate, eps_schedule,
                            featurize, select_action, train_dqn, train_step,
                            uniform_probs, warm_start_fill, zero_biased_probs)
-from dosebench.env import OBS_DIM, GlucoseEnv, default_scenario
+from dosebench.env import OBS_DIM, GlucoseEnv
 from dosebench.patients import Cohort
 
 
@@ -142,7 +142,7 @@ def test_train_step_overfits_single_transition():
 
 def test_warm_start_uses_only_low_bins():
     buf = ReplayBuffer(capacity=200)
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     warm_start_fill(buf, env, 150, np.random.default_rng(0))
     assert buf.size == 150
     assert set(np.unique(buf.actions[:150])) <= {0, 1, 2}

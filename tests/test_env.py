@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from dosebench.dqn import ReplayBuffer, warm_start_fill
 from dosebench.env import (ACTION_HIGH, ACTION_LOW, CONTROL_INTERVAL_MIN,
-                           MAX_STEPS, OBS_DIM, WINDOW_STEPS, GlucoseEnv,
-                           Scenario, cohort_envs, default_scenario,
-                           format_clock, parse_clock, rollout)
+                           INITIAL_BG_RANGE, MAX_STEPS, MEAL_JITTER_CARB_FRAC,
+                           MEAL_JITTER_MIN, OBS_DIM, START_CLOCK, WINDOW_STEPS,
+                           GlucoseEnv, cohort_envs, format_clock, meal_plan,
+                           parse_clock, rollout)
 from dosebench.patients import Cohort, MealEvent
 
 import _oracles
@@ -24,60 +25,51 @@ def test_clock_helpers():
     assert format_clock(24 * 60 + 30) == (2, "00:30:00")
 
 
-def test_default_scenario_meal_scaling():
-    adult = default_scenario(Cohort.ADULT, 0)
-    child = default_scenario(Cohort.CHILD, 0)
-    assert [m.carbs for m in adult.meal_schedule] == [45.0, 60.0, 20.0]
-    assert [m.carbs for m in child.meal_schedule] == \
-        pytest.approx([27.0, 36.0, 12.0])
-    assert [m.time_offset for m in adult.meal_schedule] == [120.0, 420.0, 600.0]
-
-
-def test_scenario_validation():
-    with pytest.raises(ValueError):
-        Scenario(cohort=Cohort.ADULT, patient_id=0,
-                 meal_schedule=(MealEvent(300, 30), MealEvent(100, 30)))
-    with pytest.raises(ValueError):
-        Scenario(cohort=Cohort.ADULT, patient_id=0, meal_schedule=(),
-                 initial_bg_range=(180.0, 120.0))
+def test_meal_plan_scaling():
+    adult = meal_plan(Cohort.ADULT)
+    child = meal_plan(Cohort.CHILD)
+    assert [m.carbs for m in adult] == [45.0, 60.0, 20.0]
+    assert [m.carbs for m in child] == pytest.approx([27.0, 36.0, 12.0])
+    assert [m.time_offset for m in adult] == [120.0, 420.0, 600.0]
+    assert [m.time_offset for m in child] == [120.0, 420.0, 600.0]
+    assert INITIAL_BG_RANGE == (120.0, 180.0)
+    assert parse_clock(START_CLOCK) == 300
 
 
 def test_reset_is_deterministic_per_seed():
-    scenario = default_scenario(Cohort.ADULT, 0)
     rollouts = []
     for _ in range(2):
-        env = GlucoseEnv(scenario)
+        env = GlucoseEnv(Cohort.ADULT, 0)
         obs = [env.reset(42)]
         for _ in range(10):
             obs.append(env.step(1.5).observation)
         rollouts.append(np.stack(obs))
     assert np.array_equal(rollouts[0], rollouts[1])
 
-    env = GlucoseEnv(scenario)
+    env = GlucoseEnv(Cohort.ADULT, 0)
     other = env.reset(43)
     assert not np.array_equal(other, rollouts[0][0])
 
 
 def test_initial_bg_within_configured_range():
-    scenario = default_scenario(Cohort.ADOLESCENT, 1)
     for seed in range(25):
-        env = GlucoseEnv(scenario)
+        env = GlucoseEnv(Cohort.ADOLESCENT, 1)
         env.reset(seed)
         assert 120.0 <= env.history[0].bg_true <= 180.0
 
 
 def test_meal_jitter_stays_within_bounds():
-    scenario = default_scenario(Cohort.ADULT, 0)
+    assert (MEAL_JITTER_MIN, MEAL_JITTER_CARB_FRAC) == (30.0, 0.2)
     for seed in range(25):
-        env = GlucoseEnv(scenario)
+        env = GlucoseEnv(Cohort.ADULT, 0)
         env.reset(seed)
-        for meal, base in zip(env._meals, scenario.meal_schedule):
+        for meal, base in zip(env._meals, meal_plan(Cohort.ADULT)):
             assert abs(meal.time_offset - base.time_offset) <= 30.0 + 1e-9
             assert abs(meal.carbs / base.carbs - 1.0) <= 0.2 + 1e-9
 
 
 def test_episode_truncates_at_64_steps():
-    env = noiseless(default_scenario(Cohort.ADULT, 0))
+    env = noiseless(Cohort.ADULT, 0)
     env.reset(1)
     for step in range(MAX_STEPS):
         res = env.step(1.0)
@@ -89,7 +81,7 @@ def test_episode_truncates_at_64_steps():
 
 
 def test_zero_dose_child_terminates_hyper():
-    env = noiseless(default_scenario(Cohort.CHILD, 0))
+    env = noiseless(Cohort.CHILD, 0)
     env.reset(1)
     while True:
         res = env.step(0.0)
@@ -103,7 +95,7 @@ def test_zero_dose_child_terminates_hyper():
 def test_termination_only_judged_at_interval_end():
     # Every recorded interval-end BG before the last one is inside bounds,
     # whatever the trajectory did inside the interval.
-    env = noiseless(default_scenario(Cohort.CHILD, 2))
+    env = noiseless(Cohort.CHILD, 2)
     env.reset(7)
     while True:
         res = env.step(0.0)
@@ -114,7 +106,7 @@ def test_termination_only_judged_at_interval_end():
 
 
 def test_action_validation_and_lifecycle():
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     with pytest.raises(RuntimeError):
         env.step(0.0)
     env.reset(1)
@@ -124,7 +116,7 @@ def test_action_validation_and_lifecycle():
 
 
 def test_dose_is_quarter_of_rate():
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     env.reset(5)
     env.step(3.0)
     assert env.history[0].rate == 3.0
@@ -133,7 +125,7 @@ def test_dose_is_quarter_of_rate():
 
 
 def test_observation_padding_and_layout():
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     obs = env.reset(2)
     first = env.history[0].bg_sensor
     assert obs.shape == (OBS_DIM,) and obs.dtype == np.float64
@@ -150,7 +142,7 @@ def test_observation_padding_and_layout():
 
 
 def test_window_slides_after_sixteen_steps():
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     env.reset(2)
     for i in range(20):
         res = env.step(0.5 * (i % 4))
@@ -163,7 +155,7 @@ def test_window_slides_after_sixteen_steps():
 def test_every_observation_is_a_new_array():
     # RolloutBuffer.add keeps the array it is given: a reused or rewritten
     # one would change the observations of a PPO collect.
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     kept = [env.reset(2)]
     for _ in range(WINDOW_STEPS + 4):
         kept.append(env.step(1.0).observation)
@@ -209,16 +201,15 @@ def _play_checking_the_window(env, seed, episodes):
        episodes=st.lists(st.lists(_DOSES, max_size=70), min_size=1,
                          max_size=3))
 def test_rolling_window_equals_the_history_window(patient, seed, episodes):
-    _play_checking_the_window(GlucoseEnv(default_scenario(Cohort.CHILD,
-                                                          patient)),
-                              seed, episodes)
+    _play_checking_the_window(GlucoseEnv(Cohort.CHILD, patient), seed,
+                              episodes)
 
 
 def test_rolling_window_survives_a_long_episode_that_terminates_early():
     # Zero doses end this child episode in a hyper termination after the
     # window has rolled past its padding, and the reset after it starts a
     # new window.
-    env = GlucoseEnv(default_scenario(Cohort.CHILD, 0))
+    env = GlucoseEnv(Cohort.CHILD, 0)
     (steps, terminated), second = _play_checking_the_window(
         env, 1, [[-0.0] * 40, [1.0] * 20])
     assert terminated and WINDOW_STEPS < steps < MAX_STEPS
@@ -226,7 +217,7 @@ def test_rolling_window_survives_a_long_episode_that_terminates_early():
 
 
 def test_noiseless_env_has_equal_true_and_sensor_bg():
-    env = noiseless(default_scenario(Cohort.CHILD, 1))
+    env = noiseless(Cohort.CHILD, 1)
     env.reset(9)
     env.step(1.0)
     for rec in env.history:
@@ -234,7 +225,7 @@ def test_noiseless_env_has_equal_true_and_sensor_bg():
 
 
 def test_sensor_noise_differs_from_truth():
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     env.reset(9)
     diffs = [abs(r.bg_true - r.bg_sensor) for r in env.history]
     env.step(1.0)
@@ -244,7 +235,7 @@ def test_sensor_noise_differs_from_truth():
 
 def test_rewards_use_true_bg_not_sensor():
     from dosebench import metrics
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     env.reset(4)
     res = env.step(1.0)
     assert res.reward == pytest.approx(
@@ -254,14 +245,15 @@ def test_rewards_use_true_bg_not_sensor():
 def test_meals_enter_before_their_substep_as_per_minute_scan():
     # Meals on an interval boundary (15.0), in its last minute (29.5), two in
     # one minute (45.0, 45.5) and one at the last substep of a later step.
-    meals = (MealEvent(15.0, 8.0), MealEvent(29.5, 4.0),
+    # Reset draws the jitter from a stream of its own, so planting the meals
+    # after it leaves every other stream as it was.
+    meals = [MealEvent(15.0, 8.0), MealEvent(29.5, 4.0),
              MealEvent(45.0, 6.0), MealEvent(45.5, 2.5),
-             MealEvent(74.999, 5.0))
-    scenario = Scenario(cohort=Cohort.ADULT, patient_id=2, meal_schedule=meals,
-                        meal_jitter_min=0.0, meal_jitter_carb_frac=0.0)
-    env, ref = GlucoseEnv(scenario), GlucoseEnv(scenario)
+             MealEvent(74.999, 5.0)]
+    env, ref = GlucoseEnv(Cohort.ADULT, 2), GlucoseEnv(Cohort.ADULT, 2)
     env.reset(21)
     ref.reset(21)
+    env._meals, ref._meals = list(meals), list(meals)
     for _ in range(6):
         res = env.step(0.9)
         assert not res.terminated
@@ -305,13 +297,12 @@ def test_rollout_visits_envs_in_cycle_order():
 
 
 def test_rollout_ending_on_an_episode_end_resets_nothing_more():
-    scenario = default_scenario(Cohort.CHILD, 1)
-    ref = GlucoseEnv(scenario)
+    ref = GlucoseEnv(Cohort.CHILD, 1)
     ref.reset(5)
     n = 1
     while not ref.step(9.0).terminated:
         n += 1
-    first, second = GlucoseEnv(scenario), GlucoseEnv(scenario)
+    first, second = GlucoseEnv(Cohort.CHILD, 1), GlucoseEnv(Cohort.CHILD, 1)
     seeds = []
 
     def next_seed():
@@ -329,7 +320,7 @@ def test_rollout_ending_on_an_episode_end_resets_nothing_more():
 def test_warm_start_fill_of_zero_steps_draws_nothing():
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     buffer = warm_start_fill(ReplayBuffer(8), env, 0, rng)
     assert rng.bit_generator.state == before
     assert buffer.size == 0 and env.state is None

@@ -123,7 +123,8 @@ def test_run_protocol_records_policy_failures(monkeypatch):
                                     seeds=(1,), repeats_per_seed=1)
     records = harness.run_protocol(spec, protocol)
     assert len(records) == 4
-    assert all(r.error == "kaput" for r in records)
+    # The error keeps its class, as ``dosebench eval`` reports it.
+    assert all(r.error == "RuntimeError: kaput" for r in records)
     report = harness.aggregate(records, protocol, policy_label="")
     assert "adult" in report.incomplete_strata
 
@@ -203,6 +204,36 @@ def test_compare_policies_orders_and_flags_overlap():
     rep_b.protocol_hash = "deadbeefdeadbeef"
     with pytest.raises(ValueError):
         harness.compare_policies([rep_a, rep_b])
+
+
+def _cells(table, stratum, metric="normalized_return"):
+    return next(r["cells"] for r in table["rows"]
+                if r["stratum"] == stratum and r["metric"] == metric)
+
+
+@pytest.mark.parametrize("lacking, stratum, ranked", [
+    ("c18", "child", ["c18", "zero"]),
+    ("zero", "child", ["c18", "zero"]),
+    ("c18", "overall", ["zero", "c18"]),   # no overall return ranks last
+], ids=["best-lacks-child", "worst-lacks-child", "lacks-overall"])
+def test_compare_policies_covers_a_stratum_one_report_lacks(lacking, stratum,
+                                                            ranked):
+    # A report has no stratum for a cohort whose every episode failed.
+    reports = dict(zip(("c18", "zero"), _small_reports()))
+    del reports[lacking].strata[stratum]
+    for order in (["c18", "zero"], ["zero", "c18"]):
+        table = harness.compare_policies([reports[name] for name in order])
+        assert table["policies"] == ranked
+        assert [(r["stratum"], r["metric"]) for r in table["rows"]] == [
+            (name, metric)
+            for name in ("adult", "adolescent", "child", "overall")
+            for metric in harness.METRIC_NAMES]
+        cells = _cells(table, stratum)
+        missing = ranked.index(lacking)
+        assert cells[missing] is None
+        # Judged against the best-ranked report that has the stratum.
+        assert cells[1 - missing]["ci_overlaps_best"] is True
+        assert all(cell is not None for cell in _cells(table, "adult"))
 
 
 def test_emit_report_byte_stable_and_round_trip(tmp_path):

@@ -14,8 +14,8 @@ import pytest
 
 from dosebench.env import StepRecord
 from dosebench.llm import (ERROR_SENTINEL, LlmConfig, ParseStatus, PromptKind, ScriptedMockServer,
-                           build_prompt, clamp_action, http_transport, llm_act,
-                           parse_cot, parse_zero_shot, prompts,
+                           build_prompt, clamp_action, client, http_transport,
+                           llm_act, parse_cot, parse_zero_shot, prompts,
                            serialize_observation)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -115,18 +115,13 @@ def test_clamp_action():
 
 
 def test_llm_config_validation_and_token_budgets():
-    cfg = LlmConfig()
-    assert cfg.tokens_for(PromptKind.BASE_ZERO_SHOT) == 16
-    assert cfg.tokens_for(PromptKind.PRIOR_ZERO_SHOT) == 16
-    assert cfg.tokens_for(PromptKind.PRIOR_COT) == 1024
-    assert cfg.tokens_for(PromptKind.PRIOR_MEAL_COT) == 1024
-    assert LlmConfig(max_tokens=64).tokens_for(PromptKind.PRIOR_COT) == 64
+    assert client.tokens_for(PromptKind.BASE_ZERO_SHOT) == 16
+    assert client.tokens_for(PromptKind.PRIOR_ZERO_SHOT) == 16
+    assert client.tokens_for(PromptKind.PRIOR_COT) == 1024
+    assert client.tokens_for(PromptKind.PRIOR_MEAL_COT) == 1024
+    assert (client.MAX_RETRIES, client.FALLBACK_DOSE) == (2, 0.0)
     with pytest.raises(ValueError):
         LlmConfig(temperature=-0.1)
-    with pytest.raises(ValueError):
-        LlmConfig(max_retries=-1)
-    with pytest.raises(ValueError):
-        LlmConfig(fallback_dose=10.0)
     with pytest.raises(ValueError):
         LlmConfig(base_url="").resolved_base_url()
 
@@ -165,7 +160,7 @@ def test_llm_act_clamps_out_of_range():
 
 def test_llm_act_retries_then_succeeds():
     replies = iter(["garbage with no digits", "2.0"])
-    cfg = LlmConfig(base_url="http://unused", max_retries=2)
+    cfg = LlmConfig(base_url="http://unused")
     action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
                          transport=lambda m, c, k: next(replies))
     assert action == 2.0
@@ -179,7 +174,7 @@ def test_llm_act_falls_back_after_exhausted_retries():
         calls.append(1)
         return "no numbers"
 
-    cfg = LlmConfig(base_url="http://unused", max_retries=2)
+    cfg = LlmConfig(base_url="http://unused")
     action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
                          transport=junk)
     assert action == 0.0
@@ -192,12 +187,13 @@ def test_llm_act_survives_transport_exceptions():
     def boom(messages, config, kind):
         raise ConnectionError("down")
 
-    cfg = LlmConfig(base_url="http://unused", max_retries=1)
+    cfg = LlmConfig(base_url="http://unused")
     action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
                          transport=boom)
     assert action == 0.0
     assert ex.parse_status is ParseStatus.FALLBACK_USED
     assert ex.raw_response is None
+    assert ex.attempts == 3
     assert ex.error == "ConnectionError"
 
 
@@ -210,7 +206,7 @@ def test_llm_act_records_error_of_a_retried_request():
             raise reply
         return reply
 
-    cfg = LlmConfig(base_url="http://unused", max_retries=1)
+    cfg = LlmConfig(base_url="http://unused")
     action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
                          transport=flaky)
     assert action == 2.0
@@ -226,7 +222,7 @@ def test_llm_act_propagates_programming_errors():
         calls.append(1)
         raise AttributeError("no such attribute")
 
-    cfg = LlmConfig(base_url="http://unused", max_retries=2)
+    cfg = LlmConfig(base_url="http://unused")
     with pytest.raises(AttributeError):
         llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg, transport=broken)
     assert len(calls) == 1
@@ -267,7 +263,7 @@ def test_mock_server_wire_format(mock_server):
 
 def test_mock_server_error_sentinel_and_cycling():
     with ScriptedMockServer([ERROR_SENTINEL, "3.0"]) as server:
-        cfg = LlmConfig(base_url=server.base_url, max_retries=2)
+        cfg = LlmConfig(base_url=server.base_url)
         action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
                              transport=None)
         assert action == 3.0
@@ -408,7 +404,7 @@ def _http10_chat_server():
 
 def test_http_transport_reconnects_to_a_server_that_closes_connections():
     with _http10_chat_server() as (base_url, seen):
-        cfg = LlmConfig(base_url=base_url, max_retries=2)
+        cfg = LlmConfig(base_url=base_url)
         for _ in range(5):
             action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
                                  transport=None)

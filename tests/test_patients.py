@@ -21,7 +21,7 @@ def _quiet(params):
 def _simulate(params, state, minutes, rate=0.0):
     traj = [state.g]
     for _ in range(minutes):
-        state = step_physiology(state, params, rate, 1.0)
+        state = step_physiology(state, params, rate, 1.0, None)
         traj.append(state.g)
     return state, np.array(traj)
 
@@ -62,7 +62,7 @@ def test_gut_decay_matches_exact_exponential():
     for minute in (1, 30, 120):
         s = state
         for _ in range(minute):
-            s = step_physiology(s, params, 0.0, 1.0)
+            s = step_physiology(s, params, 0.0, 1.0, None)
         exact = 40.0 * math.exp(-params.k_abs * minute)
         assert s.q_gut == pytest.approx(exact, rel=1e-8)
 
@@ -121,16 +121,16 @@ def test_step_physiology_validation():
     params = get_patient(Cohort.ADULT, 0)
     state = steady_state(params)
     with pytest.raises(ValueError):
-        step_physiology(state, params, 1.0, 0.0)
+        step_physiology(state, params, 1.0, 0.0, None)
     with pytest.raises(ValueError):
-        step_physiology(state, params, 1.0, 16.0)
+        step_physiology(state, params, 1.0, 16.0, None)
     with pytest.raises(ValueError):
-        step_physiology(state, params, -1.0, 1.0)
+        step_physiology(state, params, -1.0, 1.0, None)
     with pytest.raises(ValueError):
-        step_physiology(state, params, float("nan"), 1.0)
+        step_physiology(state, params, float("nan"), 1.0, None)
     with pytest.raises(FloatingPointError):
-        step_physiology(PatientState(g=float("nan"), s1=0, s2=0, x=0,
-                                     q_gut=0), params, 0.0, 1.0)
+        step_physiology(replace(state, g=float("nan")), params, 0.0, 1.0,
+                        None)
 
 
 def test_meal_and_bolus_validation():
@@ -239,7 +239,8 @@ def test_integrate_meal_placement_matches_reference(carbs, noise):
 def test_integrate_floors_match_reference():
     # A crushing dose drives glucose to its floor inside the interval.
     params = get_patient(Cohort.CHILD, 0)
-    state = PatientState(g=45.0, s1=30.0, s2=30.0, x=0.5, q_gut=0.0)
+    state = PatientState(g=45.0, s1=30.0, s2=30.0, x=0.5, q_gut=0.0,
+                         t_elapsed=0.0, clock=300)
     _assert_kernel_matches_reference(params, state, 9.0, 1.0, [()] * 15,
                                      True, 3)
 
@@ -248,7 +249,8 @@ def test_integrate_sum_overflow_with_finite_fields_is_not_an_error():
     # s1 + s2 overflows to inf although every field stays finite (a tiny
     # insulin sensitivity keeps the remote action from overflowing x * g).
     params = replace(_quiet(get_patient(Cohort.ADULT, 0)), s_i=1e-300)
-    state = PatientState(g=120.0, s1=1e308, s2=1e308, x=0.0, q_gut=0.0)
+    state = PatientState(g=120.0, s1=1e308, s2=1e308, x=0.0, q_gut=0.0,
+                         t_elapsed=0.0, clock=300)
     _assert_kernel_matches_reference(params, state, 0.0, 1.0, [()] * 3,
                                      False, 0)
 

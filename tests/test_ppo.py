@@ -13,7 +13,7 @@ from dosebench.ppo import (PpoConfig, PpoUpdateError, RolloutBuffer, act_clip,
                            log_prob_tanh_z, make_policy, ppo_update,
                            squash_tanh, train_ppo, unsquash_tanh,
                            warm_start_ppo)
-from dosebench.env import GlucoseEnv, default_scenario, featurize, rollout
+from dosebench.env import GlucoseEnv, featurize, rollout
 from dosebench.patients import Cohort
 
 from _helpers import log_prob_tanh_grad
@@ -148,11 +148,12 @@ def test_fresh_tanh_policy_starts_conservative():
 
 def test_warm_start_ppo_doses_low():
     buf = RolloutBuffer()
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     warm_start_ppo(buf, env, 100, np.random.default_rng(0), "tanh")
     assert len(buf) == 100
-    _, z, actions, logp, *_ = buf.arrays()
-    assert np.all((actions >= 0.0) & (actions <= 2.0))
+    _, z, logp, *_ = buf.arrays()
+    doses = np.array([squash_tanh(zi) for zi in z])
+    assert np.all((doses >= 0.0) & (doses <= 2.0 + 1e-12))
     assert np.allclose(logp, math.log(0.5))
     assert np.all(np.isfinite(z))
     with pytest.raises(ValueError):
@@ -166,12 +167,12 @@ def _tiny_rollout(policy, n=64, seed=0):
         z, a, logp = policy.sample(featurize(obs), rng)
         return (z, a, logp), float(np.clip(a, 0, 9))
 
-    env = GlucoseEnv(default_scenario(Cohort.ADULT, 0))
+    env = GlucoseEnv(Cohort.ADULT, 0)
     seeds = chain([seed], repeat(seed + 1))
     buf = RolloutBuffer()
     for obs, (z, a, logp), res, _ in islice(
             rollout([env], act, seeds.__next__), n):
-        buf.add(obs, z, a, logp, res.reward, 0.0, 0.0,
+        buf.add(obs, z, logp, res.reward, 0.0, 0.0,
                 res.terminated or res.truncated)
     return buf
 
