@@ -110,7 +110,7 @@ def cmd_eval(args):
                                   label=args.label or f"scripted-{args.name}")
     try:
         records = harness.run_protocol(spec, protocol, workers=args.workers)
-    except ValueError as exc:  # the policy could not be resolved
+    except ValueError as exc:  # bad workers, or an unresolvable policy
         raise SystemExit(f"dosebench eval {args.policy}: {exc}") from exc
     if all(r.error is not None for r in records):
         raise SystemExit(f"dosebench eval {args.policy}: every episode "
@@ -127,10 +127,11 @@ def cmd_eval(args):
 
 
 def cmd_compare(args):
-    reports = [harness.load_report(p) for p in args.reports]
     try:
+        reports = [harness.load_report(p) for p in args.reports]
         table = harness.compare_policies(reports)
-    except ValueError as exc:  # one report, or protocol hashes that differ
+    except (OSError, ValueError) as exc:
+        # An unreadable report, one report, or protocol hashes that differ.
         raise SystemExit(f"dosebench compare: {exc}") from exc
     print(json.dumps(table, indent=2, sort_keys=True))
 

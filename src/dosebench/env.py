@@ -8,7 +8,9 @@ The protocol hash covers these constants.
 An episode covers 16 hours (64 control steps). Each step integrates the
 patient physiology at 1-minute RK4 substeps in one kernel call, with any meal
 falling in the interval entering before its substep, and scores the resulting
-true glucose with the risk reward.
+true glucose with the risk reward. In lock-step evaluation the kernel call
+advances many envs at once, and ``step`` takes its env's part of it (see
+``GlucoseEnv._advance``).
 Observations report sensor glucose (true + Gaussian noise); reward and
 termination always use true glucose. The env keeps the observation window as
 a flat list of OBS_DIM floats and rolls it by one row per step, so an
@@ -77,7 +79,7 @@ def meal_plan(cohort: Cohort) -> tuple[MealEvent, ...]:
     return tuple(MealEvent(time_offset=t, carbs=c * scale) for t, c in _MEALS)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """One measurement plus the action taken at that time.
 
@@ -177,6 +179,30 @@ class GlucoseEnv:
         self._window = [sensor0, 0.0, 0.0] * WINDOW_STEPS
         return build_observation(self._window)
 
+    def interval_meals(self) -> tuple[list[tuple[float, ...]], float]:
+        """The meals of the next control interval: the grams eaten in each
+        of its substeps, as ``integrate`` takes them, and their sum."""
+        # A meal is eaten in substep k when t0 + k <= offset < t0 + k + 1; t0
+        # is a whole number of minutes, so k is floor(offset - t0).
+        t0 = self.state.t_elapsed
+        carbs = [()] * CONTROL_INTERVAL_MIN
+        meal_carbs = 0.0
+        for meal in self._meals:
+            minute = math.floor(meal.time_offset - t0)
+            if 0 <= minute < CONTROL_INTERVAL_MIN:
+                carbs[minute] += (meal.carbs,)
+                meal_carbs += meal.carbs
+        return carbs, meal_carbs
+
+    def _advance(self, rate: float) -> tuple[PatientState, float]:
+        """The patient state at the end of this interval at ``rate``, and
+        the grams eaten in it. Lock-step evaluation (``harness.Lane``)
+        advances many envs in one kernel call and returns each one's part
+        here instead."""
+        carbs, meal_carbs = self.interval_meals()
+        return integrate(self.state, self.params, rate, SUBSTEP_MIN, carbs,
+                         self._noise_rng), meal_carbs
+
     def _sense(self, bg_true: float) -> float:
         noise = self.params.cgm_sigma * self._sensor_rng.standard_normal() \
             if self.params.cgm_sigma > 0 else 0.0
@@ -200,18 +226,7 @@ class GlucoseEnv:
         window[-2] = rate
         window[-1] = dose
 
-        # A meal is eaten in substep k when t0 + k <= offset < t0 + k + 1; t0
-        # is a whole number of minutes, so k is floor(offset - t0).
-        t0 = self.state.t_elapsed
-        carbs = [()] * CONTROL_INTERVAL_MIN
-        meal_carbs = 0.0
-        for meal in self._meals:
-            minute = math.floor(meal.time_offset - t0)
-            if 0 <= minute < CONTROL_INTERVAL_MIN:
-                carbs[minute] += (meal.carbs,)
-                meal_carbs += meal.carbs
-        self.state = integrate(self.state, self.params, rate,
-                               SUBSTEP_MIN, carbs, self._noise_rng)
+        self.state, meal_carbs = self._advance(rate)
         self.state.clock += CONTROL_INTERVAL_MIN
         self._step_count += 1
 

@@ -5,14 +5,16 @@ episodes, each named by one ``EpisodeKey``. Repeats perturb the episode
 stream deterministically (the stream seed mixes seed and repeat), otherwise
 repeats of a deterministic policy would be vacuous.
 
-Every evaluation policy acts on the arguments ``env.rollout`` hands its
-``act``: ``Policy.act(obs, env)`` returns the basal rate, and the LLM policy
-reads ``env.history``.
+The episodes run in lock-step, one round per control interval: every live
+episode is a ``Lane`` (its env, key and policy stream), and a round asks the
+policy for all live lanes' rates in one ``Policy.act(obs, lanes)`` call,
+advances all their physiology in one ``patients.integrate_lanes`` call and
+then steps each lane's env. The records are bit for bit those of playing
+the episodes one by one.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import json
@@ -27,8 +29,8 @@ from . import metrics, nets
 from .dqn import N_ACTIONS, bin_to_rate
 from .env import (ACTION_HIGH, ACTION_LOW, INITIAL_BG_RANGE,
                   MEAL_JITTER_CARB_FRAC, MEAL_JITTER_MIN, OBS_DIM, START_CLOCK,
-                  GlucoseEnv, featurize, meal_plan, rollout)
-from .patients import Cohort
+                  SUBSTEP_MIN, GlucoseEnv, featurize, meal_plan)
+from .patients import Cohort, integrate_lanes
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
 REPEATS_PER_SEED = 5
@@ -88,14 +90,15 @@ class EpisodeRecord:
 
 
 class Policy:
-    """Per-episode decision policy. Subclasses override act()."""
+    """Decision policy of a lock-step round. Subclasses override act()."""
 
-    def reset(self, rng: np.random.Generator):
-        """Start an episode; ``rng`` is its policy stream."""
-        self._rng = rng
-
-    def act(self, obs, env: GlucoseEnv) -> float:
-        """The basal rate (U/h) for observation ``obs`` of ``env``."""
+    def act(self, obs: np.ndarray, lanes: list[Lane]):
+        """The basal rates (U/h) of the round's live ``lanes``: a sequence
+        with one entry per lane, in lane order, or a single float that is
+        every lane's rate. Row i of ``obs`` is lane i's observation, and
+        ``lanes[i].rng`` is its episode's policy stream. An exception in
+        lane i's entry fails that lane's episode; one raised by the call
+        fails every lane of the call."""
         raise NotImplementedError
 
 
@@ -121,21 +124,32 @@ class ScriptedPolicy(Policy):
         else:
             raise ValueError(f"unknown scripted policy {name!r}")
 
-    def act(self, obs, env):
+    def act(self, obs, lanes):
         if self._dose is not None:
             return self._dose
-        return bin_to_rate(int(self._rng.integers(0, 3)))
+        return [bin_to_rate(int(lane.rng.integers(0, 3))) for lane in lanes]
+
+
+def _row_stacked(obs) -> np.ndarray:
+    """Scaled network input with one (1, OBS_DIM) row per lane: a forward on
+    it gives each lane the bytes of its own one-row forward."""
+    return featurize(obs)[:, None, :]
 
 
 class DqnPolicy(Policy):
     def __init__(self, qnet: nets.DenseNet):
         self.qnet = qnet
 
-    def act(self, obs, env):
-        if self._rng.random() < EPS_TEST:
-            return bin_to_rate(int(self._rng.integers(0, N_ACTIONS)))
-        q, _ = nets.forward(self.qnet, featurize(obs))
-        return bin_to_rate(int(np.argmax(q)))
+    def act(self, obs, lanes):
+        q, _ = nets.forward(self.qnet, _row_stacked(obs))
+        greedy = np.argmax(q[:, 0], axis=1).tolist()
+        rates = []
+        for lane, best in zip(lanes, greedy):
+            rng = lane.rng
+            if rng.random() < EPS_TEST:
+                best = int(rng.integers(0, N_ACTIONS))
+            rates.append(bin_to_rate(best))
+        return rates
 
 
 class PpoEvalPolicy(Policy):
@@ -144,12 +158,14 @@ class PpoEvalPolicy(Policy):
     def __init__(self, ppo_policy):
         self.policy = ppo_policy
 
-    def act(self, obs, env):
-        return self.policy.mean_action(featurize(obs))
+    def act(self, obs, lanes):
+        return self.policy.mean_actions(_row_stacked(obs))
 
 
 class LlmPolicy(Policy):
-    """A ``transport`` of None sends each request with ``http_transport``."""
+    """A ``transport`` of None sends each request with ``http_transport``.
+    A round sends its lanes' requests one after another, in lane order; an
+    exception from one lane's ``llm_act`` fails that lane only."""
 
     def __init__(self, kind, config, transport):
         from .llm import PromptKind
@@ -157,11 +173,16 @@ class LlmPolicy(Policy):
         self.config = config
         self.transport = transport
 
-    def act(self, obs, env):
+    def act(self, obs, lanes):
         from .llm import llm_act
-        action, _ = llm_act(env.history, self.kind, self.config,
-                            transport=self.transport)
-        return action
+        rates = []
+        for lane in lanes:
+            try:
+                rates.append(llm_act(lane.history, self.kind, self.config,
+                                     transport=self.transport)[0])
+            except Exception as exc:  # noqa: BLE001 - recorded per episode
+                rates.append(exc)
+        return rates
 
 
 @dataclass
@@ -243,54 +264,129 @@ def episode_seed_sequence(seed: int, repeat: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), int(repeat), 0xE7A1])
 
 
-def run_episode(policy: Policy, key: EpisodeKey) -> EpisodeRecord:
-    env_ss, policy_ss = episode_seed_sequence(key.seed, key.repeat).spawn(2)
-    policy.reset(np.random.default_rng(policy_ss))
+class Lane(GlucoseEnv):
+    """One protocol episode in lock-step: its patient's env, its key and its
+    policy stream. A round advances the physiology of all its lanes in one
+    ``integrate_lanes`` call; ``step`` then does the lane's bookkeeping on
+    the state the round left in ``advanced``."""
 
-    def act(obs, env):
-        rate = float(policy.act(obs, env))
-        return rate, rate
+    def __init__(self, key: EpisodeKey):
+        super().__init__(key.cohort, key.patient_id)
+        self.key = key
+        env_ss, policy_ss = episode_seed_sequence(key.seed, key.repeat).spawn(2)
+        self.rng = np.random.default_rng(policy_ss)
+        self.observation = self.reset(env_ss)
+        self.advanced = None
 
-    env = GlucoseEnv(key.cohort, key.patient_id)
-    for _, _, res, _ in rollout([env], act, lambda: env_ss):
-        if res.terminated or res.truncated:
+    def _advance(self, rate):
+        state, meal_carbs = self.advanced
+        if isinstance(state, Exception):
+            raise state
+        return state, meal_carbs
+
+    def record(self, truncated: bool) -> EpisodeRecord:
+        history = self.history
+        return EpisodeRecord(key=self.key,
+                             bg=[rec.bg_true for rec in history],
+                             actions=[rec.rate for rec in history[:-1]],
+                             rewards=[rec.reward for rec in history[1:]],
+                             termination_cause=self.termination_cause,
+                             truncated=truncated)
+
+
+def _failed(key: EpisodeKey, exc: Exception) -> EpisodeRecord:
+    return EpisodeRecord(key=key, bg=[], actions=[], rewards=[],
+                         termination_cause=None, truncated=False,
+                         error=f"{type(exc).__name__}: {exc}")
+
+
+def _play(policy: Policy, keys: list[EpisodeKey]) -> list[EpisodeRecord]:
+    """The episodes of ``keys`` in lock-step, one round per control interval.
+
+    A round asks the policy for every live lane's rate at once, advances
+    every lane's physiology in one ``integrate_lanes`` call, and steps each
+    lane's env. A lane whose reset, rate or step raises fails its own
+    episode; the other lanes go on. An exception raised by the ``act`` call
+    itself fails every lane of the round.
+    """
+    records, lanes = {}, []
+    for key in keys:
+        try:
+            lanes.append(Lane(key))
+        except Exception as exc:  # noqa: BLE001 - recorded per episode
+            records[key] = _failed(key, exc)
+    obs = [lane.observation for lane in lanes]
+    while lanes:
+        try:
+            acted = policy.act(np.stack(obs), lanes)
+            if isinstance(acted, float):
+                acted = [acted] * len(lanes)
+            elif len(acted) != len(lanes):
+                raise ValueError(f"{type(policy).__name__}.act gave "
+                                 f"{len(acted)} rates for {len(lanes)} lanes")
+        except Exception as exc:  # noqa: BLE001 - recorded per episode
+            records.update((lane.key, _failed(lane.key, exc))
+                           for lane in lanes)
             break
-    history = env.history
-    return EpisodeRecord(key=key,
-                         bg=[rec.bg_true for rec in history],
-                         actions=[rec.rate for rec in history[:-1]],
-                         rewards=[rec.reward for rec in history[1:]],
-                         termination_cause=env.termination_cause,
-                         truncated=res.truncated)
+        rates, acting = [], []
+        for lane, rate in zip(lanes, acted):
+            try:
+                if isinstance(rate, Exception):
+                    raise rate
+                rates.append(float(rate))
+                acting.append(lane)
+            except Exception as exc:  # noqa: BLE001 - recorded per episode
+                records[lane.key] = _failed(lane.key, exc)
+        lanes = acting
+        meals = [lane.interval_meals() for lane in lanes]
+        states = integrate_lanes(
+            [lane.state for lane in lanes], [lane.params for lane in lanes],
+            rates, SUBSTEP_MIN, [carbs for carbs, _ in meals],
+            [lane._noise_rng for lane in lanes])
+        live, obs = [], []
+        for lane, rate, state, (_, meal_carbs) in zip(lanes, rates, states,
+                                                      meals):
+            lane.advanced = state, meal_carbs
+            try:
+                res = lane.step(rate)
+            except Exception as exc:  # noqa: BLE001 - recorded per episode
+                records[lane.key] = _failed(lane.key, exc)
+                continue
+            if res.terminated or res.truncated:
+                records[lane.key] = lane.record(res.truncated)
+            else:
+                live.append(lane)
+                obs.append(res.observation)
+        lanes = live
+    return [records[key] for key in keys]
 
 
 def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,
                  workers: int = 1) -> list[EpisodeRecord]:
-    """All protocol episodes. Per-episode failures are recorded, not fatal.
+    """All protocol episodes, in protocol order. Per-episode failures are
+    recorded, not fatal.
 
     The policy is resolved once, so a checkpoint that cannot be loaded raises
-    here. Each episode acts through its own shallow copy of it: the rng that
-    ``reset`` installs never crosses episodes or worker threads.
+    here. The episodes run in lock-step (``_play``); ``workers`` splits them
+    into that many contiguous slices, each stepped in its own thread. Every
+    lane has its own streams, so the records do not depend on ``workers``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     policy = policy_spec.resolve()
     keys = [EpisodeKey(cohort.value, pid, seed, repeat)
             for cohort in protocol.cohorts
             for pid in range(protocol.patients_per_cohort)
             for seed in protocol.seeds
             for repeat in range(protocol.repeats_per_seed)]
-
-    def one(key):
-        try:
-            return run_episode(copy.copy(policy), key)
-        except Exception as exc:  # noqa: BLE001 - recorded per episode
-            return EpisodeRecord(key=key, bg=[], actions=[], rewards=[],
-                                 termination_cause=None, truncated=False,
-                                 error=f"{type(exc).__name__}: {exc}")
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, keys))
-    return [one(key) for key in keys]
+    if workers == 1:
+        return _play(policy, keys)
+    n = len(keys)
+    slices = [keys[i * n // workers:(i + 1) * n // workers]
+              for i in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [record for part in pool.map(lambda s: _play(policy, s), slices)
+                for record in part]
 
 
 @dataclass
@@ -465,14 +561,21 @@ def emit_report(report: MetricsReport, path, format: str):
 
 
 def load_report(path) -> MetricsReport:
-    with open(path) as fh:
-        raw = json.load(fh)
-    strata = {}
-    for name, group in raw["strata"].items():
-        strata[name] = {m: metrics.MetricSummary(
-            mean=v["mean"], ci_low=v["ci_low"], ci_high=v["ci_high"], n=v["n"])
-            for m, v in group.items()}
-    return MetricsReport(policy_label=raw["policy"],
-                         protocol_hash=raw["protocol_hash"],
-                         strata=strata,
-                         incomplete_strata=list(raw["incomplete_strata"]))
+    """The report ``emit_report`` wrote to path. A file that is not JSON, or
+    not a report, raises ValueError naming it; an unreadable one, OSError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        raw = json.loads(blob)
+        strata = {}
+        for name, group in raw["strata"].items():
+            strata[name] = {m: metrics.MetricSummary(
+                mean=v["mean"], ci_low=v["ci_low"], ci_high=v["ci_high"],
+                n=v["n"]) for m, v in group.items()}
+        return MetricsReport(policy_label=raw["policy"],
+                             protocol_hash=raw["protocol_hash"],
+                             strata=strata,
+                             incomplete_strata=list(raw["incomplete_strata"]))
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: not a dosebench report "
+                         f"({type(exc).__name__}: {exc})") from exc

@@ -54,18 +54,21 @@ def load_templates(kind: PromptKind) -> tuple[str, str]:
 
 
 class _FinishedLines(threading.local):
-    """This thread's formatted lines for the finished rows of one history.
+    """This thread's formatted lines for the finished rows of each history,
+    by ``id(history)``: (include_meals, rows, lines).
 
     A row is finished once a later row exists: the env writes the rate and
     dose only into the last row, so a finished row's line never changes.
     Lines are kept per row object, never per value, so a -0.0 dose keeps its
-    sign in the text.
+    sign in the text. A lock-step round asks for its lanes' histories in
+    turn, so the thread keeps the last _CACHED_HISTORIES of them.
     """
 
-    history = include_meals = None
-    rows = lines = ()
+    def __init__(self):
+        self.by_history = {}
 
 
+_CACHED_HISTORIES = 256   # above the 240 episodes of the paper's protocol
 _finished = _FinishedLines()
 
 
@@ -95,17 +98,21 @@ def serialize_observation(history: list[StepRecord],
     """
     if not history:
         raise ValueError("history must contain at least one step")
-    cache = _finished
+    cache = _finished.by_history
+    include, rows, lines = cache.get(id(history), (None, (), ()))
     finished = len(history) - 1
-    if (cache.history is not history or cache.include_meals != include_meals
-            or len(cache.rows) > finished
-            or not all(map(operator.is_, cache.rows, history))):
-        cache.history, cache.include_meals = history, include_meals
-        cache.rows, cache.lines = [], []
-    for rec in history[len(cache.rows):finished]:
-        cache.rows.append(rec)
-        cache.lines.append(_line(rec, include_meals))
-    return "\n".join([*cache.lines, _line(history[-1], include_meals)])
+    if (include != include_meals or len(rows) > finished
+            or not all(map(operator.is_, rows, history))):
+        # A new history, or one that reuses the id of a dropped one.
+        rows, lines = [], []
+        cache.pop(id(history), None)
+        if len(cache) >= _CACHED_HISTORIES:
+            del cache[next(iter(cache))]      # the longest cached
+        cache[id(history)] = include_meals, rows, lines
+    for rec in history[len(rows):finished]:
+        rows.append(rec)
+        lines.append(_line(rec, include_meals))
+    return "\n".join([*lines, _line(history[-1], include_meals)])
 
 
 def build_prompt(kind: PromptKind, obs_text: str) -> list[dict]:

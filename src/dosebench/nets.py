@@ -7,7 +7,8 @@ share that layout. A ``.dnet`` checkpoint is a header (magic, version, layer
 sizes), a CRC32 and the vector as little-endian float64.
 
 The per-call work is sized for the one-row forwards and single updates of a
-training loop: ``forward`` adds the bias and applies ReLU in place on arrays
+training loop and for the row-stacked forwards of lock-step evaluation, one
+call per round: ``forward`` adds the bias and applies ReLU in place on arrays
 it made, ``backward`` masks in place only gradients it computed itself, and
 Adam writes its intermediates into two scratch vectors and flushes subnormals
 from its first moment (see ``adam_step``). Each keeps the IEEE operations, and
@@ -101,17 +102,22 @@ def init_standard(layer_sizes, seed: int) -> DenseNet:
 
 
 def forward(net: DenseNet, x):
-    """Batched forward pass.
+    """Forward pass of one row, a batch, or a row-stacked batch.
 
-    Accepts (d,) or (n, d); returns (output, cache). Hidden layers are ReLU,
-    the final layer is linear.
+    Accepts (d,), (n, d) or (L, 1, d); returns (output, cache), the output
+    shaped like x with the last axis resized. Hidden layers are ReLU, the
+    final layer is linear. An (n, d) batch is one matrix product per layer,
+    whose bytes may differ in the last place from n one-row forwards. An
+    (L, 1, d) batch stacks L one-row products: each row gets the bytes of
+    its own one-row forward, so a lock-step round makes one call for all of
+    its lanes.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.shape[1] != net.layer_sizes[0]:
-        raise ValueError(f"input width {x.shape[1]} != {net.layer_sizes[0]}")
+    if x.shape[-1] != net.layer_sizes[0]:
+        raise ValueError(f"input width {x.shape[-1]} != {net.layer_sizes[0]}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     acts = [x]

@@ -15,14 +15,16 @@ State derivatives (u = infusion rate in U/h):
     q'  = -k_abs*q
     g'  = -p1*(g - g_b) - x*g + 1000*f_bio*k_abs*q/v_g  (+ process noise)
 
-Integration is RK4 at 1-minute substeps, one kernel call (integrate) per
-control interval. A meal enters the gut before the substep it falls in;
-process noise enters after each substep, drawn once per interval from the
-episode's noise stream.
+Integration is RK4 at 1-minute substeps, one kernel call per control
+interval: integrate for one patient, integrate_lanes for the lanes of a
+lock-step round, both through the one RK4 body _rk4. A meal enters the gut
+before the substep it falls in; process noise enters after each substep,
+drawn once per interval from the episode's noise stream.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -61,6 +63,13 @@ class PatientParams:
             raise ValueError("f_bio must lie in (0, 1]")
         if self.noise_sigma < 0 or self.cgm_sigma < 0:
             raise ValueError("noise scales must be non-negative")
+
+    @functools.cached_property
+    def rk4_constants(self) -> tuple[float, ...]:
+        """The loop-invariant constants of the RK4 body, but the infusion."""
+        return (-self.p1, self.g_b, -self.p2, self.p2 * self.s_i, self.tau_sc,
+                self.tau_sc * self.v_i, 1000.0 * self.f_bio * self.k_abs,
+                self.v_g, -self.k_abs)
 
 
 @dataclass
@@ -157,35 +166,157 @@ def integrate(state: PatientState, params: PatientParams, rate: float,
     noise for the whole interval is one standard_normal(n) draw, which gives
     the values, and leaves the generator in the state, of n scalar draws.
     Non-negativity is restored by flooring after every substep; glucose is
-    floored at a small positive value so downstream logs stay defined.
+    floored at a small positive value so downstream logs stay defined. A
+    state that is, or becomes, non-finite raises FloatingPointError.
 
-    Every expression keeps the operand order of the module's derivatives
-    and of y + dt/6 * (k1 + 2*k2 + 2*k3 + k4), term by term, so n substeps
-    here are bit-identical to n one-substep calls; only loop-invariant
-    constants are hoisted.
+    The substeps run in ``_rk4``, the one RK4 body, here on floats;
+    ``integrate_lanes`` runs the same body on lane arrays.
     """
-    n = len(carbs)
     g, s1, s2, x, q = state.g, state.s1, state.s2, state.x, state.q_gut
-    isfinite = math.isfinite
+    clock = state.clock
     # A NaN or infinite field makes the sum non-finite; only then is each
     # field checked (a sum of finite fields that overflows passes).
-    if not isfinite(g + s1 + s2 + x + q):
+    if not math.isfinite(g + s1 + s2 + x + q):
         state.check_finite()
-    t = state.t_elapsed
-    noise = None
+    noise = sigma = None
     if noise_stream is not None and params.noise_sigma > 0:
-        noise = noise_stream.standard_normal(n).tolist()
+        noise = noise_stream.standard_normal(len(carbs)).tolist()
         sigma = params.noise_sigma * math.sqrt(dt)
 
-    neg_p1, g_b = -params.p1, params.g_b
-    neg_p2, p2_s_i = -params.p2, params.p2 * params.s_i
-    tau, tau_v_i = params.tau_sc, params.tau_sc * params.v_i
-    ra_gain, v_g = 1000.0 * params.f_bio * params.k_abs, params.v_g
-    neg_k_abs = -params.k_abs
-    infusion = rate / 60.0
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    def check(g, s1, s2, x, q, t):
+        PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
+                     clock=clock).check_finite()
 
-    for k in range(n):
+    g, s1, s2, x, q, t = _rk4(g, s1, s2, x, q, state.t_elapsed,
+                              params.rk4_constants, rate / 60.0, dt,
+                              carbs, noise, sigma, None, check)
+    # The clock advances per control interval, not here.
+    return PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
+                        clock=clock)
+
+
+# integrate_lanes makes one array call from this many lanes on, and one
+# scalar call per lane below it: an array call has a fixed cost of about
+# 1 ms. Measured on a 2-vCPU x86-64 VM (least of 9 repeats per interval,
+# scalar against arrays): 1.0 against 1.4 ms at 24 lanes, 1.06 against 1.15
+# at 40, 1.28 against 1.25 at 44, 1.8 against 1.2 at 64, 7.1 against 2.1 at
+# 240.
+ARRAY_MIN_LANES = 44
+
+
+def integrate_lanes(states: Sequence[PatientState],
+                    params: Sequence[PatientParams], rates: Sequence[float],
+                    dt: float, carbs: Sequence[Sequence[Sequence[float]]],
+                    noise_streams: Sequence[np.random.Generator | None]
+                    ) -> list[PatientState | FloatingPointError]:
+    """``integrate`` of every lane i over the same dt and substep count.
+
+    Returns per lane the PatientState that ``integrate(states[i], params[i],
+    rates[i], dt, carbs[i], noise_streams[i])`` returns, bit for bit, or the
+    FloatingPointError that it raises; a lane that fails leaves the other
+    lanes' results as they are. From ARRAY_MIN_LANES lanes on, the lanes run
+    as one ``_rk4`` call on (lanes,) arrays: every float operation is then
+    the scalar call's, element by element, and each lane draws its noise
+    from its own stream.
+    """
+    if len(states) < ARRAY_MIN_LANES:
+        out = []
+        for lane in zip(states, params, rates, carbs, noise_streams):
+            state, lane_params, rate, lane_carbs, noise_stream = lane
+            try:
+                out.append(integrate(state, lane_params, rate, dt,
+                                     lane_carbs, noise_stream))
+            except FloatingPointError as exc:
+                out.append(exc)
+        return out
+
+    n = len(carbs[0])
+    errors = {}
+    clocks = [s.clock for s in states]
+    g, s1, s2, x, q, t = np.array(
+        [(s.g, s.s1, s.s2, s.x, s.q_gut, s.t_elapsed) for s in states]).T.copy()
+    ok = np.isfinite(g + s1 + s2 + x + q)
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            states[i].check_finite()
+        except FloatingPointError as exc:
+            errors[i] = exc
+
+    # A lane without noise adds 0.0 * 0.0 to glucose before its floor,
+    # which leaves the floored value as it is. A lane that failed on entry
+    # draws nothing, as integrate raises before its draw.
+    quiet = np.zeros(n)
+    draws, sigma = [], []
+    for i, (lane_params, noise_stream) in enumerate(zip(params, noise_streams)):
+        if (noise_stream is not None and lane_params.noise_sigma > 0
+                and i not in errors):
+            draws.append(noise_stream.standard_normal(n))
+            sigma.append(lane_params.noise_sigma * math.sqrt(dt))
+        else:
+            draws.append(quiet)
+            sigma.append(0.0)
+    noise = np.array(draws).T.copy() if any(sigma) else None
+    sigma = np.array(sigma)
+
+    # Meal j of substep k is the array of each lane's j-th meal grams, -0.0
+    # where the lane has none: x + -0.0 is x for every float x.
+    meals = [[] for _ in range(n)]
+    for i, lane_carbs in enumerate(carbs):
+        if any(lane_carbs):
+            for k, grams in enumerate(lane_carbs):
+                for j, gram in enumerate(grams):
+                    if j == len(meals[k]):
+                        meals[k].append(np.full(len(states), -0.0))
+                    meals[k][j][i] = gram
+
+    constants = np.array([p.rk4_constants for p in params]).T.copy()
+    infusion = np.array(rates, dtype=np.float64) / 60.0
+
+    def settle(g, s1, s2, x, q, t):
+        np.copyto(g, 1.0, where=1.0 > g)
+        for v in (s1, s2, x, q):
+            np.copyto(v, 0.0, where=0.0 > v)
+        bad = ~np.isfinite(g + s1 + s2 + x + q)
+        if bad.any():
+            for i in np.flatnonzero(bad).tolist():
+                if i not in errors:     # integrate raises at the first
+                    try:
+                        PatientState(g=float(g[i]), s1=float(s1[i]),
+                                     s2=float(s2[i]), x=float(x[i]),
+                                     q_gut=float(q[i]), t_elapsed=float(t[i]),
+                                     clock=clocks[i]).check_finite()
+                    except FloatingPointError as exc:
+                        errors[i] = exc
+        return g, s1, s2, x, q
+
+    with np.errstate(all="ignore"):   # a failed lane runs on as NaN or inf
+        fields = _rk4(g, s1, s2, x, q, t, constants, infusion, dt,
+                      meals, noise, sigma, settle, None)
+    return [errors.get(i) or PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q,
+                                          t_elapsed=t, clock=clock)
+            for i, (g, s1, s2, x, q, t, clock)
+            in enumerate(zip(*(f.tolist() for f in fields), clocks))]
+
+
+def _rk4(g, s1, s2, x, q, t, constants, infusion, dt, carbs, noise, sigma,
+         settle, check):
+    """The RK4 body of integrate and integrate_lanes, on floats or arrays.
+
+    On arrays, ``settle`` floors a substep's fields and tests their
+    finiteness. On floats (``settle`` is None) the floors are written out
+    here, and ``check`` raises for the fields of a substep whose sum is not
+    finite; so the float path makes no call per substep. Every
+    expression keeps the operand order of the module's derivatives and of
+    y + dt/6 * (k1 + 2*k2 + 2*k3 + k4), term by term, so n substeps here are
+    bit-identical to n one-substep calls; only loop-invariant constants are
+    hoisted.
+    """
+    neg_p1, g_b, neg_p2, p2_s_i, tau, tau_v_i, ra_gain, v_g, neg_k_abs = \
+        constants
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    isfinite = math.isfinite
+
+    for k in range(len(carbs)):
         for grams in carbs[k]:
             q = q + grams
         # Stage j derivatives: gj, aj, bj, xj, qj for g, s1, s2, x, q.
@@ -226,7 +357,10 @@ def integrate(state: PatientState, params: PatientParams, rate: float,
         q = q + sixth_dt * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
         if noise is not None:
             g += sigma * noise[k]
-
+        t = t + dt
+        if settle is not None:
+            g, s1, s2, x, q = settle(g, s1, s2, x, q, t)
+            continue
         # Written out, these are exactly max(v, floor), NaN and -0.0 included.
         if 1.0 > g:
             g = 1.0
@@ -238,15 +372,10 @@ def integrate(state: PatientState, params: PatientParams, rate: float,
             x = 0.0
         if 0.0 > q:
             q = 0.0
-        t += dt
         if not isfinite(g + s1 + s2 + x + q):
             # A NaN or infinite field makes the sum non-finite; name it.
-            PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
-                         clock=state.clock).check_finite()
-
-    # The clock advances per control interval, not here.
-    return PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
-                        clock=state.clock)
+            check(g, s1, s2, x, q, t)
+    return g, s1, s2, x, q, t
 
 
 def step_physiology(state: PatientState, params: PatientParams, rate: float,

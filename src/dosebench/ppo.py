@@ -155,8 +155,12 @@ class PpoPolicy:
         logp = float(self.log_prob_z(z, mu, sigma))
         return z, self.to_action(z), logp
 
-    def mean_action(self, feats) -> float:
-        return self.to_action(self._mean_logit(feats))
+    def mean_actions(self, feats) -> list[float]:
+        """The transformed mean action of each row of a row-stacked
+        (L, 1, OBS_DIM) batch, each row's mu as sample computes it."""
+        out, _ = nets.forward(self.actor, feats)
+        return [self.to_action(mu + self.mu_offset)
+                for mu in out[:, 0, 0].tolist()]
 
 
 def default_mu_offset(transform: str) -> float:

@@ -3,18 +3,24 @@
 Everything here is deliberately written in a different style from the library
 code: high-precision arithmetic (mpmath), brute-force double loops, and
 numerical quadrature / finite differences instead of closed forms. The
-physiology reference, the history-based observation window and the unflushed
-Adam step are the exception: each is the code the package used before a faster
-form replaced it, kept verbatim so the new form can be held to it bit for bit.
+physiology reference, the history-based observation window, the unflushed
+Adam step and the per-episode evaluation loop are the exception: each is the
+code the package used before a faster form replaced it, kept verbatim so the
+new form can be held to it bit for bit.
 """
 
+import copy
 import math
 
 import mpmath
 import numpy as np
 
 from dosebench import nets
-from dosebench.env import WINDOW_STEPS
+from dosebench.dqn import N_ACTIONS, bin_to_rate
+from dosebench.env import (ACTION_HIGH, ACTION_LOW, WINDOW_STEPS, GlucoseEnv,
+                           featurize, rollout)
+from dosebench.harness import (EPS_TEST, EpisodeKey, EpisodeRecord,
+                               EvalProtocol, episode_seed_sequence)
 from dosebench.patients import PatientParams, PatientState
 
 mpmath.mp.dps = 50
@@ -182,3 +188,128 @@ def adam_step_unflushed(net, grads, opt):
     opt.v += (1 - nets._BETA2) * grads * grads
     net.params -= opt.learning_rate * (opt.m / b1c) \
         / (np.sqrt(opt.v / b2c) + nets._EPSILON)
+
+
+# The per-episode evaluation loop that lock-step evaluation replaced: each
+# episode runs to its end before the next starts, through its own shallow
+# copy of a policy that acts on one observation. PpoEvalPolicy.act inlines
+# the one-row ``PpoPolicy.mean_action`` it called, and run_protocol takes a
+# resolved policy and runs serially.
+
+class Policy:
+    """Per-episode decision policy. Subclasses override act()."""
+
+    def reset(self, rng: np.random.Generator):
+        """Start an episode; ``rng`` is its policy stream."""
+        self._rng = rng
+
+    def act(self, obs, env: GlucoseEnv) -> float:
+        """The basal rate (U/h) for observation ``obs`` of ``env``."""
+        raise NotImplementedError
+
+
+class ScriptedPolicy(Policy):
+    """Named scripted baselines used in tests and as comparison anchors."""
+
+    def __init__(self, name: str):
+        self.name = name
+        if name.startswith("constant:"):
+            try:
+                self._dose = float(name.split(":", 1)[1])
+            except ValueError:
+                self._dose = math.nan
+            if not ACTION_LOW <= self._dose <= ACTION_HIGH:  # NaN fails too
+                raise ValueError(f"{name!r}: the dose must be a number in "
+                                 f"[{ACTION_LOW}, {ACTION_HIGH}] U/h")
+        elif name == "zero":
+            self._dose = 0.0
+        elif name == "max":
+            self._dose = ACTION_HIGH
+        elif name == "warmstart-random":
+            self._dose = None
+        else:
+            raise ValueError(f"unknown scripted policy {name!r}")
+
+    def act(self, obs, env):
+        if self._dose is not None:
+            return self._dose
+        return bin_to_rate(int(self._rng.integers(0, 3)))
+
+
+class DqnPolicy(Policy):
+    def __init__(self, qnet: nets.DenseNet):
+        self.qnet = qnet
+
+    def act(self, obs, env):
+        if self._rng.random() < EPS_TEST:
+            return bin_to_rate(int(self._rng.integers(0, N_ACTIONS)))
+        q, _ = nets.forward(self.qnet, featurize(obs))
+        return bin_to_rate(int(np.argmax(q)))
+
+
+class PpoEvalPolicy(Policy):
+    """Deterministic PPO evaluation: transformed mean action."""
+
+    def __init__(self, ppo_policy):
+        self.policy = ppo_policy
+
+    def act(self, obs, env):
+        return self.policy.to_action(
+            self.policy._mean_logit(featurize(obs)))
+
+
+class LlmPolicy(Policy):
+    """A ``transport`` of None sends each request with ``http_transport``."""
+
+    def __init__(self, kind, config, transport):
+        from dosebench.llm import PromptKind
+        self.kind = PromptKind(kind)
+        self.config = config
+        self.transport = transport
+
+    def act(self, obs, env):
+        from dosebench.llm import llm_act
+        action, _ = llm_act(env.history, self.kind, self.config,
+                            transport=self.transport)
+        return action
+
+
+def run_episode(policy: Policy, key: EpisodeKey) -> EpisodeRecord:
+    env_ss, policy_ss = episode_seed_sequence(key.seed, key.repeat).spawn(2)
+    policy.reset(np.random.default_rng(policy_ss))
+
+    def act(obs, env):
+        rate = float(policy.act(obs, env))
+        return rate, rate
+
+    env = GlucoseEnv(key.cohort, key.patient_id)
+    for _, _, res, _ in rollout([env], act, lambda: env_ss):
+        if res.terminated or res.truncated:
+            break
+    history = env.history
+    return EpisodeRecord(key=key,
+                         bg=[rec.bg_true for rec in history],
+                         actions=[rec.rate for rec in history[:-1]],
+                         rewards=[rec.reward for rec in history[1:]],
+                         termination_cause=env.termination_cause,
+                         truncated=res.truncated)
+
+
+def run_protocol(policy: Policy,
+                 protocol: EvalProtocol) -> list[EpisodeRecord]:
+    """All protocol episodes. Per-episode failures are recorded, not fatal."""
+    keys = [EpisodeKey(cohort.value, pid, seed, repeat)
+            for cohort in protocol.cohorts
+            for pid in range(protocol.patients_per_cohort)
+            for seed in protocol.seeds
+            for repeat in range(protocol.repeats_per_seed)]
+
+    def one(key):
+        try:
+            return run_episode(copy.copy(policy), key)
+        except Exception as exc:  # noqa: BLE001 - recorded per episode
+            return EpisodeRecord(key=key, bg=[], actions=[], rewards=[],
+                                 termination_cause=None, truncated=False,
+                                 error=f"{type(exc).__name__}: {exc}")
+
+    return [one(key) for key in keys]

@@ -167,14 +167,10 @@ def test_criterion_07_simulator_calibration():
 
 
 def _eval_policy_spec(spec, cohort, seeds=(1, 100, 1000, 10000), repeats=2):
-    policy = spec.resolve()
-    rets = []
-    for pid in range(4):
-        for seed in seeds:
-            for rep in range(repeats):
-                key = harness.EpisodeKey(cohort.value, pid, seed, rep)
-                rec = harness.run_episode(policy, key)
-                rets.append(metrics.normalized_return(rec.episode_return))
+    protocol = harness.EvalProtocol(cohorts=(cohort,), seeds=seeds,
+                                    repeats_per_seed=repeats)
+    rets = [metrics.normalized_return(rec.episode_return)
+            for rec in harness.run_protocol(spec, protocol)]
     return float(np.mean(rets))
 
 

@@ -80,6 +80,39 @@ def test_compare_exits_with_a_message_on_reports_it_cannot_compare(tmp_path):
         main(["compare", str(paths[0]), str(paths[1])])
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    ("report.json:\n  strata: {}\n", "not a dosebench report "
+                                       r"\(JSONDecodeError"),
+    ("{}", r"not a dosebench report \(KeyError: 'strata'\)"),
+    ("[]", r"not a dosebench report \(TypeError"),
+], ids=["missing", "not-json", "empty-object", "a-list"])
+def test_compare_exits_with_a_message_on_a_file_that_is_not_a_report(
+        content, message, tmp_path):
+    good = tmp_path / "good.json"
+    protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,),
+                                    patients_per_cohort=1, seeds=(1,),
+                                    repeats_per_seed=1)
+    spec = harness.PolicySpec(kind="scripted", scripted_name="zero")
+    harness.emit_report(harness.aggregate(harness.run_protocol(spec, protocol),
+                                          protocol, policy_label="zero"),
+                        good, "json")
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    with pytest.raises(SystemExit, match=f"^dosebench compare: .*{message}"):
+        main(["compare", str(good), str(bad)])
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_eval_refuses_fewer_than_one_worker_before_the_run(workers, tmp_path):
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit, match="^dosebench eval scripted: workers "
+                                         f"must be at least 1, got {workers}"):
+        main(["eval", "scripted", "--workers", workers, "--out", str(out)])
+    assert not out.exists()
+
+
 # A small budget, so that a config that is wrongly accepted trains quickly.
 _SMALL = "epochs: 1\nsteps_per_epoch: 48\nwarm_start_steps: 48\nbatch_size: 32\n"
 

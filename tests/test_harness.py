@@ -1,12 +1,29 @@
 import json
 import sys
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dosebench import harness, nets
+from dosebench import env, harness, nets, patients
+from dosebench.llm import LlmConfig
 from dosebench.patients import Cohort
 from dosebench.ppo import PpoConfig, make_policy
+
+import _oracles
+
+
+class Spec:
+    """Stands in for a PolicySpec that resolves to ``policy``."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def resolve(self):
+        return self.policy
 
 
 def test_protocol_dimensions():
@@ -18,15 +35,12 @@ def test_protocol_dimensions():
 
 
 def test_scripted_policy_names():
-    rng = np.random.default_rng(0)
     for name, expected in (("zero", 0.0), ("max", 9.0), ("constant:2.5", 2.5)):
-        p = harness.ScriptedPolicy(name)
-        p.reset(rng)
-        assert p.act(None, None) == expected
+        # A constant is one rate for every lane.
+        assert harness.ScriptedPolicy(name).act(None, None) == expected
     p = harness.ScriptedPolicy("warmstart-random")
-    p.reset(rng)
-    draws = {p.act(None, None) for _ in range(100)}
-    assert draws == {0.0, 0.9, 1.8}
+    lanes = [SimpleNamespace(rng=np.random.default_rng(0))] * 100
+    assert set(p.act(None, lanes)) == {0.0, 0.9, 1.8}
     with pytest.raises(ValueError):
         harness.ScriptedPolicy("nope")
     # A dose outside the action range would fail every episode at its first
@@ -37,33 +51,43 @@ def test_scripted_policy_names():
             harness.ScriptedPolicy(name)
 
 
-def test_run_episode_deterministic():
-    policy = harness.PolicySpec(kind="scripted",
-                                scripted_name="constant:1.0").resolve()
-    key = harness.EpisodeKey("adult", 0, 1, 0)
-    a = harness.run_episode(policy, key)
-    b = harness.run_episode(policy, key)
-    assert a.key == key
-    assert a.rewards == b.rewards
-    assert a.bg == b.bg
+# One patient, one seed: its episodes are the given repeats.
+def _one_patient(cohort="adult", patient_id=0, seed=1, repeats=1):
+    return harness.EvalProtocol(cohorts=(Cohort(cohort),),
+                                patients_per_cohort=patient_id + 1,
+                                seeds=(seed,), repeats_per_seed=repeats)
+
+
+def test_protocol_episodes_are_deterministic():
+    spec = harness.PolicySpec(kind="scripted", scripted_name="constant:1.0")
+    a0, a1 = harness.run_protocol(spec, _one_patient(repeats=2))
+    b0, b1 = harness.run_protocol(spec, _one_patient(repeats=2))
+    assert a0.key == harness.EpisodeKey("adult", 0, 1, 0)
+    assert a0.rewards == b0.rewards and a1.rewards == b1.rewards
+    assert a0.bg == b0.bg
     # The repeat perturbs the stream.
-    c = harness.run_episode(policy, harness.EpisodeKey("adult", 0, 1, 1))
-    assert c.bg != a.bg
+    assert a1.bg != a0.bg
 
 
 def test_policy_acts_on_the_rollouts_observation_and_env():
     seen = []
 
     class Recording(harness.Policy):
-        def act(self, obs, env):
-            seen.append((obs[-3], env.history[-1].bg_sensor, len(env.history)))
+        def act(self, obs, lanes):
+            assert obs.shape == (len(lanes), 48)
+            for row, lane in zip(obs, lanes):
+                seen.append((lane.key, row[-3], lane.history[-1].bg_sensor,
+                             len(lane.history)))
             return 1.0
 
-    rec = harness.run_episode(Recording(), harness.EpisodeKey("child", 1, 1, 0))
-    assert len(seen) == len(rec.actions) == 64
-    for step, (obs_sensor, env_sensor, measurements) in enumerate(seen):
-        assert obs_sensor == env_sensor       # obs is the env's latest
-        assert measurements == step + 1
+    protocol = _one_patient("child", patient_id=1)
+    records = harness.run_protocol(Spec(Recording()), protocol)
+    # Patients 0 and 1, one round per step: each round sees both lanes.
+    assert [len(r.actions) for r in records] == [64, 64]
+    assert [key for key, *_ in seen] == [r.key for r in records] * 64
+    for i, (_, obs_sensor, env_sensor, measurements) in enumerate(seen):
+        assert obs_sensor == env_sensor       # obs is the lane's latest
+        assert measurements == i // 2 + 1
 
 
 def test_run_protocol_keys_episodes_in_protocol_order():
@@ -97,8 +121,8 @@ def test_llm_policy_needs_a_base_url_only_without_a_transport(monkeypatch):
         prompts.append(messages[-1]["content"])
         return "1.5"
 
-    policy = harness.PolicySpec(kind="llm", llm_transport=transport).resolve()
-    rec = harness.run_episode(policy, harness.EpisodeKey("adult", 0, 1, 0))
+    spec = harness.PolicySpec(kind="llm", llm_transport=transport)
+    (rec,) = harness.run_protocol(spec, _one_patient())
     assert rec.actions == [1.5] * 64 and len(prompts) == 64
     assert "(initial measurement)" in prompts[0]
 
@@ -267,8 +291,8 @@ def test_ppo_checkpoint_sidecar_round_trip(tmp_path):
     assert loaded.transform == "tanh"
     assert float(loaded.log_sigma) == float(policy.log_sigma)
     assert loaded.mu_offset == policy.mu_offset
-    obs = np.zeros(48)
-    assert loaded.mean_action(obs) == policy.mean_action(obs)
+    obs = np.zeros((1, 1, 48))
+    assert loaded.mean_actions(obs) == policy.mean_actions(obs)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -326,10 +350,9 @@ def test_dqn_policy_eps_zero_is_deterministic(monkeypatch):
     monkeypatch.setattr(harness, "EPS_TEST", 0.0)
     qnet = nets.init_standard([48, 8, 11], seed=0)
     policy = harness.DqnPolicy(qnet)
-    policy.reset(np.random.default_rng(0))
-
-    a = [policy.act(np.linspace(0, 200, 48), None) for _ in range(5)]
-    assert len(set(a)) == 1
+    lanes = [SimpleNamespace(rng=np.random.default_rng(0))] * 5
+    a = policy.act(np.tile(np.linspace(0, 200, 48), (5, 1)), lanes)
+    assert len(a) == 5 and len(set(a)) == 1
     assert a[0] in [0.9 * b for b in range(11)]
 
 
@@ -400,3 +423,168 @@ def test_run_protocol_raises_on_a_corrupt_checkpoint(tmp_path):
     spec = harness.PolicySpec(kind="dqn", checkpoint_path=str(path))
     with pytest.raises(nets.CheckpointError):
         harness.run_protocol(spec, harness.EvalProtocol())
+
+
+# Lock-step evaluation against the per-episode loop it replaced
+# (``_oracles.run_protocol``), policy by policy.
+
+def _prompt_dose(messages, config, kind):
+    # A pure function of the prompt, so the request order does not matter.
+    return f"<ans>{len(messages[-1]['content']) % 11 * 0.9:.1f}</ans>"
+
+
+def _policies(name):
+    """(lock-step policy, per-episode policy) acting alike."""
+    if name.startswith("dqn"):
+        qnet = nets.init_standard([48, 64, 64, 11], seed=int(name[3:]))
+        return harness.DqnPolicy(qnet), _oracles.DqnPolicy(qnet)
+    if name.startswith("ppo-"):
+        ppo = make_policy(PpoConfig(transform=name[4:]), seed=0)
+        ppo.actor.params[:] = np.random.default_rng(5).normal(
+            scale=0.05, size=ppo.actor.params.shape)
+        return harness.PpoEvalPolicy(ppo), _oracles.PpoEvalPolicy(ppo)
+    if name == "llm":
+        return (harness.LlmPolicy("meal-cot", LlmConfig(), _prompt_dose),
+                _oracles.LlmPolicy("meal-cot", LlmConfig(), _prompt_dose))
+    return harness.ScriptedPolicy(name), _oracles.ScriptedPolicy(name)
+
+
+POLICIES = ("zero", "max", "constant:1.2", "warmstart-random", "dqn0", "dqn1",
+            "ppo-tanh", "ppo-clip", "llm")
+
+
+def _assert_lockstep_matches_per_episode_loop(name, protocol, workers=1):
+    new, old = _policies(name)
+    records = harness.run_protocol(Spec(new), protocol, workers=workers)
+    expected = _oracles.run_protocol(old, protocol)
+    assert records == expected, name
+    assert repr(records) == repr(expected), name   # -0.0 and 0.0 too
+    return records
+
+
+@pytest.mark.parametrize("name", POLICIES)
+@pytest.mark.parametrize("seeds", [(1,), (1, 100, 1000, 10000)],
+                         ids=["12-lanes", "48-lanes"])
+def test_lockstep_records_equal_the_per_episode_loop(name, seeds):
+    # 12 lanes take one scalar kernel call per lane, 48 one array call.
+    protocol = harness.EvalProtocol(seeds=seeds, repeats_per_seed=1)
+    lanes = 12 * len(seeds)
+    assert (lanes >= patients.ARRAY_MIN_LANES) == (lanes == 48)
+    records = _assert_lockstep_matches_per_episode_loop(name, protocol)
+    if name in ("zero", "max"):
+        # Lanes end early, and at different rounds.
+        cause = "hyper" if name == "zero" else "hypo"
+        assert any(r.termination_cause == cause for r in records)
+        assert len({len(r.actions) for r in records}) > 1
+
+
+@st.composite
+def _lockstep_cases(draw):
+    cohorts = draw(st.lists(st.sampled_from(list(Cohort)), min_size=1,
+                            max_size=3, unique=True))
+    protocol = harness.EvalProtocol(
+        cohorts=tuple(cohorts), patients_per_cohort=draw(st.integers(1, 4)),
+        seeds=tuple(draw(st.lists(st.sampled_from((1, 100, 1000, 7, 8)),
+                                  min_size=1, max_size=3, unique=True))),
+        repeats_per_seed=draw(st.integers(1, 2)))
+    return dict(name=draw(st.sampled_from(POLICIES)), protocol=protocol,
+                min_lanes=draw(st.sampled_from(
+                    (1, patients.ARRAY_MIN_LANES, 10**6))),
+                two_meals=draw(st.booleans()),
+                eps=draw(st.sampled_from((harness.EPS_TEST, 0.3))),
+                workers=draw(st.sampled_from((1, 3))))
+
+
+@settings(max_examples=20)
+@given(_lockstep_cases())
+def test_lockstep_parity_on_random_protocols(case):
+    with pytest.MonkeyPatch.context() as mp:
+        # Either call shape of the kernel, whatever the lane count.
+        mp.setattr(patients, "ARRAY_MIN_LANES", case["min_lanes"])
+        for module in (harness, _oracles):
+            mp.setattr(module, "EPS_TEST", case["eps"])
+        if case["two_meals"]:
+            # Unjittered, breakfast and a second meal fall in one substep.
+            mp.setattr(env, "_MEALS", ((120.0, 45.0), (120.0, 30.0),
+                                       (600.0, 20.0)))
+            mp.setattr(env, "MEAL_JITTER_MIN", 0.0)
+        _assert_lockstep_matches_per_episode_loop(
+            case["name"], case["protocol"], case["workers"])
+
+
+@pytest.mark.parametrize("min_lanes", [1, 10**6], ids=["arrays", "scalars"])
+def test_a_non_finite_lane_fails_only_its_own_episode(min_lanes, monkeypatch):
+    # Patient 1 overflows in the first substep of its first interval, and
+    # patient 2 starts non-finite; each fails with the scalar kernel's
+    # exception, and the other lanes run on.
+    reset = env.GlucoseEnv.reset
+
+    def faulty_reset(self, seed):
+        obs = reset(self, seed)
+        if self.params.patient_id == 1:
+            self.state.q_gut = 1e308
+        elif self.params.patient_id == 2:
+            self.state.g = float("nan")
+        return obs
+
+    monkeypatch.setattr(env.GlucoseEnv, "reset", faulty_reset)
+    monkeypatch.setattr(patients, "ARRAY_MIN_LANES", min_lanes)
+    protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1, 100))
+    records = _assert_lockstep_matches_per_episode_loop("constant:1.2",
+                                                        protocol)
+    failed = {r.patient_id for r in records if r.error is not None}
+    assert failed == {1, 2}
+    assert all(r.error.startswith("FloatingPointError: non-finite patient "
+                                  "state: PatientState(") for r in records
+               if r.error is not None)
+    assert all(len(r.actions) == 64 for r in records if r.error is None)
+
+
+@pytest.mark.parametrize("reply", [None, RuntimeError("no reply")],
+                         ids=["null-content", "raises"])
+def test_one_lanes_failed_llm_call_fails_only_its_own_episode(reply):
+    # Some prompts get a null reply (which the parser refuses with a
+    # TypeError) or an exception that llm_act does not retry; those episodes
+    # fail at their own round, and the others run to the end.
+    def transport(messages, config, kind):
+        if zlib.crc32(messages[-1]["content"].encode()) % 97 == 0:
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+        return _prompt_dose(messages, config, kind)
+
+    protocol = harness.EvalProtocol(cohorts=(Cohort.ADULT,), seeds=(1, 100),
+                                    repeats_per_seed=2)
+    new = harness.LlmPolicy("meal-cot", LlmConfig(), transport)
+    old = _oracles.LlmPolicy("meal-cot", LlmConfig(), transport)
+    records = harness.run_protocol(Spec(new), protocol)
+    assert records == _oracles.run_protocol(old, protocol)
+    failed = [r for r in records if r.error is not None]
+    assert 0 < len(failed) < len(records)
+    error = "TypeError: " if reply is None else "RuntimeError: no reply"
+    assert all(r.error.startswith(error) for r in failed)
+
+
+def test_a_policy_must_give_one_rate_per_lane(monkeypatch):
+    monkeypatch.setattr(harness.ScriptedPolicy, "act",
+                        lambda self, obs, lanes: [1.0])
+    records = harness.run_protocol(
+        harness.PolicySpec(kind="scripted"),
+        harness.EvalProtocol(cohorts=(Cohort.ADULT,), seeds=(1,),
+                             repeats_per_seed=1))
+    assert [r.error for r in records] == [
+        "ValueError: ScriptedPolicy.act gave 1 rates for 4 lanes"] * 4
+
+
+@pytest.mark.parametrize("name", ["dqn0", "ppo-tanh"])
+def test_evaluation_makes_at_most_one_forward_per_round(name, monkeypatch):
+    calls = []
+    forward = nets.forward
+    monkeypatch.setattr(nets, "forward",
+                        lambda net, x: calls.append(x.shape) or forward(net, x))
+    new, _ = _policies(name)
+    protocol = harness.EvalProtocol(seeds=(1, 100, 1000), repeats_per_seed=1)
+    records = harness.run_protocol(Spec(new), protocol)
+    rounds = max(len(r.actions) for r in records)
+    assert len(calls) == rounds
+    assert calls[0] == (36, 1, 48)

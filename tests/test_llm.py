@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from dosebench import harness
 from dosebench.env import StepRecord
 from dosebench.llm import (ERROR_SENTINEL, LlmConfig, ParseStatus, PromptKind, ScriptedMockServer,
                            build_prompt, clamp_action, client, http_transport,
@@ -492,3 +493,34 @@ def test_serialize_observation_formats_each_finished_line_once(monkeypatch):
     # Each call formats the current row; each finished row is formatted once.
     assert decisions == 64
     assert len(calls) == 2 * decisions - 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lockstep_formats_each_finished_line_once_per_episode(workers,
+                                                              monkeypatch):
+    # A lock-step round asks for its 24 lanes' prompts in turn; each lane's
+    # finished rows are still formatted once.
+    calls = []
+    line = prompts._line
+    monkeypatch.setattr(prompts, "_line",
+                        lambda rec, meals: calls.append(rec) or line(rec, meals))
+    spec = harness.PolicySpec(kind="llm", llm_kind="meal-cot",
+                              llm_transport=lambda *_: "<ans>1.2</ans>")
+    protocol = harness.EvalProtocol(seeds=(1, 100), repeats_per_seed=1)
+    records = harness.run_protocol(spec, protocol, workers=workers)
+    assert [len(r.actions) for r in records] == [64] * 24
+    # Each decision formats its current row; each finished row once.
+    assert len(calls) == sum(2 * len(r.actions) - 1 for r in records)
+
+
+def test_serialize_observation_of_more_histories_than_it_caches():
+    # Round-robin over more histories than the cache holds: every text is
+    # still the fresh serialization.
+    n = prompts._CACHED_HISTORIES + 3
+    episodes = [_episode([0.5 * (i % 7)] * 3) for i in range(n)]
+    for _ in range(4):
+        for history in map(next, episodes):
+            snapshot = [dataclasses.replace(rec) for rec in history]
+            assert serialize_observation(history, True) \
+                == serialize_observation(snapshot, True)
+    assert len(prompts._finished.by_history) <= prompts._CACHED_HISTORIES

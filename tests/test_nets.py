@@ -57,6 +57,26 @@ def test_forward_shapes_and_validation():
         nets.forward(net, np.full(4, np.nan))
 
 
+@pytest.mark.parametrize("out_width", [1, 11])
+@pytest.mark.parametrize("lanes", [1, 2, 7, 24, 240])
+def test_row_stacked_forward_equals_one_row_forwards(lanes, out_width):
+    # Lock-step evaluation makes one (lanes, 1, d) forward per round; each
+    # row must carry the bytes of that lane's own one-row forward.
+    rng = np.random.default_rng(100 * lanes + out_width)
+    for _ in range(20):
+        sizes = [48, int(rng.integers(1, 80)), int(rng.integers(1, 80)),
+                 out_width]
+        net = nets.init_standard(sizes, seed=int(rng.integers(2**31)))
+        net.params[:] += rng.normal(scale=0.1, size=net.params.shape)
+        x = rng.normal(scale=float(rng.choice([0.1, 1.0, 100.0])),
+                       size=(lanes, 48))
+        stacked, cache = nets.forward(net, x[:, None, :])
+        assert stacked.shape == (lanes, 1, out_width)
+        assert len(cache) == 4
+        rows = np.array([nets.forward(net, row)[0] for row in x])
+        assert stacked[:, 0].tobytes() == rows.tobytes()
+
+
 def test_relu_only_on_hidden_layers():
     # w0 = [[1]], b0 = [-5], w1 = [[1]], b1 = [-3]
     net = nets.DenseNet([1, 1, 1], np.array([1.0, -5.0, 1.0, -3.0]))

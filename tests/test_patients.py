@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dosebench import patients
 from dosebench.patients import (Cohort, MealEvent, PatientState, get_patient,
-                                integrate, make_cohort, step_physiology)
+                                integrate, integrate_lanes, make_cohort,
+                                step_physiology)
 
 import _oracles
 from _helpers import (apply_bolus, apply_meal, correction_drop,
@@ -220,6 +222,65 @@ def _kernel_cases(draw):
 @given(_kernel_cases())
 def test_integrate_matches_per_minute_reference(case):
     _assert_kernel_matches_reference(**case)
+
+
+@st.composite
+def _lanes(draw):
+    """Lanes for integrate_lanes, some of them faulty: each is one
+    integrate call's arguments, all with the same dt and substep count."""
+    n = draw(st.integers(1, 15))
+    dt = draw(st.sampled_from((1.0, 0.5, 1.0 / 3.0, 2.0)))
+    lanes = []
+    for _ in range(draw(st.integers(1, 45))):
+        case = draw(_kernel_cases())
+        carbs = case["carbs"][:n] + [()] * (n - len(case["carbs"]))
+        state = case["state"]
+        fault = draw(st.sampled_from(
+            [None] * 6 + ["nan", "inf", "overflow", "-0.0", "no-noise"]))
+        if fault == "nan":
+            state = replace(state, x=float("nan"))
+        elif fault == "inf":
+            state = replace(state, g=float("inf"))
+        elif fault == "overflow":        # non-finite in a later substep
+            carbs = carbs[:-1] + [(1e308,)]
+        elif fault == "-0.0":
+            state = replace(state, s1=-0.0, s2=-0.0, x=-0.0, q_gut=-0.0)
+        lanes.append((state, case["params"], case["rate"], carbs,
+                      fault != "no-noise" and case["noise"], case["seed"]))
+    return dt, lanes
+
+
+def _integrate_or_raise(state, params, rate, dt, carbs, rng):
+    try:
+        return integrate(state, params, rate, dt, carbs, rng)
+    except FloatingPointError as exc:
+        return exc
+
+
+@given(_lanes(), st.sampled_from((1, patients.ARRAY_MIN_LANES, 10**6)))
+def test_integrate_lanes_equals_one_integrate_per_lane(lanes, min_lanes):
+    dt, lanes = lanes
+    streams = {}
+    for side in ("lanes", "scalar"):
+        streams[side] = [np.random.default_rng(seed) if noise else None
+                         for *_, noise, seed in lanes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patients, "ARRAY_MIN_LANES", min_lanes)
+        got = integrate_lanes([lane[0] for lane in lanes],
+                              [lane[1] for lane in lanes],
+                              [lane[2] for lane in lanes], dt,
+                              [lane[3] for lane in lanes], streams["lanes"])
+    want = [_integrate_or_raise(state, params, rate, dt, carbs, rng)
+            for (state, params, rate, carbs, _, _), rng
+            in zip(lanes, streams["scalar"])]
+    assert len(got) == len(want)
+    for new, ref in zip(got, want):
+        assert type(new) is type(ref)
+        # repr tells -0.0 from 0.0, and an error by its message.
+        assert repr(new) == repr(ref)
+    for new, ref in zip(streams["lanes"], streams["scalar"]):
+        if ref is not None:
+            assert new.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("noise", [False, True])

@@ -139,7 +139,7 @@ def test_default_mu_offset_targets_half_unit():
 
 def test_fresh_tanh_policy_starts_conservative():
     policy = make_policy(PpoConfig(transform="tanh"), seed=0)
-    a = policy.mean_action(np.zeros(48))
+    (a,) = policy.mean_actions(np.zeros((1, 1, 48)))
     assert a == pytest.approx(0.5, abs=0.05)
     z, a, logp = policy.sample(np.zeros(48), np.random.default_rng(0))
     assert 0.0 < a < 9.0
@@ -223,8 +223,8 @@ def test_value_function_learns_constant_returns():
        st.integers(0, 2**31 - 1))
 def test_sample_and_mean_action_equal_the_batch_heads(transform, log_sigma,
                                                       seed):
-    # sample and mean_action work on one observation; a one-row batch
-    # through heads must give the same bits.
+    # sample works on one observation and mean_actions on a row-stacked
+    # batch; a one-row batch through heads must give the same bits.
     rng = np.random.default_rng(seed)
     policy = make_policy(PpoConfig(transform=transform), seed=seed)
     policy.actor.params[:] = rng.normal(size=policy.actor.params.shape) * 0.3
@@ -237,7 +237,8 @@ def test_sample_and_mean_action_equal_the_batch_heads(transform, log_sigma,
     expected = (z, policy.to_action(z),
                 float(policy.log_prob_z(z, mu[0], sigma[0])))
     assert policy.sample(feats, np.random.default_rng(seed + 1)) == expected
-    assert policy.mean_action(feats) == policy.to_action(float(mu[0]))
+    assert policy.mean_actions(feats[None, None, :]) \
+        == [policy.to_action(float(mu[0]))]
 
 
 # Collects of 12 steps: episodes (64 steps, or fewer when one terminates)
