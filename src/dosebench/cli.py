@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -14,11 +16,18 @@ from .patients import Cohort
 
 
 def _run_dir(base: str, tag: str) -> Path:
+    """A new directory named by the second and a digest of tag; a run that
+    finds the name taken adds -2, -3, ... rather than share it."""
     stamp = datetime.datetime.now().strftime("%Y%m%d-%H%M%S")
-    digest = hashlib.sha256(tag.encode()).hexdigest()[:8]
-    path = Path(base) / f"{stamp}-{digest}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    name = f"{stamp}-{hashlib.sha256(tag.encode()).hexdigest()[:8]}"
+    path = Path(base) / name
+    for n in itertools.count(2):
+        try:
+            path.mkdir(parents=True)
+        except FileExistsError:
+            path = Path(base) / f"{name}-{n}"
+        else:
+            return path
 
 
 def _load_config(path):
@@ -38,11 +47,20 @@ _COUNTS = {"epochs": 1, "steps_per_epoch": 1, "batch_size": 1,
            "steps_per_collect": 1, "repeat_per_collect": 1,
            "replay_capacity": 1, "warm_start_steps": 0}
 
+# Real-valued config fields that training refuses outside a range: the
+# exploration rates (select_action), PPO's initial sigma (its log is taken)
+# and the actor's init scale (init_near_zero).
+_RANGES = {"eps_start": (lambda x: 0 <= x <= 1, "in [0, 1]"),
+           "eps_final": (lambda x: 0 <= x <= 1, "in [0, 1]"),
+           "sigma_init": (lambda x: x > 0, "positive"),
+           "init_scale": (lambda x: x >= 0, "non-negative")}
+
 
 def _make_config(cls, overrides: dict, **from_flags):
     """``cls(**from_flags, **overrides)``; exits naming every override key
-    that is not a field of ``cls``, that a flag sets, or a count below its
-    least value."""
+    that is not a field of ``cls``, that a flag sets, a count below its
+    least value, a real-valued field that is not a finite number or lies
+    outside its range, or hidden sizes that are not positive integers."""
     rejected = sorted(map(str, set(overrides) - (set(cls.__dataclass_fields__)
                                                  - set(from_flags))))
     if rejected:
@@ -56,10 +74,31 @@ def _make_config(cls, overrides: dict, **from_flags):
         raise SystemExit(f"dosebench train: --config counts must be positive "
                          f"(warm_start_steps: non-negative) integers: "
                          f"{', '.join(bad)}")
+    fields = cls.__dataclass_fields__
+    bad = sorted(key for key, value in overrides.items()
+                 if type(fields[key].default) is float
+                 and not (type(value) is int or type(value) is float
+                          and math.isfinite(value)))
+    if bad:
+        raise SystemExit(f"dosebench train: --config values must be finite "
+                         f"numbers: {', '.join(bad)} (YAML reads 1e-3 as a "
+                         f"string; write 1.0e-3)")
+    bad = [f"{key} must be {what}" for key, (ok, what) in _RANGES.items()
+           if key in overrides and not ok(overrides[key])]
+    if bad:
+        raise SystemExit(f"dosebench train: --config {'; '.join(bad)}")
+    sizes = overrides.get("hidden_sizes", [])
+    if not (type(sizes) is list
+            and all(type(n) is int and n >= 1 for n in sizes)):
+        raise SystemExit(f"dosebench train: --config hidden_sizes must be a "
+                         f"list of positive integers, got {sizes!r}")
     return cls(**from_flags, **overrides)
 
 
 def cmd_train(args):
+    if args.seed < 0:
+        raise SystemExit(f"dosebench train: --seed must be non-negative, "
+                         f"got {args.seed}")
     overrides = _load_config(args.config)
     if args.algo == "dqn":
         from .dqn import DqnConfig, train_dqn
@@ -110,7 +149,9 @@ def cmd_eval(args):
                                   label=args.label or f"scripted-{args.name}")
     try:
         records = harness.run_protocol(spec, protocol, workers=args.workers)
-    except ValueError as exc:  # bad workers, or an unresolvable policy
+    except (OSError, ValueError, nets.CheckpointError) as exc:
+        # Bad workers, or a policy that cannot be resolved: an unknown
+        # scripted dose, a missing or unreadable checkpoint.
         raise SystemExit(f"dosebench eval {args.policy}: {exc}") from exc
     if all(r.error is not None for r in records):
         raise SystemExit(f"dosebench eval {args.policy}: every episode "
@@ -138,9 +179,14 @@ def cmd_compare(args):
 
 def cmd_mock_llm(args):
     from .llm import ScriptedMockServer
-    with open(args.script) as fh:
-        script = [line.rstrip("\n") for line in fh if line.strip()]
-    server = ScriptedMockServer(script, port=args.port).start()
+    try:
+        with open(args.script) as fh:
+            script = [line.rstrip("\n") for line in fh if line.strip()]
+        if not script:
+            raise ValueError(f"{args.script} has no reply (one per line)")
+        server = ScriptedMockServer(script, port=args.port).start()
+    except (OSError, ValueError) as exc:  # no script, or the port is taken
+        raise SystemExit(f"dosebench mock-llm: {exc}") from exc
     print(f"mock chat-completions server on {server.base_url} "
           f"({len(script)} scripted replies, cycling)")
     try:

@@ -123,6 +123,12 @@ def featurize(flat_obs: np.ndarray) -> np.ndarray:
     return np.asarray(flat_obs, dtype=np.float64) / _OBS_SCALE
 
 
+def row_stacked(observations) -> np.ndarray:
+    """Scaled network input with one (1, OBS_DIM) row per observation: a
+    forward on it gives each row the bytes of its own one-row forward."""
+    return featurize(observations)[:, None, :]
+
+
 class GlucoseEnv:
     """Single-patient simulation environment; owns its random streams.
 

@@ -29,7 +29,7 @@ from . import metrics, nets
 from .dqn import N_ACTIONS, bin_to_rate
 from .env import (ACTION_HIGH, ACTION_LOW, INITIAL_BG_RANGE,
                   MEAL_JITTER_CARB_FRAC, MEAL_JITTER_MIN, OBS_DIM, START_CLOCK,
-                  SUBSTEP_MIN, GlucoseEnv, featurize, meal_plan)
+                  SUBSTEP_MIN, GlucoseEnv, meal_plan, row_stacked)
 from .patients import Cohort, integrate_lanes
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
@@ -130,18 +130,12 @@ class ScriptedPolicy(Policy):
         return [bin_to_rate(int(lane.rng.integers(0, 3))) for lane in lanes]
 
 
-def _row_stacked(obs) -> np.ndarray:
-    """Scaled network input with one (1, OBS_DIM) row per lane: a forward on
-    it gives each lane the bytes of its own one-row forward."""
-    return featurize(obs)[:, None, :]
-
-
 class DqnPolicy(Policy):
     def __init__(self, qnet: nets.DenseNet):
         self.qnet = qnet
 
     def act(self, obs, lanes):
-        q, _ = nets.forward(self.qnet, _row_stacked(obs))
+        q, _ = nets.forward(self.qnet, row_stacked(obs))
         greedy = np.argmax(q[:, 0], axis=1).tolist()
         rates = []
         for lane, best in zip(lanes, greedy):
@@ -159,7 +153,7 @@ class PpoEvalPolicy(Policy):
         self.policy = ppo_policy
 
     def act(self, obs, lanes):
-        return self.policy.mean_actions(_row_stacked(obs))
+        return self.policy.mean_actions(row_stacked(obs))
 
 
 class LlmPolicy(Policy):
@@ -245,18 +239,24 @@ def save_ppo_checkpoint(policy, path):
 def load_ppo_checkpoint(path):
     from .ppo import PpoPolicy
     actor = _load_net(path, 1)
-    with open(str(path) + ".json") as fh:
-        meta = json.load(fh)
-    if meta["d_max"] != ACTION_HIGH:
+    try:
+        with open(str(path) + ".json") as fh:
+            meta = json.load(fh)
+        d_max, conditioned = meta["d_max"], meta["conditioned_sigma"]
+        policy = PpoPolicy(actor=actor, log_sigma=np.array(meta["log_sigma"]),
+                           transform=meta["transform"],
+                           mu_offset=meta["mu_offset"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise nets.CheckpointError(f"{path}.json: not a PPO side-car "
+                                   f"({type(exc).__name__}: {exc})") from exc
+    if d_max != ACTION_HIGH:
         raise nets.CheckpointError(
-            f"{path}: trained for doses up to {meta['d_max']} U/h, "
+            f"{path}: trained for doses up to {d_max} U/h, "
             f"the environment's range ends at {ACTION_HIGH}")
-    if meta["conditioned_sigma"]:
+    if conditioned:
         raise nets.CheckpointError(f"{path}: has a state-conditioned sigma "
                                    f"head; PPO's log sigma is one parameter")
-    return PpoPolicy(actor=actor, log_sigma=np.array(meta["log_sigma"]),
-                     transform=meta["transform"],
-                     mu_offset=meta["mu_offset"])
+    return policy
 
 
 def episode_seed_sequence(seed: int, repeat: int) -> np.random.SeedSequence:

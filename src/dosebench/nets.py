@@ -7,12 +7,13 @@ share that layout. A ``.dnet`` checkpoint is a header (magic, version, layer
 sizes), a CRC32 and the vector as little-endian float64.
 
 The per-call work is sized for the one-row forwards and single updates of a
-training loop and for the row-stacked forwards of lock-step evaluation, one
-call per round: ``forward`` adds the bias and applies ReLU in place on arrays
-it made, ``backward`` masks in place only gradients it computed itself, and
-Adam writes its intermediates into two scratch vectors and flushes subnormals
-from its first moment (see ``adam_step``). Each keeps the IEEE operations, and
-so the bytes, of the plain expressions.
+training loop and for row-stacked ``(L, 1, d)`` forwards (one per lock-step
+evaluation round, two per PPO collect for the critic's values), each row with
+the bytes of its own one-row forward. ``forward`` adds the bias and applies
+ReLU in place on arrays it made, ``backward`` masks in place only gradients it
+computed itself, and Adam writes its intermediates into two scratch vectors
+and flushes subnormals from its first moment (see ``adam_step``). Each keeps
+the IEEE operations, and so the bytes, of the plain expressions.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import numpy as np
 from . import nets
 from .dqn import TrainResult
 from .env import (ACTION_HIGH, OBS_DIM, EpisodeTally, GlucoseEnv, cohort_envs,
-                  featurize, rollout, seeds_from)
+                  featurize, rollout, row_stacked, seeds_from)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_SIGMA_MIN, _LOG_SIGMA_MAX = -5.0, 2.0
@@ -318,6 +318,12 @@ class PpoEpochLog:
     value_loss: float
 
 
+def _critic_values(value_net: nets.DenseNet, observations) -> list[float]:
+    """The critic's value of each observation, from one row-stacked forward."""
+    out, _ = nets.forward(value_net, row_stacked(observations))
+    return out[:, 0, 0].tolist()
+
+
 def train_ppo(env_group: str, config: PpoConfig, seed: int) -> TrainResult:
     """Collect/update cycles with checkpoints at 480-env-step epochs."""
     root = np.random.SeedSequence([seed, 0xBB0])
@@ -339,20 +345,9 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int) -> TrainResult:
         ppo_update(policy, value_net, warm, config, actor_opt, critic_opt,
                    rng_shuffle)
 
-    # The critic's value of one observation array. Within a collect the
-    # critic is fixed and a step's observation is the array the previous
-    # step bootstrapped from, so that step's forward is reused; an update
-    # forgets it.
-    known_obs, known_value = None, 0.0
-
     def act(obs, env):
-        nonlocal known_obs, known_value
-        f = featurize(obs)
-        z, a, logp = policy.sample(f, rng_sample)
-        if obs is not known_obs:
-            v, _ = nets.forward(value_net, f)
-            known_obs, known_value = obs, float(v[0])
-        return (z, logp, known_value), a
+        z, a, logp = policy.sample(featurize(obs), rng_sample)
+        return (z, logp), a
 
     steps = rollout(envs, act, seeds_from(np.random.default_rng(ep_ss)))
     tally = EpisodeTally()
@@ -362,21 +357,23 @@ def train_ppo(env_group: str, config: PpoConfig, seed: int) -> TrainResult:
     epoch = 0
 
     while epoch < config.epochs:
+        taken = []
+        for obs, action, res, env in islice(steps, config.steps_per_collect):
+            taken.append((obs, action, res))
+            tally.add(res, env)   # before a later reset clears env's cause
+        # The critic is fixed until the update, so one forward values the
+        # collect's observations and one bootstraps their successors.
+        values = _critic_values(value_net, [obs for obs, _, _ in taken])
+        next_values = _critic_values(value_net,
+                                     [res.observation for _, _, res in taken])
         collect = RolloutBuffer()
-        for obs, (z, logp, v), res, env in islice(steps,
-                                                   config.steps_per_collect):
-            nv = 0.0
-            if not res.terminated:
-                nv_out, _ = nets.forward(value_net, featurize(res.observation))
-                nv = float(nv_out[0])
-                known_obs, known_value = res.observation, nv
-            collect.add(obs, z, logp, res.reward, v, nv,
+        for (obs, (z, logp), res), v, nv in zip(taken, values, next_values):
+            collect.add(obs, z, logp, res.reward, v,
+                        0.0 if res.terminated else nv,
                         res.terminated or res.truncated)
-            tally.add(res, env)
         total_steps += len(collect)
         stats = ppo_update(policy, value_net, collect, config,
                            actor_opt, critic_opt, rng_shuffle)
-        known_obs = None
 
         # An epoch ends at the first update after its last step.
         while total_steps >= next_epoch_at and epoch < config.epochs:

@@ -1,11 +1,13 @@
+import datetime
 import json
 
 import pytest
 
-from dosebench import harness
+from dosebench import harness, nets
 from dosebench.cli import _make_config, build_parser, main
 from dosebench.dqn import DqnConfig
 from dosebench.patients import Cohort
+from dosebench.ppo import PpoConfig, make_policy
 
 
 def test_parser_rejects_unknown_algo():
@@ -189,6 +191,114 @@ def test_train_rejects_warm_starts_and_replay_buffers_out_of_range(
 def test_train_accepts_a_config_without_a_warm_start():
     config = _make_config(DqnConfig, {"warm_start_steps": 0})
     assert config.warm_start_steps == 0
+
+
+@pytest.mark.parametrize("algo, extra, rejected", [
+    ("dqn", "lr: 1e-3\n",
+     r"finite numbers: lr \(YAML reads 1e-3 as a string; write 1.0e-3\)$"),
+    ("ppo", "gamma: high\nclip_eps: .nan\nentropy_coef: true\n",
+     "finite numbers: clip_eps, entropy_coef, gamma "),
+    ("dqn", "eps_start: 1.5\neps_final: -0.1\n",
+     r"eps_start must be in \[0, 1\]; eps_final must be in \[0, 1\]$"),
+    ("ppo", "sigma_init: 0.0\ninit_scale: -1.0e-3\n",
+     "sigma_init must be positive; init_scale must be non-negative$"),
+    ("ppo", "hidden_sizes: [64, 0]\n",
+     r"hidden_sizes must be a list of positive integers, got \[64, 0\]$"),
+    ("dqn", "hidden_sizes: 64\n",
+     "hidden_sizes must be a list of positive integers, got 64$"),
+], ids=["string-lr", "ppo-not-numbers", "dqn-eps", "ppo-sigma-and-scale",
+        "zero-width", "not-a-list"])
+def test_train_rejects_real_values_it_cannot_train_with(algo, extra, rejected,
+                                                        tmp_path):
+    # Each died after the run directory existed: in adam_step, the warm-start
+    # update, select_action, math.log or init_near_zero.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(_SMALL + extra)
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit, match=f"^dosebench train: --config .*"
+                                         f"{rejected}"):
+        main(["train", "--algo", algo, "--env", "adult", "--seed", "1",
+              "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_train_accepts_whole_numbers_for_real_fields():
+    config = _make_config(PpoConfig, {"lr": 1, "sigma_init": 2,
+                                      "init_scale": 0, "hidden_sizes": [8]})
+    assert (config.lr, config.sigma_init, config.init_scale,
+            config.hidden_sizes) == (1, 2, 0, [8])
+
+
+def test_train_refuses_a_negative_seed_before_the_run(tmp_path):
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit, match="^dosebench train: --seed must be "
+                                         "non-negative, got -1$"):
+        main(["train", "--algo", "dqn", "--env", "adult", "--seed", "-1",
+              "--out", str(out)])
+    assert not out.exists()
+
+
+def _damage(path, fault):
+    """Leave at path a checkpoint with the fault, or nothing."""
+    if fault == "corrupt":
+        nets.save_params(nets.init_standard([48, 8, 11], seed=0), path)
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 1
+        path.write_bytes(bytes(data))
+    elif fault == "sidecar-without-a-key":
+        harness.save_ppo_checkpoint(make_policy(PpoConfig(), seed=0), path)
+        sidecar = path.with_name(path.name + ".json")
+        meta = json.loads(sidecar.read_text())
+        del meta["log_sigma"]
+        sidecar.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("missing", "No such file or directory"),
+    ("corrupt", r"CRC mismatch \(corrupted file\)$"),
+    ("sidecar-without-a-key",
+     r"ckpt.dnet.json: not a PPO side-car \(KeyError: 'log_sigma'\)$"),
+], ids=["missing", "corrupt", "sidecar-without-a-key"])
+def test_eval_checkpoint_exits_with_a_message_on_a_file_it_cannot_load(
+        fault, message, tmp_path):
+    path = tmp_path / "ckpt.dnet"
+    _damage(path, fault)
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit,
+                       match=f"^dosebench eval checkpoint: .*{message}"):
+        main(["eval", "checkpoint", str(path), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    ("\n  \n", "script.txt has no reply"),
+], ids=["missing", "blank"])
+def test_mock_llm_exits_with_a_message_on_a_script_without_replies(
+        content, message, tmp_path):
+    script = tmp_path / "script.txt"
+    if content is not None:
+        script.write_text(content)
+    with pytest.raises(SystemExit, match=f"^dosebench mock-llm: .*{message}"):
+        main(["mock-llm", "--script", str(script)])
+
+
+def test_runs_that_start_in_the_same_second_get_their_own_directories(
+        tmp_path, monkeypatch):
+    # Say checkpoint-005.dnet of two training runs, evaluated under their
+    # default label, the file stem.
+    class Frozen(datetime.datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return cls(2026, 1, 2, 3, 4, 5)
+
+    monkeypatch.setattr(datetime, "datetime", Frozen)
+    out = tmp_path / "runs"
+    for _ in range(3):
+        main(["eval", "scripted", "--label", "same", "--out", str(out)])
+    runs = sorted(p.name for p in out.iterdir())
+    assert runs == [runs[0], f"{runs[0]}-2", f"{runs[0]}-3"]
+    assert all((out / run / "report.json").exists() for run in runs)
 
 
 def test_eval_llm_rejects_a_nan_temperature_before_the_run(tmp_path):

@@ -58,10 +58,11 @@ def test_forward_shapes_and_validation():
 
 
 @pytest.mark.parametrize("out_width", [1, 11])
-@pytest.mark.parametrize("lanes", [1, 2, 7, 24, 240])
+@pytest.mark.parametrize("lanes", [1, 2, 7, 24, 192, 240])
 def test_row_stacked_forward_equals_one_row_forwards(lanes, out_width):
-    # Lock-step evaluation makes one (lanes, 1, d) forward per round; each
-    # row must carry the bytes of that lane's own one-row forward.
+    # Lock-step evaluation makes one (lanes, 1, d) forward per round, and a
+    # PPO collect two of (steps, 1, d); each row must carry the bytes of its
+    # own one-row forward.
     rng = np.random.default_rng(100 * lanes + out_width)
     for _ in range(20):
         sizes = [48, int(rng.integers(1, 80)), int(rng.integers(1, 80)),

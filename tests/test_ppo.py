@@ -13,7 +13,7 @@ from dosebench.ppo import (PpoConfig, PpoUpdateError, RolloutBuffer, act_clip,
                            log_prob_tanh_z, make_policy, ppo_update,
                            squash_tanh, train_ppo, unsquash_tanh,
                            warm_start_ppo)
-from dosebench.env import GlucoseEnv, featurize, rollout
+from dosebench.env import OBS_DIM, GlucoseEnv, featurize, rollout
 from dosebench.patients import Cohort
 
 from _helpers import log_prob_tanh_grad
@@ -291,32 +291,38 @@ def test_collect_values_equal_fresh_critic_forwards(monkeypatch):
                for i in range(len(steps)))
 
 
-def test_collect_reuses_the_bootstrap_value(monkeypatch):
-    # The critic is fixed within a collect, so a step's bootstrap value is
-    # the next step's value. A collected step then costs at most one one-row
-    # critic forward, plus one at each collect's first step and one at each
-    # episode start.
-    steps = _recorded_rollout(monkeypatch)
-    critics, counted = [], []
-    init_standard, forward = nets.init_standard, nets.forward
+def test_collect_makes_two_row_stacked_critic_forwards(monkeypatch):
+    # Before its update, a collect asks its critic for values in one
+    # (steps, 1, OBS_DIM) forward over its observations and for bootstrap
+    # values in one over their next observations; no forward has one row.
+    critics, calls, updating = [], [], [False]
+    init_standard, forward, update = (nets.init_standard, nets.forward,
+                                      ppo.ppo_update)
 
     def recorded_init(*args, **kwargs):
         critics.append(init_standard(*args, **kwargs))
         return critics[-1]
 
-    def counted_forward(net, x):
-        if any(net is c for c in critics) and np.ndim(x) == 1:
-            counted.append(x)
+    def recorded_forward(net, x):
+        if any(net is c for c in critics) and not updating[0]:
+            calls.append(np.shape(x))
         return forward(net, x)
 
+    def flagged_update(*args):
+        calls.append("update")
+        updating[0] = True
+        try:
+            return update(*args)
+        finally:
+            updating[0] = False
+
     monkeypatch.setattr(nets, "init_standard", recorded_init)
-    monkeypatch.setattr(nets, "forward", counted_forward)
+    monkeypatch.setattr(nets, "forward", recorded_forward)
+    monkeypatch.setattr(ppo, "ppo_update", flagged_update)
     train_ppo("child", _SHORT_RUN, seed=2)
-    collects = len(steps) // _SHORT_RUN.steps_per_collect
-    starts = 1 + sum(res.terminated or res.truncated
-                     for _, _, res, _ in steps[:-1])
-    assert len(critics) == 1 and collects == 10
-    assert len(counted) <= len(steps) + collects + starts
+    assert len(critics) == 1
+    stacked = (_SHORT_RUN.steps_per_collect, 1, OBS_DIM)
+    assert calls == [stacked, stacked, "update"] * 10
 
 
 def test_train_ppo_smoke_and_determinism():
