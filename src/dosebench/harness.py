@@ -159,20 +159,27 @@ class PpoEvalPolicy(Policy):
 class LlmPolicy(Policy):
     """A ``transport`` of None sends each request with ``http_transport``.
     A round sends its lanes' requests one after another, in lane order; an
-    exception from one lane's ``llm_act`` fails that lane only."""
+    exception from one lane's ``llm_act`` fails that lane only.
+
+    ``finished`` keeps each lane's finished prompt lines for the run, so a
+    decision formats only its episode's newest rows. It is keyed by the lane
+    itself: a protocol may repeat a seed, and so an ``EpisodeKey``."""
 
     def __init__(self, kind, config, transport):
         from .llm import PromptKind
         self.kind = PromptKind(kind)
         self.config = config
         self.transport = transport
+        self.finished = {}
 
     def act(self, obs, lanes):
         from .llm import llm_act
         rates = []
         for lane in lanes:
             try:
-                rates.append(llm_act(lane.history, self.kind, self.config,
+                rates.append(llm_act(lane.history,
+                                     self.finished.setdefault(lane, []),
+                                     self.kind, self.config,
                                      transport=self.transport)[0])
             except Exception as exc:  # noqa: BLE001 - recorded per episode
                 rates.append(exc)
@@ -368,8 +375,9 @@ def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,
 
     The policy is resolved once, so a checkpoint that cannot be loaded raises
     here. The episodes run in lock-step (``_play``); ``workers`` splits them
-    into that many contiguous slices, each stepped in its own thread. Every
-    lane has its own streams, so the records do not depend on ``workers``.
+    into that many contiguous slices (at most one per episode), each stepped
+    in its own thread. Every lane has its own streams, so the records do not
+    depend on ``workers``.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -379,7 +387,8 @@ def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,
             for pid in range(protocol.patients_per_cohort)
             for seed in protocol.seeds
             for repeat in range(protocol.repeats_per_seed)]
-    if workers == 1:
+    workers = min(workers, len(keys))
+    if workers <= 1:
         return _play(policy, keys)
     n = len(keys)
     slices = [keys[i * n // workers:(i + 1) * n // workers]

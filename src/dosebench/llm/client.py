@@ -36,7 +36,7 @@ FALLBACK_DOSE = ACTION_LOW
 # What a transport may raise for a failed request or a malformed response:
 # socket, timeout, TLS and HTTP status errors (all OSError), broken HTTP
 # framing, undecodable JSON, and a reply missing the choices/message/content
-# path.
+# path or whose content is not a string.
 _RECOVERABLE = (OSError, http.client.HTTPException, ValueError, KeyError,
                 IndexError, TypeError)
 
@@ -215,7 +215,8 @@ def http_transport(messages, config: LlmConfig, kind: PromptKind) -> str:
 
     Requests go over one keep-alive ``http.client`` connection per thread and
     base URL. ``request_timeout`` bounds each socket operation. A status of
-    400 or more raises ``urllib.error.HTTPError``.
+    400 or more raises ``urllib.error.HTTPError``; a reply whose content is
+    not a string (say, ``null``) raises ``ValueError``.
     """
     base_url = config.resolved_base_url()
     conn, target, headers = _connection(base_url, config.request_timeout)
@@ -239,12 +240,19 @@ def http_transport(messages, config: LlmConfig, kind: PromptKind) -> str:
         raise urllib.error.HTTPError(f"{base_url}/v1/chat/completions",
                                      resp.status, resp.reason, resp.headers,
                                      None)
-    return json.loads(payload)["choices"][0]["message"]["content"]
+    content = json.loads(payload)["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise ValueError(f"reply content is {type(content).__name__}, "
+                         f"not a string")
+    return content
 
 
-def llm_act(history, kind: PromptKind, config: LlmConfig,
+def llm_act(history, finished: list[str], kind: PromptKind, config: LlmConfig,
             transport) -> tuple[float, ChatExchange]:
     """Serialize -> prompt -> request -> parse -> clamp, with retries.
+
+    ``finished`` is the episode's list of finished-row lines that
+    ``serialize_observation`` keeps: ``[]`` at the first decision.
 
     Transport failures, undecodable or malformed responses and unparseable
     replies consume retries and finally resolve to the fallback dose; the
@@ -253,7 +261,7 @@ def llm_act(history, kind: PromptKind, config: LlmConfig,
     """
     kind = PromptKind(kind)
     obs_text = serialize_observation(
-        history, include_meals=kind == PromptKind.PRIOR_MEAL_COT)
+        history, kind == PromptKind.PRIOR_MEAL_COT, finished)
     messages = build_prompt(kind, obs_text)
     parse = parse_cot if kind in _COT_KINDS else parse_zero_shot
     send = transport or http_transport

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
-import threading
 from enum import Enum
 from pathlib import Path
 
@@ -53,25 +51,6 @@ def load_templates(kind: PromptKind) -> tuple[str, str]:
     return _read_template(system_file), _read_template(request_file)
 
 
-class _FinishedLines(threading.local):
-    """This thread's formatted lines for the finished rows of each history,
-    by ``id(history)``: (include_meals, rows, lines).
-
-    A row is finished once a later row exists: the env writes the rate and
-    dose only into the last row, so a finished row's line never changes.
-    Lines are kept per row object, never per value, so a -0.0 dose keeps its
-    sign in the text. A lock-step round asks for its lanes' histories in
-    turn, so the thread keeps the last _CACHED_HISTORIES of them.
-    """
-
-    def __init__(self):
-        self.by_history = {}
-
-
-_CACHED_HISTORIES = 256   # above the 240 episodes of the paper's protocol
-_finished = _FinishedLines()
-
-
 def _line(rec: StepRecord, include_meals: bool) -> str:
     day, clock = format_clock(rec.clock)
     time_part = f"Time: {clock}"
@@ -85,34 +64,26 @@ def _line(rec: StepRecord, include_meals: bool) -> str:
     return line + "."
 
 
-def serialize_observation(history: list[StepRecord],
-                          include_meals: bool) -> str:
+def serialize_observation(history: list[StepRecord], include_meals: bool,
+                          finished: list[str]) -> str:
     """One line per 15-minute step in the EHR-style text layout.
 
     The first line carries the "(initial measurement)" annotation. With
     include_meals, steps whose interval contained food get a trailing
     ", meal taken" clause (amount deliberately hidden).
 
-    Called once per decision with the same, growing history, it formats each
-    finished row once per episode and the current row on every call.
+    ``finished`` holds the lines of the episode's finished rows: ``[]`` on
+    the episode's first call, then the same list on every later call with
+    the same, growing history. A row is finished once a later row exists (the
+    env writes the rate and dose only into the last row), so the call appends
+    the lines of the rows finished since the last call and formats only the
+    current row anew.
     """
     if not history:
         raise ValueError("history must contain at least one step")
-    cache = _finished.by_history
-    include, rows, lines = cache.get(id(history), (None, (), ()))
-    finished = len(history) - 1
-    if (include != include_meals or len(rows) > finished
-            or not all(map(operator.is_, rows, history))):
-        # A new history, or one that reuses the id of a dropped one.
-        rows, lines = [], []
-        cache.pop(id(history), None)
-        if len(cache) >= _CACHED_HISTORIES:
-            del cache[next(iter(cache))]      # the longest cached
-        cache[id(history)] = include_meals, rows, lines
-    for rec in history[len(rows):finished]:
-        rows.append(rec)
-        lines.append(_line(rec, include_meals))
-    return "\n".join([*lines, _line(history[-1], include_meals)])
+    for rec in history[len(finished):-1]:
+        finished.append(_line(rec, include_meals))
+    return "\n".join([*finished, _line(history[-1], include_meals)])
 
 
 def build_prompt(kind: PromptKind, obs_text: str) -> list[dict]:

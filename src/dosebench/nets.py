@@ -217,11 +217,14 @@ def load_params(path) -> DenseNet:
     try:
         magic, version, n_sizes = struct.unpack_from("<4sII", data, 0)
     except struct.error as exc:
-        raise CheckpointError(f"truncated checkpoint header: {exc}") from exc
+        raise CheckpointError(
+            f"{path}: truncated checkpoint header: {exc}") from exc
     if magic != _MAGIC:
-        raise CheckpointError("not a dense-net checkpoint (bad magic)")
+        raise CheckpointError(
+            f"{path}: not a dense-net checkpoint (bad magic)")
     if version != _FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {version}")
     off = 12
     try:
         sizes = list(struct.unpack_from(f"<{n_sizes}I", data, off))
@@ -229,11 +232,12 @@ def load_params(path) -> DenseNet:
         (crc,) = struct.unpack_from("<I", data, off)
         off += 4
     except struct.error as exc:
-        raise CheckpointError(f"truncated checkpoint: {exc}") from exc
+        raise CheckpointError(f"{path}: truncated checkpoint: {exc}") from exc
     payload = data[off:]
     if len(payload) != 8 * _n_params(sizes):
-        raise CheckpointError("checkpoint payload length mismatch")
+        raise CheckpointError(f"{path}: checkpoint payload length mismatch")
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise CheckpointError("checkpoint CRC mismatch (corrupted file)")
+        raise CheckpointError(
+            f"{path}: checkpoint CRC mismatch (corrupted file)")
     # A writeable, native-order copy: the net may be trained further.
     return DenseNet(sizes, np.frombuffer(payload, "<f8").astype(np.float64))

@@ -259,7 +259,8 @@ class PpoEvalPolicy(Policy):
 
 
 class LlmPolicy(Policy):
-    """A ``transport`` of None sends each request with ``http_transport``."""
+    """A ``transport`` of None sends each request with ``http_transport``.
+    Every decision serializes its history afresh."""
 
     def __init__(self, kind, config, transport):
         from dosebench.llm import PromptKind
@@ -269,7 +270,7 @@ class LlmPolicy(Policy):
 
     def act(self, obs, env):
         from dosebench.llm import llm_act
-        action, _ = llm_act(env.history, self.kind, self.config,
+        action, _ = llm_act(env.history, [], self.kind, self.config,
                             transport=self.transport)
         return action
 

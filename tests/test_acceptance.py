@@ -244,7 +244,7 @@ def test_criterion_10_llm_pipeline(tmp_path):
                  and clamp_action(130.67)[0] == 9.0)
     with ScriptedMockServer(["junk reply"]) as server:
         cfg = LlmConfig(base_url=server.base_url)
-        action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+        action, ex = llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT, cfg,
                              transport=None)
         parser_ok = parser_ok and action == 0.0 and ex.attempts == 3
 

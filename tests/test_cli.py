@@ -255,7 +255,7 @@ def _damage(path, fault):
 
 @pytest.mark.parametrize("fault, message", [
     ("missing", "No such file or directory"),
-    ("corrupt", r"CRC mismatch \(corrupted file\)$"),
+    ("corrupt", r"ckpt.dnet: checkpoint CRC mismatch \(corrupted file\)$"),
     ("sidecar-without-a-key",
      r"ckpt.dnet.json: not a PPO side-car \(KeyError: 'log_sigma'\)$"),
 ], ids=["missing", "corrupt", "sidecar-without-a-key"])

@@ -375,6 +375,43 @@ def test_run_protocol_loads_the_checkpoint_once(tmp_path, monkeypatch):
     assert loads == [path]
 
 
+def test_run_protocol_makes_no_more_slices_than_episodes(monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Records its size and slices, and plays them in this thread."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, slices):
+            self.slices = list(slices)
+            return map(fn, self.slices)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+    spec = harness.PolicySpec(kind="scripted", scripted_name="constant:1.0")
+    protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1,),
+                                    repeats_per_seed=1)
+    serial = harness.run_protocol(spec, protocol)
+    records = harness.run_protocol(spec, protocol, workers=64)
+    [pool] = pools
+    assert pool.max_workers == 4
+    assert [len(part) for part in pool.slices] == [1, 1, 1, 1]
+    assert [(r.key, r.actions) for r in records] \
+        == [(r.key, r.actions) for r in serial]
+    # An empty protocol still gives no records, and no pool.
+    empty = harness.EvalProtocol(seeds=())
+    assert harness.run_protocol(spec, empty, workers=64) == []
+    assert len(pools) == 1
+
+
 def test_workers_give_same_records_as_serial(tmp_path):
     # The warmstart-random policy, resolved once per protocol, draws from the
     # rng that reset() installed on every step; one instance shared by the
@@ -386,6 +423,9 @@ def test_workers_give_same_records_as_serial(tmp_path):
                                             scripted_name="warmstart-random"),
         "dqn": harness.PolicySpec(kind="dqn",
                                   checkpoint_path=_dqn_checkpoint(tmp_path)),
+        # One LlmPolicy keeps every lane's prompt lines for all the threads.
+        "llm": harness.PolicySpec(kind="llm", llm_kind="meal-cot",
+                                  llm_transport=_prompt_dose),
     }
     protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1, 100),
                                     repeats_per_seed=2)

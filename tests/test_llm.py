@@ -34,31 +34,31 @@ FIXED_HISTORY = [
 
 def render_prompt(kind):
     obs = serialize_observation(
-        FIXED_HISTORY, include_meals=kind == PromptKind.PRIOR_MEAL_COT)
+        FIXED_HISTORY, kind == PromptKind.PRIOR_MEAL_COT, [])
     messages = build_prompt(kind, obs)
     return ("=== system ===\n" + messages[0]["content"]
             + "\n=== user ===\n" + messages[1]["content"] + "\n")
 
 
 def test_serialize_observation_golden_line():
-    line = serialize_observation([FIXED_HISTORY[1]], include_meals=False)
+    line = serialize_observation([FIXED_HISTORY[1]], False, [])
     assert line == ("Day 1, Time: 05:15:00, glucose: 148.96 mg/dL, "
                     "insulin rate: 1.0000 unit/hour, insulin dose: 0.25 unit.")
 
 
 def test_serialize_observation_initial_and_meal_annotations():
-    text = serialize_observation(FIXED_HISTORY, include_meals=True)
+    text = serialize_observation(FIXED_HISTORY, True, [])
     lines = text.split("\n")
     assert len(lines) == 3
     assert "Time: 05:00:00 (initial measurement)" in lines[0]
     assert "(initial measurement)" not in lines[1]
     assert lines[2].endswith(", meal taken.")
     # Meal clause only appears when requested; amount stays hidden.
-    plain = serialize_observation(FIXED_HISTORY, include_meals=False)
+    plain = serialize_observation(FIXED_HISTORY, False, [])
     assert "meal" not in plain
     assert "27" not in text
     with pytest.raises(ValueError):
-        serialize_observation([], include_meals=False)
+        serialize_observation([], False, [])
 
 
 def test_build_prompt_structure():
@@ -142,7 +142,7 @@ def test_llm_config_requires_a_finite_temperature_and_timeout(value):
 
 def test_llm_act_happy_path():
     cfg = LlmConfig(base_url="http://unused")
-    action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+    action, ex = llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT, cfg,
                          transport=lambda m, c, k: "1.5")
     assert action == 1.5
     assert ex.parse_status is ParseStatus.OK
@@ -152,7 +152,7 @@ def test_llm_act_happy_path():
 
 def test_llm_act_clamps_out_of_range():
     cfg = LlmConfig(base_url="http://unused")
-    action, ex = llm_act(FIXED_HISTORY, PromptKind.PRIOR_COT, cfg,
+    action, ex = llm_act(FIXED_HISTORY, [], PromptKind.PRIOR_COT, cfg,
                          transport=lambda m, c, k: "<ans>130.67</ans>")
     assert action == 9.0
     assert ex.parse_status is ParseStatus.CLAMPED
@@ -162,7 +162,7 @@ def test_llm_act_clamps_out_of_range():
 def test_llm_act_retries_then_succeeds():
     replies = iter(["garbage with no digits", "2.0"])
     cfg = LlmConfig(base_url="http://unused")
-    action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+    action, ex = llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT, cfg,
                          transport=lambda m, c, k: next(replies))
     assert action == 2.0
     assert ex.attempts == 2
@@ -176,7 +176,7 @@ def test_llm_act_falls_back_after_exhausted_retries():
         return "no numbers"
 
     cfg = LlmConfig(base_url="http://unused")
-    action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+    action, ex = llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT, cfg,
                          transport=junk)
     assert action == 0.0
     assert ex.parse_status is ParseStatus.FALLBACK_USED
@@ -189,7 +189,7 @@ def test_llm_act_survives_transport_exceptions():
         raise ConnectionError("down")
 
     cfg = LlmConfig(base_url="http://unused")
-    action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+    action, ex = llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT, cfg,
                          transport=boom)
     assert action == 0.0
     assert ex.parse_status is ParseStatus.FALLBACK_USED
@@ -208,7 +208,7 @@ def test_llm_act_records_error_of_a_retried_request():
         return reply
 
     cfg = LlmConfig(base_url="http://unused")
-    action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+    action, ex = llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT, cfg,
                          transport=flaky)
     assert action == 2.0
     assert ex.parse_status is ParseStatus.OK
@@ -225,7 +225,8 @@ def test_llm_act_propagates_programming_errors():
 
     cfg = LlmConfig(base_url="http://unused")
     with pytest.raises(AttributeError):
-        llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg, transport=broken)
+        llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT, cfg,
+                transport=broken)
     assert len(calls) == 1
 
 
@@ -265,12 +266,12 @@ def test_mock_server_wire_format(mock_server):
 def test_mock_server_error_sentinel_and_cycling():
     with ScriptedMockServer([ERROR_SENTINEL, "3.0"]) as server:
         cfg = LlmConfig(base_url=server.base_url)
-        action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+        action, ex = llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT, cfg,
                              transport=None)
         assert action == 3.0
         assert ex.attempts == 2          # 500 consumed the first attempt
         # Script cycles: next request hits the sentinel again.
-        action, _ = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
+        action, _ = llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT, cfg,
                             transport=None)
         assert action == 3.0
 
@@ -369,10 +370,11 @@ def test_http_transport_skips_the_proxy_for_a_no_proxy_host(monkeypatch):
 
 
 @contextlib.contextmanager
-def _http10_chat_server():
+def _http10_chat_server(content="1.0"):
     """An HTTP/1.0 server that closes each connection after its reply.
 
-    Every request is answered "1.0"; the request headers are recorded.
+    Every request is answered with ``content``; the request headers are
+    recorded.
     """
     seen = []
 
@@ -383,8 +385,8 @@ def _http10_chat_server():
         def do_POST(self):
             self.rfile.read(int(self.headers["Content-Length"]))
             seen.append(self.headers)
-            body = json.dumps({"choices": [
-                {"message": {"role": "assistant", "content": "1.0"}}]}).encode()
+            body = json.dumps({"choices": [{"message": {
+                "role": "assistant", "content": content}}]}).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -407,10 +409,21 @@ def test_http_transport_reconnects_to_a_server_that_closes_connections():
     with _http10_chat_server() as (base_url, seen):
         cfg = LlmConfig(base_url=base_url)
         for _ in range(5):
-            action, ex = llm_act(FIXED_HISTORY, PromptKind.BASE_ZERO_SHOT, cfg,
-                                 transport=None)
+            action, ex = llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT,
+                                 cfg, transport=None)
             assert (action, ex.attempts, ex.error) == (1.0, 1, None)
     assert len(seen) == 5
+
+
+def test_a_reply_with_null_content_is_a_failed_attempt():
+    # Like a reply without content, it costs an attempt, not the episode.
+    with _http10_chat_server(content=None) as (base_url, seen):
+        action, ex = llm_act(FIXED_HISTORY, [], PromptKind.PRIOR_COT,
+                             LlmConfig(base_url=base_url), transport=None)
+    assert action == client.FALLBACK_DOSE
+    assert ex.parse_status is ParseStatus.FALLBACK_USED
+    assert (ex.attempts, ex.error) == (client.MAX_RETRIES + 1, "ValueError")
+    assert len(seen) == client.MAX_RETRIES + 1
 
 
 def test_http_transport_times_out_on_a_silent_server():
@@ -471,14 +484,14 @@ def _episode(rates, meal_steps=()):
 def test_serialize_observation_matches_a_fresh_serialization(include_meals):
     # -0.0 prints as -0.0000: a parsed "-0" is clamped to -0.0, not 0.0.
     rates = [0.0, -0.0, 1.2, -0.0, 9.0, 0.5] * 3
-    texts, snapshots = [], []
+    texts, snapshots, finished = [], [], []
     for history in _episode(rates, meal_steps={2, 7}):
-        texts.append(serialize_observation(history, include_meals))
+        texts.append(serialize_observation(history, include_meals, finished))
         snapshots.append([dataclasses.replace(rec) for rec in history])
     assert "insulin rate: -0.0000 unit/hour, insulin dose: -0.00 unit" \
         in texts[-1]
     for text, snapshot in zip(texts, snapshots):
-        assert text == serialize_observation(snapshot, include_meals)
+        assert text == serialize_observation(snapshot, include_meals, [])
 
 
 def test_serialize_observation_formats_each_finished_line_once(monkeypatch):
@@ -486,41 +499,47 @@ def test_serialize_observation_formats_each_finished_line_once(monkeypatch):
     format_clock = prompts.format_clock
     monkeypatch.setattr(prompts, "format_clock",
                         lambda clock: calls.append(clock) or format_clock(clock))
-    decisions = 0
+    decisions, finished = 0, []
     for history in _episode([1.0] * 63):
-        serialize_observation(history, include_meals=True)
+        serialize_observation(history, True, finished)
         decisions += 1
     # Each call formats the current row; each finished row is formatted once.
     assert decisions == 64
     assert len(calls) == 2 * decisions - 1
+    assert len(finished) == decisions - 1
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_lockstep_formats_each_finished_line_once_per_episode(workers,
-                                                              monkeypatch):
-    # A lock-step round asks for its 24 lanes' prompts in turn; each lane's
-    # finished rows are still formatted once.
+@pytest.mark.parametrize("workers, seeds, repeats", [
+    pytest.param(1, (1, 100), 1, id="1"),
+    pytest.param(2, (1, 100), 1, id="2"),
+    pytest.param(1, (1, 100, 1000, 10000, 7), 5, id="300-episodes"),
+])
+def test_lockstep_formats_each_finished_line_once_per_episode(
+        workers, seeds, repeats, monkeypatch):
+    # A lock-step round asks for all its lanes' prompts in turn, however
+    # many lanes there are; each lane's finished rows are formatted once.
     calls = []
     line = prompts._line
     monkeypatch.setattr(prompts, "_line",
                         lambda rec, meals: calls.append(rec) or line(rec, meals))
     spec = harness.PolicySpec(kind="llm", llm_kind="meal-cot",
                               llm_transport=lambda *_: "<ans>1.2</ans>")
-    protocol = harness.EvalProtocol(seeds=(1, 100), repeats_per_seed=1)
+    protocol = harness.EvalProtocol(seeds=seeds, repeats_per_seed=repeats)
     records = harness.run_protocol(spec, protocol, workers=workers)
-    assert [len(r.actions) for r in records] == [64] * 24
+    assert len(records) == 12 * len(seeds) * repeats
+    assert all(r.error is None and len(r.actions) == 64 for r in records)
     # Each decision formats its current row; each finished row once.
     assert len(calls) == sum(2 * len(r.actions) - 1 for r in records)
 
 
-def test_serialize_observation_of_more_histories_than_it_caches():
-    # Round-robin over more histories than the cache holds: every text is
-    # still the fresh serialization.
-    n = prompts._CACHED_HISTORIES + 3
+def test_serialize_observation_of_interleaved_histories():
+    # Round-robin over more histories than the paper's 240 episodes, each
+    # with its own list: every text is the fresh serialization.
+    n = 259
     episodes = [_episode([0.5 * (i % 7)] * 3) for i in range(n)]
+    finished = [[] for _ in range(n)]
     for _ in range(4):
-        for history in map(next, episodes):
+        for history, lines in zip(map(next, episodes), finished):
             snapshot = [dataclasses.replace(rec) for rec in history]
-            assert serialize_observation(history, True) \
-                == serialize_observation(snapshot, True)
-    assert len(prompts._finished.by_history) <= prompts._CACHED_HISTORIES
+            assert serialize_observation(history, True, lines) \
+                == serialize_observation(snapshot, True, [])
