@@ -5,16 +5,21 @@ episode starts at 05:00 with glucose drawn in 120-180 mg/dL and follows the
 cohort's ``meal_plan``, each meal moved by up to +-30 min and +-20% carbs.
 The protocol hash covers these constants.
 
-An episode covers 16 hours (64 control steps). Each step integrates the
-patient physiology at 1-minute RK4 substeps in one kernel call, with any meal
-falling in the interval entering before its substep, and scores the resulting
-true glucose with the risk reward. In lock-step evaluation the kernel call
-advances many envs at once, and ``step`` takes its env's part of it (see
-``GlucoseEnv._advance``).
-Observations report sensor glucose (true + Gaussian noise); reward and
-termination always use true glucose. The env keeps the observation window as
-a flat list of OBS_DIM floats and rolls it by one row per step, so an
-observation costs the same at every step of an episode.
+An episode covers 16 hours (64 control steps). Its reset draws all of its
+noise from two streams of its seed, one array draw each: 15 process-noise
+values per step and one sensor-noise value per measurement. Each step
+integrates the patient physiology at 1-minute RK4 substeps in one kernel
+call, with any meal falling in the interval entering before its substep, and
+scores the resulting true glucose with the risk reward. Observations report
+sensor glucose (true + Gaussian noise); reward and termination always use
+true glucose. The env keeps the observation window as a flat list of OBS_DIM
+floats and rolls it by one row per step, so an observation costs the same at
+every step of an episode.
+
+In lock-step evaluation (``harness.Lane``) a round integrates, reads the
+sensor and rolls the window of many envs at once, on arrays, and ``step``
+keeps each env's own bookkeeping: the rate check, the reward, the
+termination and the history (see ``GlucoseEnv._advance``).
 """
 
 from __future__ import annotations
@@ -145,8 +150,10 @@ class GlucoseEnv:
         self._window: list[float] = []
         self.state: PatientState | None = None
         self._meals: list[MealEvent] = []
-        self._noise_rng: np.random.Generator | None = None
-        self._sensor_rng: np.random.Generator | None = None
+        # The episode's noise, which reset draws: one process-noise value
+        # per substep and one sensor-noise value per measurement.
+        self._noise = np.empty((MAX_STEPS, CONTROL_INTERVAL_MIN))
+        self._sensor_noise = np.empty(MAX_STEPS + 1)
         self._step_count = 0
         self._done = False
         self.termination_cause: str | None = None
@@ -156,8 +163,9 @@ class GlucoseEnv:
         ss = seed if isinstance(seed, np.random.SeedSequence) \
             else np.random.SeedSequence(int(seed))
         init_ss, jitter_ss, noise_ss, sensor_ss = ss.spawn(4)
-        self._noise_rng = np.random.default_rng(noise_ss)
-        self._sensor_rng = np.random.default_rng(sensor_ss)
+        # One array draw per stream gives the values of as many scalar draws.
+        np.random.default_rng(noise_ss).standard_normal(out=self._noise)
+        np.random.default_rng(sensor_ss).standard_normal(out=self._sensor_noise)
 
         init_rng = np.random.default_rng(init_ss)
         bg0 = float(init_rng.uniform(*INITIAL_BG_RANGE))
@@ -179,7 +187,7 @@ class GlucoseEnv:
         self._step_count = 0
         self._done = False
         self.termination_cause = None
-        sensor0 = self._sense(bg0)
+        sensor0 = self._sense(bg0, 0)
         self.history = [StepRecord(step=0, clock=clock0, bg_true=bg0,
                                    bg_sensor=sensor0)]
         self._window = [sensor0, 0.0, 0.0] * WINDOW_STEPS
@@ -200,19 +208,33 @@ class GlucoseEnv:
                 meal_carbs += meal.carbs
         return carbs, meal_carbs
 
-    def _advance(self, rate: float) -> tuple[PatientState, float]:
-        """The patient state at the end of this interval at ``rate``, and
-        the grams eaten in it. Lock-step evaluation (``harness.Lane``)
-        advances many envs in one kernel call and returns each one's part
-        here instead."""
-        carbs, meal_carbs = self.interval_meals()
-        return integrate(self.state, self.params, rate, SUBSTEP_MIN, carbs,
-                         self._noise_rng), meal_carbs
-
-    def _sense(self, bg_true: float) -> float:
-        noise = self.params.cgm_sigma * self._sensor_rng.standard_normal() \
-            if self.params.cgm_sigma > 0 else 0.0
+    def _sense(self, bg_true: float, measurement: int) -> float:
+        """The sensor reading of true glucose at the episode's measurement
+        with that index (0 at reset)."""
+        noise = self.params.cgm_sigma * float(self._sensor_noise[measurement])
         return max(bg_true + noise, 1.0)
+
+    def _advance(self, rate: float, dose: float) -> tuple[float, float, float]:
+        """Integrate this interval at ``rate`` and roll the window; returns
+        the true glucose at its end, its sensor reading and the grams eaten
+        in it. A lock-step lane (``harness.Lane``) takes these from its row
+        of the round's columns instead."""
+        carbs, meal_carbs = self.interval_meals()
+        step = self._step_count
+        state = self.state = integrate(self.state, self.params, rate,
+                                       SUBSTEP_MIN, carbs,
+                                       self._noise[step].tolist())
+        state.clock += CONTROL_INTERVAL_MIN
+        sensor = self._sense(state.g, step + 1)
+        window = self._window
+        window[-2] = rate
+        window[-1] = dose
+        del window[:3]
+        window += (sensor, 0.0, 0.0)
+        return state.g, sensor, meal_carbs
+
+    def _observation(self) -> np.ndarray:
+        return build_observation(self._window)
 
     def step(self, action: float) -> StepResult:
         if self.state is None:
@@ -226,17 +248,12 @@ class GlucoseEnv:
         # Record the chosen action on the current measurement row.
         rate = float(action)
         dose = rate / 60.0 * CONTROL_INTERVAL_MIN
-        self.history[-1].rate = rate
-        self.history[-1].dose = dose
-        window = self._window
-        window[-2] = rate
-        window[-1] = dose
-
-        self.state, meal_carbs = self._advance(rate)
-        self.state.clock += CONTROL_INTERVAL_MIN
+        last = self.history[-1]
+        last.rate = rate
+        last.dose = dose
+        bg, sensor, meal_carbs = self._advance(rate, dose)
         self._step_count += 1
 
-        bg = self.state.g
         terminated = bg < BG_TERMINATE_LOW or bg > BG_TERMINATE_HIGH
         truncated = not terminated and self._step_count >= MAX_STEPS
         risk = metrics.risk_index(bg).ri
@@ -244,16 +261,12 @@ class GlucoseEnv:
         if terminated:
             self.termination_cause = "hypo" if bg < BG_TERMINATE_LOW else "hyper"
         self._done = terminated or truncated
-
-        sensor = self._sense(bg)
         self.history.append(StepRecord(
-            step=self._step_count, clock=self.state.clock, bg_true=bg,
-            bg_sensor=sensor, meal_carbs=meal_carbs, reward=reward))
-        del window[:3]
-        window += (sensor, 0.0, 0.0)
-        return StepResult(observation=build_observation(window),
-                          reward=reward, terminated=terminated,
-                          truncated=truncated)
+            step=self._step_count, clock=last.clock + CONTROL_INTERVAL_MIN,
+            bg_true=bg, bg_sensor=sensor, meal_carbs=meal_carbs,
+            reward=reward))
+        return StepResult(observation=self._observation(), reward=reward,
+                          terminated=terminated, truncated=truncated)
 
 
 def cohort_envs(env_group: str) -> list[GlucoseEnv]:

@@ -6,10 +6,13 @@ stream deterministically (the stream seed mixes seed and repeat), otherwise
 repeats of a deterministic policy would be vacuous.
 
 The episodes run in lock-step, one round per control interval: every live
-episode is a ``Lane`` (its env, key and policy stream), and a round asks the
-policy for all live lanes' rates in one ``Policy.act(obs, lanes)`` call,
-advances all their physiology in one ``patients.integrate_lanes`` call and
-then steps each lane's env. The records are bit for bit those of playing
+episode is a ``Lane`` (its env, key and policy stream) and a row of the
+round's ``Columns``, which keep the lanes' state, noise, meals and
+observation window in arrays from reset to the last round. A round asks the
+policy for all live lanes' rates in one ``Policy.act(obs, lanes)`` call on
+the window, advances the columns by one interval with array operations (one
+``patients.integrate_lanes`` call) and then steps each lane's env, which
+does that lane's bookkeeping. The records are bit for bit those of playing
 the episodes one by one.
 """
 
@@ -27,9 +30,10 @@ import numpy as np
 
 from . import metrics, nets
 from .dqn import N_ACTIONS, bin_to_rate
-from .env import (ACTION_HIGH, ACTION_LOW, INITIAL_BG_RANGE,
-                  MEAL_JITTER_CARB_FRAC, MEAL_JITTER_MIN, OBS_DIM, START_CLOCK,
-                  SUBSTEP_MIN, GlucoseEnv, meal_plan, row_stacked)
+from .env import (ACTION_HIGH, ACTION_LOW, CONTROL_INTERVAL_MIN,
+                  INITIAL_BG_RANGE, MAX_STEPS, MEAL_JITTER_CARB_FRAC,
+                  MEAL_JITTER_MIN, OBS_DIM, START_CLOCK, SUBSTEP_MIN,
+                  GlucoseEnv, meal_plan, row_stacked)
 from .patients import Cohort, integrate_lanes
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
@@ -94,11 +98,13 @@ class Policy:
 
     def act(self, obs: np.ndarray, lanes: list[Lane]):
         """The basal rates (U/h) of the round's live ``lanes``: a sequence
-        with one entry per lane, in lane order, or a single float that is
-        every lane's rate. Row i of ``obs`` is lane i's observation, and
-        ``lanes[i].rng`` is its episode's policy stream. An exception in
-        lane i's entry fails that lane's episode; one raised by the call
-        fails every lane of the call."""
+        with one entry per lane, in lane order. Row i of ``obs`` is lane i's
+        observation, and ``lanes[i].rng`` is its episode's policy stream;
+        ``obs`` is the round's window, which the next round rolls in place,
+        so a policy that keeps an observation copies it. An exception in
+        lane i's entry fails that lane's episode; one raised by the call,
+        or an answer that is not one rate per lane, fails every lane of the
+        call."""
         raise NotImplementedError
 
 
@@ -126,7 +132,8 @@ class ScriptedPolicy(Policy):
 
     def act(self, obs, lanes):
         if self._dose is not None:
-            return self._dose
+            # No lanes (None, as perfbench's tracer test passes) get no rates.
+            return [self._dose] * len(lanes or ())
         return [bin_to_rate(int(lane.rng.integers(0, 3))) for lane in lanes]
 
 
@@ -273,23 +280,30 @@ def episode_seed_sequence(seed: int, repeat: int) -> np.random.SeedSequence:
 
 class Lane(GlucoseEnv):
     """One protocol episode in lock-step: its patient's env, its key and its
-    policy stream. A round advances the physiology of all its lanes in one
-    ``integrate_lanes`` call; ``step`` then does the lane's bookkeeping on
-    the state the round left in ``advanced``."""
+    policy stream, in ``row`` of the round's ``columns``. Its reset draws
+    the episode's noise straight into that row; from then on the lane's
+    state, meals and observation window live in the columns too (its
+    ``state`` stays the reset state), and ``step`` takes each interval's
+    outcome from there and does the lane's bookkeeping."""
 
-    def __init__(self, key: EpisodeKey):
+    def __init__(self, key: EpisodeKey, columns: Columns, row: int):
         super().__init__(key.cohort, key.patient_id)
         self.key = key
+        self.columns, self.row = columns, row
+        self._noise = columns.noise[row]
+        self._sensor_noise = columns.sensor_noise[row]
         env_ss, policy_ss = episode_seed_sequence(key.seed, key.repeat).spawn(2)
         self.rng = np.random.default_rng(policy_ss)
-        self.observation = self.reset(env_ss)
-        self.advanced = None
+        self.reset(env_ss)
 
-    def _advance(self, rate):
-        state, meal_carbs = self.advanced
-        if isinstance(state, Exception):
-            raise state
-        return state, meal_carbs
+    def _advance(self, rate, dose):
+        advanced = self.columns.advanced[self.row]
+        if isinstance(advanced, Exception):
+            raise advanced
+        return advanced
+
+    def _observation(self):
+        return None     # the lane's row of ``Columns.window``
 
     def record(self, truncated: bool) -> EpisodeRecord:
         history = self.history
@@ -299,6 +313,104 @@ class Lane(GlucoseEnv):
                              rewards=[rec.reward for rec in history[1:]],
                              termination_cause=self.termination_cause,
                              truncated=truncated)
+
+
+class Columns:
+    """The live lanes of a lock-step round as arrays, lane i in entry i.
+
+    The columns hold each lane's episode noise as its reset drew it
+    (``noise``, ``sensor_noise``), its patient state (``fields``: g, s1, s2,
+    x, q_gut, t_elapsed), its RK4 constants and noise scales, its meal
+    schedule and ``window``, the (lanes, OBS_DIM) observations the policy
+    reads. A round (``advance``) integrates every lane, reads its sensor and
+    rolls its window with array operations that repeat the scalar env's,
+    element by element; ``keep`` drops the lanes that ended.
+    """
+
+    def __init__(self, rows: int):
+        """Noise rows for ``rows`` lanes to reset into; ``start`` takes the
+        rest of the lanes that did."""
+        self.noise = np.empty((rows, MAX_STEPS, CONTROL_INTERVAL_MIN))
+        self.sensor_noise = np.empty((rows, MAX_STEPS + 1))
+        self.interval = 0
+        self.advanced = []
+
+    def start(self, lanes: list[Lane]):
+        """Take the state, constants, meals and window of ``lanes``, the
+        lanes whose reset succeeded, in that order."""
+        rows = [lane.row for lane in lanes]
+        if len(rows) < len(self.noise):     # a lane failed its reset
+            self.noise = self.noise[rows]
+            self.sensor_noise = self.sensor_noise[rows]
+        for row, lane in enumerate(lanes):
+            lane.row = row
+        states = [lane.state for lane in lanes]
+        self.fields = tuple(np.array(f, dtype=np.float64) for f in zip(
+            *((s.g, s.s1, s.s2, s.x, s.q_gut, s.t_elapsed) for s in states)))
+        self.clock = states[0].clock    # every lane's: all start together
+        self.constants = np.array([lane.params.rk4_constants
+                                   for lane in lanes]).T.copy()
+        self.sigma = np.array([lane.params.noise_sigma * math.sqrt(SUBSTEP_MIN)
+                               for lane in lanes])
+        self.cgm_sigma = np.array([lane.params.cgm_sigma for lane in lanes])
+        meals = [lane._meals for lane in lanes]
+        self.meal_times = np.array([[m.time_offset for m in lane_meals]
+                                    for lane_meals in meals]).T.copy()
+        self.meal_grams = np.array([[m.carbs for m in lane_meals]
+                                    for lane_meals in meals]).T.copy()
+        self.window = np.array([lane._window for lane in lanes])
+
+    def advance(self, rates: list[float]):
+        """One control interval of every lane at its rate (U/h)."""
+        t = self.fields[5]
+        rates = np.array(rates, dtype=np.float64)
+        # A meal is eaten in substep floor(offset - t0), as interval_meals
+        # places it; meal j of substep k is one array over the lanes.
+        minute = np.floor(self.meal_times - t)
+        eaten = (0.0 <= minute) & (minute < CONTROL_INTERVAL_MIN)
+        carbs = [[] for _ in range(CONTROL_INTERVAL_MIN)]
+        meal_carbs = np.zeros(len(t))
+        if eaten.any():
+            for j in range(len(minute)):
+                for k in np.unique(minute[j][eaten[j]]).tolist():
+                    carbs[int(k)].append(np.where(minute[j] == k,
+                                                  self.meal_grams[j], -0.0))
+                meal_carbs = meal_carbs + np.where(eaten[j],
+                                                   self.meal_grams[j], 0.0)
+        infusion = rates / 60.0
+        self.fields, errors = integrate_lanes(
+            self.fields, self.constants, infusion, SUBSTEP_MIN, carbs,
+            self.noise[:, self.interval].T.copy(), self.sigma, self.clock)
+        g = self.fields[0]
+        self.interval += 1
+        self.clock += CONTROL_INTERVAL_MIN
+        sensor = g + self.cgm_sigma * self.sensor_noise[:, self.interval]
+        np.copyto(sensor, 1.0, where=1.0 > sensor)     # max(reading, 1.0)
+        window = self.window
+        window[:, -2] = rates
+        window[:, -1] = infusion * CONTROL_INTERVAL_MIN     # the dose
+        window[:, :-3] = window[:, 3:]
+        window[:, -3] = sensor
+        window[:, -2:] = 0.0
+        # Lane i's true glucose, sensor reading and grams eaten, or the
+        # error that failed its integration.
+        self.advanced = list(zip(g.tolist(), sensor.tolist(),
+                                 meal_carbs.tolist()))
+        for i, exc in errors.items():
+            self.advanced[i] = exc
+
+    def keep(self, rows: list[int], lanes: list[Lane]):
+        """Keep only ``lanes``, the lanes of ``rows``, in that order."""
+        self.noise = self.noise[rows]
+        self.sensor_noise = self.sensor_noise[rows]
+        self.fields = tuple(f[rows] for f in self.fields)
+        self.constants = self.constants[:, rows]
+        self.sigma, self.cgm_sigma = self.sigma[rows], self.cgm_sigma[rows]
+        self.meal_times = self.meal_times[:, rows]
+        self.meal_grams = self.meal_grams[:, rows]
+        self.window = self.window[rows]
+        for row, lane in enumerate(lanes):
+            lane.row = row
 
 
 def _failed(key: EpisodeKey, exc: Exception) -> EpisodeRecord:
@@ -311,61 +423,63 @@ def _play(policy: Policy, keys: list[EpisodeKey]) -> list[EpisodeRecord]:
     """The episodes of ``keys`` in lock-step, one round per control interval.
 
     A round asks the policy for every live lane's rate at once, advances
-    every lane's physiology in one ``integrate_lanes`` call, and steps each
-    lane's env. A lane whose reset, rate or step raises fails its own
-    episode; the other lanes go on. An exception raised by the ``act`` call
-    itself fails every lane of the round.
+    the lanes' ``Columns`` by one interval, and steps each lane's env. A lane
+    whose reset, rate or step raises fails its own episode; the other lanes
+    go on. An exception raised by the ``act`` call itself, or an answer that
+    is not one rate per lane, fails every lane of the round. Each record
+    stays in its key's place, so a repeated key keeps both episodes.
     """
-    records, lanes = {}, []
-    for key in keys:
+    records, lanes, slots = [None] * len(keys), [], []
+    columns = Columns(len(keys))
+    for slot, key in enumerate(keys):
         try:
-            lanes.append(Lane(key))
+            lanes.append(Lane(key, columns, slot))
+            slots.append(slot)
         except Exception as exc:  # noqa: BLE001 - recorded per episode
-            records[key] = _failed(key, exc)
-    obs = [lane.observation for lane in lanes]
+            records[slot] = _failed(key, exc)
+    if lanes:
+        columns.start(lanes)
     while lanes:
         try:
-            acted = policy.act(np.stack(obs), lanes)
-            if isinstance(acted, float):
-                acted = [acted] * len(lanes)
-            elif len(acted) != len(lanes):
+            acted = policy.act(columns.window, lanes)
+            if not hasattr(acted, "__len__"):
+                raise ValueError(f"{type(policy).__name__}.act gave "
+                                 f"{acted!r}, not one rate per lane")
+            if len(acted) != len(lanes):
                 raise ValueError(f"{type(policy).__name__}.act gave "
                                  f"{len(acted)} rates for {len(lanes)} lanes")
         except Exception as exc:  # noqa: BLE001 - recorded per episode
-            records.update((lane.key, _failed(lane.key, exc))
-                           for lane in lanes)
+            for slot, lane in zip(slots, lanes):
+                records[slot] = _failed(lane.key, exc)
             break
-        rates, acting = [], []
-        for lane, rate in zip(lanes, acted):
+        rates = []
+        for slot, lane, rate in zip(slots, lanes, acted):
             try:
                 if isinstance(rate, Exception):
                     raise rate
                 rates.append(float(rate))
-                acting.append(lane)
             except Exception as exc:  # noqa: BLE001 - recorded per episode
-                records[lane.key] = _failed(lane.key, exc)
-        lanes = acting
-        meals = [lane.interval_meals() for lane in lanes]
-        states = integrate_lanes(
-            [lane.state for lane in lanes], [lane.params for lane in lanes],
-            rates, SUBSTEP_MIN, [carbs for carbs, _ in meals],
-            [lane._noise_rng for lane in lanes])
-        live, obs = [], []
-        for lane, rate, state, (_, meal_carbs) in zip(lanes, rates, states,
-                                                      meals):
-            lane.advanced = state, meal_carbs
+                records[slot] = _failed(lane.key, exc)
+                rates.append(math.nan)      # the lane's row runs on unused
+        columns.advance(rates)
+        live = []
+        for row, (slot, lane, rate) in enumerate(zip(slots, lanes, rates)):
+            if records[slot] is not None:   # its rate failed it
+                continue
             try:
                 res = lane.step(rate)
             except Exception as exc:  # noqa: BLE001 - recorded per episode
-                records[lane.key] = _failed(lane.key, exc)
+                records[slot] = _failed(lane.key, exc)
                 continue
             if res.terminated or res.truncated:
-                records[lane.key] = lane.record(res.truncated)
+                records[slot] = lane.record(res.truncated)
             else:
-                live.append(lane)
-                obs.append(res.observation)
-        lanes = live
-    return [records[key] for key in keys]
+                live.append(row)
+        if len(live) < len(lanes):
+            lanes = [lanes[row] for row in live]
+            slots = [slots[row] for row in live]
+            columns.keep(live, lanes)
+    return records
 
 
 def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,

@@ -16,10 +16,11 @@ State derivatives (u = infusion rate in U/h):
     g'  = -p1*(g - g_b) - x*g + 1000*f_bio*k_abs*q/v_g  (+ process noise)
 
 Integration is RK4 at 1-minute substeps, one kernel call per control
-interval: integrate for one patient, integrate_lanes for the lanes of a
-lock-step round, both through the one RK4 body _rk4. A meal enters the gut
-before the substep it falls in; process noise enters after each substep,
-drawn once per interval from the episode's noise stream.
+interval: integrate for one patient's PatientState, integrate_lanes for the
+(lanes,) state arrays of a lock-step round, both through the one RK4 body
+_rk4. A meal enters the gut before the substep it falls in; process noise
+enters after each substep, from standard normal draws the caller passes in
+(the env draws an episode's at its reset).
 """
 
 from __future__ import annotations
@@ -152,22 +153,23 @@ def make_cohort(cohort: Cohort) -> list[PatientParams]:
     return patients
 
 
+@functools.cache
 def get_patient(cohort: Cohort, patient_id: int) -> PatientParams:
     return make_cohort(cohort)[patient_id]
 
 
 def integrate(state: PatientState, params: PatientParams, rate: float,
               dt: float, carbs: Sequence[Sequence[float]],
-              noise_stream: np.random.Generator | None) -> PatientState:
+              noise: Sequence[float] | None) -> PatientState:
     """RK4 over len(carbs) substeps of dt minutes at a constant rate (U/h).
 
     carbs[k] holds the grams of each meal eaten in substep k; they enter the
-    gut one at a time, in order, before the substep is integrated. Process
-    noise for the whole interval is one standard_normal(n) draw, which gives
-    the values, and leaves the generator in the state, of n scalar draws.
-    Non-negativity is restored by flooring after every substep; glucose is
-    floored at a small positive value so downstream logs stay defined. A
-    state that is, or becomes, non-finite raises FloatingPointError.
+    gut one at a time, in order, before the substep is integrated. noise[k]
+    is the standard normal draw of substep k's process noise (None: no
+    noise). Non-negativity is restored by flooring after every substep;
+    glucose is floored at a small positive value so downstream logs stay
+    defined. A state that is, or becomes, non-finite raises
+    FloatingPointError.
 
     The substeps run in ``_rk4``, the one RK4 body, here on floats;
     ``integrate_lanes`` runs the same body on lane arrays.
@@ -178,10 +180,11 @@ def integrate(state: PatientState, params: PatientParams, rate: float,
     # field checked (a sum of finite fields that overflows passes).
     if not math.isfinite(g + s1 + s2 + x + q):
         state.check_finite()
-    noise = sigma = None
-    if noise_stream is not None and params.noise_sigma > 0:
-        noise = noise_stream.standard_normal(len(carbs)).tolist()
+    sigma = None
+    if noise is not None and params.noise_sigma > 0:
         sigma = params.noise_sigma * math.sqrt(dt)
+    else:
+        noise = None
 
     def check(g, s1, s2, x, q, t):
         PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
@@ -195,107 +198,88 @@ def integrate(state: PatientState, params: PatientParams, rate: float,
                         clock=clock)
 
 
-# integrate_lanes makes one array call from this many lanes on, and one
-# scalar call per lane below it: an array call has a fixed cost of about
-# 1 ms. Measured on a 2-vCPU x86-64 VM (least of 9 repeats per interval,
-# scalar against arrays): 1.0 against 1.4 ms at 24 lanes, 1.06 against 1.15
-# at 40, 1.28 against 1.25 at 44, 1.8 against 1.2 at 64, 7.1 against 2.1 at
-# 240.
-ARRAY_MIN_LANES = 44
+# integrate_lanes makes one array call from this many lanes on, and one float
+# call per lane below it: an array call has a fixed cost of about 1.2 ms.
+# Measured on a 2-vCPU x86-64 VM, per lock-step interval (least of 7 runs of
+# 64 intervals, float calls against the array call): 0.74 against 1.20 ms at
+# 24 lanes, 0.91 against 1.18 at 32, 1.08 against 1.15 at 38, 1.25 against
+# 1.17 at 40, 1.84 against 1.16 at 64, 7.07 against 1.43 at 240.
+ARRAY_MIN_LANES = 40
 
 
-def integrate_lanes(states: Sequence[PatientState],
-                    params: Sequence[PatientParams], rates: Sequence[float],
-                    dt: float, carbs: Sequence[Sequence[Sequence[float]]],
-                    noise_streams: Sequence[np.random.Generator | None]
-                    ) -> list[PatientState | FloatingPointError]:
-    """``integrate`` of every lane i over the same dt and substep count.
+def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
+                    infusion: np.ndarray, dt: float,
+                    carbs: Sequence[Sequence[np.ndarray]], noise: np.ndarray,
+                    sigma: np.ndarray, clock: int
+                    ) -> tuple[tuple[np.ndarray, ...],
+                               dict[int, FloatingPointError]]:
+    """``integrate`` of every lane of a lock-step round, on (lanes,) arrays.
 
-    Returns per lane the PatientState that ``integrate(states[i], params[i],
-    rates[i], dt, carbs[i], noise_streams[i])`` returns, bit for bit, or the
-    FloatingPointError that it raises; a lane that fails leaves the other
-    lanes' results as they are. From ARRAY_MIN_LANES lanes on, the lanes run
-    as one ``_rk4`` call on (lanes,) arrays: every float operation is then
-    the scalar call's, element by element, and each lane draws its noise
-    from its own stream.
+    ``fields`` are the lanes' g, s1, s2, x, q_gut and t_elapsed, and
+    ``clock`` is every lane's clock. ``constants`` has one row per entry of
+    ``rk4_constants``, ``infusion`` is each lane's rate / 60, ``carbs[k]``
+    holds one array of grams per meal eaten in substep k, -0.0 where a lane
+    eats none (x + -0.0 is x for every float x), ``noise[k]`` is substep
+    k's draws and ``sigma`` each lane's noise_sigma * sqrt(dt), 0.0 for a
+    lane without noise (which then adds 0.0 * z to glucose before its
+    floor, leaving the floored value as it is).
+
+    Returns the fields at the end of the interval, lane i's bit for bit
+    those of ``integrate`` on lane i, and the FloatingPointError that
+    ``integrate`` raises for each lane that fails; a failed lane runs on as
+    NaN or inf and leaves the others as they are. From ARRAY_MIN_LANES
+    lanes on, the lanes run as one ``_rk4`` call on the arrays, so every
+    float operation is the scalar call's, element by element; below it,
+    as one float ``_rk4`` call per lane.
     """
-    if len(states) < ARRAY_MIN_LANES:
-        out = []
-        for lane in zip(states, params, rates, carbs, noise_streams):
-            state, lane_params, rate, lane_carbs, noise_stream = lane
-            try:
-                out.append(integrate(state, lane_params, rate, dt,
-                                     lane_carbs, noise_stream))
-            except FloatingPointError as exc:
-                out.append(exc)
-        return out
-
-    n = len(carbs[0])
     errors = {}
-    clocks = [s.clock for s in states]
-    g, s1, s2, x, q, t = np.array(
-        [(s.g, s.s1, s.s2, s.x, s.q_gut, s.t_elapsed) for s in states]).T.copy()
-    ok = np.isfinite(g + s1 + s2 + x + q)
-    for i in np.flatnonzero(~ok).tolist():
-        try:
-            states[i].check_finite()
-        except FloatingPointError as exc:
-            errors[i] = exc
 
-    # A lane without noise adds 0.0 * 0.0 to glucose before its floor,
-    # which leaves the floored value as it is. A lane that failed on entry
-    # draws nothing, as integrate raises before its draw.
-    quiet = np.zeros(n)
-    draws, sigma = [], []
-    for i, (lane_params, noise_stream) in enumerate(zip(params, noise_streams)):
-        if (noise_stream is not None and lane_params.noise_sigma > 0
-                and i not in errors):
-            draws.append(noise_stream.standard_normal(n))
-            sigma.append(lane_params.noise_sigma * math.sqrt(dt))
-        else:
-            draws.append(quiet)
-            sigma.append(0.0)
-    noise = np.array(draws).T.copy() if any(sigma) else None
-    sigma = np.array(sigma)
+    def check_one(g, s1, s2, x, q, t):
+        PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
+                     clock=clock).check_finite()
 
-    # Meal j of substep k is the array of each lane's j-th meal grams, -0.0
-    # where the lane has none: x + -0.0 is x for every float x.
-    meals = [[] for _ in range(n)]
-    for i, lane_carbs in enumerate(carbs):
-        if any(lane_carbs):
-            for k, grams in enumerate(lane_carbs):
-                for j, gram in enumerate(grams):
-                    if j == len(meals[k]):
-                        meals[k].append(np.full(len(states), -0.0))
-                    meals[k][j][i] = gram
-
-    constants = np.array([p.rk4_constants for p in params]).T.copy()
-    infusion = np.array(rates, dtype=np.float64) / 60.0
-
-    def settle(g, s1, s2, x, q, t):
-        np.copyto(g, 1.0, where=1.0 > g)
-        for v in (s1, s2, x, q):
-            np.copyto(v, 0.0, where=0.0 > v)
+    def check(g, s1, s2, x, q, t):
         bad = ~np.isfinite(g + s1 + s2 + x + q)
         if bad.any():
             for i in np.flatnonzero(bad).tolist():
                 if i not in errors:     # integrate raises at the first
                     try:
-                        PatientState(g=float(g[i]), s1=float(s1[i]),
-                                     s2=float(s2[i]), x=float(x[i]),
-                                     q_gut=float(q[i]), t_elapsed=float(t[i]),
-                                     clock=clocks[i]).check_finite()
+                        check_one(*(float(f[i]) for f in (g, s1, s2, x, q, t)))
                     except FloatingPointError as exc:
                         errors[i] = exc
+
+    def settle(g, s1, s2, x, q, t):
+        np.copyto(g, 1.0, where=1.0 > g)
+        for v in (s1, s2, x, q):
+            np.copyto(v, 0.0, where=0.0 > v)
+        check(g, s1, s2, x, q, t)
         return g, s1, s2, x, q
 
-    with np.errstate(all="ignore"):   # a failed lane runs on as NaN or inf
-        fields = _rk4(g, s1, s2, x, q, t, constants, infusion, dt,
-                      meals, noise, sigma, settle, None)
-    return [errors.get(i) or PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q,
-                                          t_elapsed=t, clock=clock)
-            for i, (g, s1, s2, x, q, t, clock)
-            in enumerate(zip(*(f.tolist() for f in fields), clocks))]
+    check(*fields)
+    if len(infusion) >= ARRAY_MIN_LANES:
+        with np.errstate(all="ignore"):
+            return _rk4(*fields, constants, infusion, dt, carbs, noise, sigma,
+                        settle, None), errors
+
+    meals = [[grams.tolist() for grams in k] for k in carbs] \
+        if any(carbs) else None
+    rows = []
+    for i, (*state, lane_constants, lane_infusion, lane_noise, lane_sigma) \
+            in enumerate(zip(*(f.tolist() for f in fields),
+                             constants.T.tolist(), infusion.tolist(),
+                             noise.T.tolist(), sigma.tolist())):
+        if i not in errors:
+            lane_carbs = [[grams[i] for grams in k] for k in meals] \
+                if meals else carbs
+            try:
+                state = _rk4(*state, lane_constants, lane_infusion, dt,
+                             lane_carbs, lane_noise, lane_sigma, None,
+                             check_one)
+            except FloatingPointError as exc:
+                errors[i] = exc
+                state = [math.nan] * len(state)
+        rows.append(state)
+    return tuple(np.array(rows).T), errors
 
 
 def _rk4(g, s1, s2, x, q, t, constants, infusion, dt, carbs, noise, sigma,
@@ -384,11 +368,15 @@ def step_physiology(state: PatientState, params: PatientParams, rate: float,
     """One RK4 step of the surrogate dynamics plus optional process noise.
 
     dt is in minutes, rate in U/h held constant over the step. This is the
-    one-substep, meal-free call of integrate, with its inputs validated.
+    one-substep, meal-free call of integrate, with its inputs validated; the
+    noise is one draw from noise_stream.
     """
     if not (0 < dt <= 15):
         raise ValueError("dt must lie in (0, 15] minutes")
     if rate < 0 or not math.isfinite(rate):
         raise ValueError("infusion rate must be finite and non-negative")
-    return integrate(state, params, rate, dt, ((),), noise_stream)
+    noise = None
+    if noise_stream is not None and params.noise_sigma > 0:
+        noise = (noise_stream.standard_normal(),)
+    return integrate(state, params, rate, dt, ((),), noise)
 

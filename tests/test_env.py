@@ -254,6 +254,10 @@ def test_meals_enter_before_their_substep_as_per_minute_scan():
     env.reset(21)
     ref.reset(21)
     env._meals, ref._meals = list(meals), list(meals)
+    # The reference draws its process noise one scalar at a time from the
+    # episode's noise stream, as the env drew it before it drew an episode's
+    # noise at reset.
+    noise_rng = np.random.default_rng(np.random.SeedSequence(21).spawn(4)[2])
     for _ in range(6):
         res = env.step(0.9)
         assert not res.terminated
@@ -266,12 +270,39 @@ def test_meals_enter_before_their_substep_as_per_minute_scan():
                     ref.state = apply_meal(ref.state, meal.carbs)
                     eaten += meal.carbs
             ref.state = _oracles.step_physiology(ref.state, ref.params, 0.9,
-                                                 1.0, ref._noise_rng)
+                                                 1.0, noise_rng)
         ref.state.clock += CONTROL_INTERVAL_MIN
         assert env.state == ref.state
         assert env.history[-1].meal_carbs == eaten
     assert [r.meal_carbs for r in env.history[1:6]] == [
         0.0, 12.0, 0.0, 8.5, 5.0]
+
+
+@pytest.mark.parametrize("cohort", list(Cohort))
+def test_reset_draws_the_noise_of_scalar_draws_from_the_episode_streams(cohort):
+    # An episode's noise comes from the third and fourth streams its seed
+    # spawns: one process-noise value per substep and one sensor-noise value
+    # per measurement, drawn at reset in one call each. Those calls give the
+    # values of one call per interval and of one scalar draw per value.
+    env = GlucoseEnv(cohort, 1)
+    for seed in range(200):
+        env.reset(seed)
+        noise_ss, sensor_ss = np.random.SeedSequence(seed).spawn(4)[2:]
+        per_interval = np.random.default_rng(noise_ss)
+        scalars = np.random.default_rng(noise_ss)
+        assert env._noise.shape == (MAX_STEPS, CONTROL_INTERVAL_MIN)
+        for row in env._noise:
+            assert row.tobytes() == per_interval.standard_normal(
+                CONTROL_INTERVAL_MIN).tobytes()
+            assert row.tolist() == [scalars.standard_normal()
+                                    for _ in range(CONTROL_INTERVAL_MIN)]
+        sensor = np.random.default_rng(sensor_ss)
+        assert env._sensor_noise.tolist() == [
+            sensor.standard_normal() for _ in range(MAX_STEPS + 1)]
+    # The first measurement's reading uses the first sensor value.
+    assert env.history[0].bg_sensor == max(
+        env.history[0].bg_true + env.params.cgm_sigma * env._sensor_noise[0],
+        1.0)
 
 
 def _max_dose(obs, env):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 import zlib
@@ -35,9 +36,10 @@ def test_protocol_dimensions():
 
 
 def test_scripted_policy_names():
+    lanes = [SimpleNamespace(rng=np.random.default_rng(0))] * 3
     for name, expected in (("zero", 0.0), ("max", 9.0), ("constant:2.5", 2.5)):
-        # A constant is one rate for every lane.
-        assert harness.ScriptedPolicy(name).act(None, None) == expected
+        # A constant is one rate per lane, like every policy's answer.
+        assert harness.ScriptedPolicy(name).act(None, lanes) == [expected] * 3
     p = harness.ScriptedPolicy("warmstart-random")
     lanes = [SimpleNamespace(rng=np.random.default_rng(0))] * 100
     assert set(p.act(None, lanes)) == {0.0, 0.9, 1.8}
@@ -78,7 +80,7 @@ def test_policy_acts_on_the_rollouts_observation_and_env():
             for row, lane in zip(obs, lanes):
                 seen.append((lane.key, row[-3], lane.history[-1].bg_sensor,
                              len(lane.history)))
-            return 1.0
+            return [1.0] * len(lanes)
 
     protocol = _one_patient("child", patient_id=1)
     records = harness.run_protocol(Spec(Recording()), protocol)
@@ -518,6 +520,12 @@ def test_lockstep_records_equal_the_per_episode_loop(name, seeds):
         assert len({len(r.actions) for r in records}) > 1
 
 
+def test_lockstep_records_equal_the_per_episode_loop_on_the_full_protocol():
+    # All 240 lanes of the paper's protocol, in one array kernel call per
+    # round.
+    _assert_lockstep_matches_per_episode_loop("dqn0", harness.EvalProtocol())
+
+
 @st.composite
 def _lockstep_cases(draw):
     cohorts = draw(st.lists(st.sampled_from(list(Cohort)), min_size=1,
@@ -606,14 +614,122 @@ def test_one_lanes_failed_llm_call_fails_only_its_own_episode(reply):
 
 
 def test_a_policy_must_give_one_rate_per_lane(monkeypatch):
+    protocol = harness.EvalProtocol(cohorts=(Cohort.ADULT,), seeds=(1,),
+                                    repeats_per_seed=1)
     monkeypatch.setattr(harness.ScriptedPolicy, "act",
                         lambda self, obs, lanes: [1.0])
-    records = harness.run_protocol(
-        harness.PolicySpec(kind="scripted"),
-        harness.EvalProtocol(cohorts=(Cohort.ADULT,), seeds=(1,),
-                             repeats_per_seed=1))
+    records = harness.run_protocol(harness.PolicySpec(kind="scripted"),
+                                   protocol)
     assert [r.error for r in records] == [
         "ValueError: ScriptedPolicy.act gave 1 rates for 4 lanes"] * 4
+
+    # A bare float is no rate per lane either, one for every lane included.
+    class OneFloat(harness.Policy):
+        def act(self, obs, lanes):
+            return 1.0
+
+    records = harness.run_protocol(Spec(OneFloat()), protocol)
+    assert [r.error for r in records] == [
+        "ValueError: OneFloat.act gave 1.0, not one rate per lane"] * 4
+    assert all(r.actions == [] for r in records)
+
+
+def test_a_repeated_seed_keeps_both_episodes():
+    # Each request gets the next of three replies, so the two episodes of
+    # the repeated key act differently.
+    replies = itertools.cycle(["<ans>0.9</ans>", "<ans>1.8</ans>",
+                               "<ans>2.7</ans>"])
+    spec = harness.PolicySpec(kind="llm", llm_kind="meal-cot",
+                              llm_transport=lambda m, c, k: next(replies))
+    protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,),
+                                    patients_per_cohort=1, seeds=(1, 1),
+                                    repeats_per_seed=1)
+    first, second = harness.run_protocol(spec, protocol)
+    assert first is not second
+    assert first.key == second.key == harness.EpisodeKey("child", 0, 1, 0)
+    assert first.error is None and second.error is None
+    assert first.actions[:3] == [0.9, 2.7, 1.8]
+    assert second.actions[:3] == [1.8, 0.9, 2.7]
+
+
+# The work of a round on the paper's 240 lanes: the lanes stay in arrays
+# from reset to their last round.
+
+def _full_protocol_run(monkeypatch, owner, name, wrapper):
+    """The paper's protocol at a constant 1.2 U/h, with ``owner.name``
+    replaced by ``wrapper`` of it; every lane runs all 64 rounds."""
+    monkeypatch.setattr(owner, name, wrapper(getattr(owner, name)))
+    spec = harness.PolicySpec(kind="scripted", scripted_name="constant:1.2")
+    records = harness.run_protocol(spec, harness.EvalProtocol())
+    assert len(records) == 240
+    assert all(r.error is None and len(r.actions) == 64 for r in records)
+    return records
+
+
+def test_a_lane_builds_one_patient_state(monkeypatch):
+    built = []
+
+    def counting(init):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        return __init__
+
+    _full_protocol_run(monkeypatch, patients.PatientState, "__init__",
+                       counting)
+    assert len(built) == 240        # one per reset, none per round
+
+
+def test_a_round_is_one_kernel_call_on_the_arrays_the_last_one_left(
+        monkeypatch):
+    calls = []
+
+    def recording(rk4):
+        def _rk4(g, *args):
+            out = rk4(g, *args)
+            calls.append((g, out[0]))
+            return out
+        return _rk4
+
+    _full_protocol_run(monkeypatch, patients, "_rk4", recording)
+    assert len(calls) == 64
+    assert all(g.shape == (240,) for g, _ in calls)
+    # No lane ends before round 64, so each round integrates the glucose
+    # array the round before it left.
+    assert all(g is left for (g, _), (_, left) in zip(calls[1:], calls))
+
+
+def test_rounds_draw_no_noise(monkeypatch):
+    draws = {"reset": 0, "round": 0}
+    phase = ["round"]
+
+    class Counting:
+        """A generator that counts its standard_normal calls by phase."""
+
+        def __init__(self, rng):
+            self._rng = rng
+
+        def standard_normal(self, *args, **kwargs):
+            draws[phase[0]] += 1
+            return self._rng.standard_normal(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    def in_reset(reset):
+        def traced(self, seed):
+            phase[0] = "reset"
+            try:
+                return reset(self, seed)
+            finally:
+                phase[0] = "round"
+        return traced
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: Counting(default_rng(*a)))
+    _full_protocol_run(monkeypatch, env.GlucoseEnv, "reset", in_reset)
+    assert draws == {"reset": 2 * 240, "round": 0}
 
 
 @pytest.mark.parametrize("name", ["dqn0", "ppo-tanh"])

@@ -182,10 +182,14 @@ def _per_minute_reference(state, params, rate, dt, carbs, rng):
 
 def _assert_kernel_matches_reference(params, state, rate, dt, carbs, noise,
                                      seed):
+    # One standard_normal(n) draw gives the values, and leaves the generator
+    # in the state, of the reference's n scalar draws.
     ref_rng = np.random.default_rng(seed) if noise else None
     new_rng = np.random.default_rng(seed) if noise else None
     ref = _per_minute_reference(state, params, rate, dt, carbs, ref_rng)
-    new = integrate(state, params, rate, dt, carbs, new_rng)
+    new = integrate(state, params, rate, dt, carbs,
+                    new_rng.standard_normal(len(carbs)).tolist() if noise
+                    else None)
     assert new == ref
     # == treats 0.0 and -0.0 as equal; repr does not.
     assert repr(new) == repr(ref)
@@ -227,14 +231,16 @@ def test_integrate_matches_per_minute_reference(case):
 @st.composite
 def _lanes(draw):
     """Lanes for integrate_lanes, some of them faulty: each is one
-    integrate call's arguments, all with the same dt and substep count."""
+    integrate call's arguments, all with the same dt, substep count and
+    clock."""
     n = draw(st.integers(1, 15))
     dt = draw(st.sampled_from((1.0, 0.5, 1.0 / 3.0, 2.0)))
+    clock = draw(st.integers(0, 2000))
     lanes = []
     for _ in range(draw(st.integers(1, 45))):
         case = draw(_kernel_cases())
         carbs = case["carbs"][:n] + [()] * (n - len(case["carbs"]))
-        state = case["state"]
+        state = replace(case["state"], clock=clock)
         fault = draw(st.sampled_from(
             [None] * 6 + ["nan", "inf", "overflow", "-0.0", "no-noise"]))
         if fault == "nan":
@@ -245,42 +251,54 @@ def _lanes(draw):
             carbs = carbs[:-1] + [(1e308,)]
         elif fault == "-0.0":
             state = replace(state, s1=-0.0, s2=-0.0, x=-0.0, q_gut=-0.0)
-        lanes.append((state, case["params"], case["rate"], carbs,
-                      fault != "no-noise" and case["noise"], case["seed"]))
-    return dt, lanes
+        noise = None
+        if fault != "no-noise" and case["noise"]:
+            noise = np.random.default_rng(case["seed"]).standard_normal(n)
+        lanes.append((state, case["params"], case["rate"], carbs, noise))
+    return dt, clock, lanes
 
 
-def _integrate_or_raise(state, params, rate, dt, carbs, rng):
+def _integrate_or_raise(state, params, rate, dt, carbs, noise):
     try:
-        return integrate(state, params, rate, dt, carbs, rng)
+        return integrate(state, params, rate, dt, carbs,
+                         None if noise is None else noise.tolist())
     except FloatingPointError as exc:
         return exc
 
 
 @given(_lanes(), st.sampled_from((1, patients.ARRAY_MIN_LANES, 10**6)))
 def test_integrate_lanes_equals_one_integrate_per_lane(lanes, min_lanes):
-    dt, lanes = lanes
-    streams = {}
-    for side in ("lanes", "scalar"):
-        streams[side] = [np.random.default_rng(seed) if noise else None
-                         for *_, noise, seed in lanes]
+    dt, clock, lanes = lanes
+    n = len(lanes[0][3])
+    states = [lane[0] for lane in lanes]
+    fields = tuple(np.array([getattr(s, name) for s in states])
+                   for name in ("g", "s1", "s2", "x", "q_gut", "t_elapsed"))
+    # Meal j of substep k: lane i's j-th meal grams in it, -0.0 for none.
+    carbs = [[np.array([c[k][j] if j < len(c[k]) else -0.0
+                        for *_, c, _ in lanes])
+              for j in range(max(len(c[k]) for *_, c, _ in lanes))]
+             for k in range(n)]
+    noise = np.array([np.zeros(n) if z is None else z
+                      for *_, z in lanes]).T.copy()
+    sigma = np.array([0.0 if z is None else p.noise_sigma * math.sqrt(dt)
+                      for _, p, _, _, z in lanes])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patients, "ARRAY_MIN_LANES", min_lanes)
-        got = integrate_lanes([lane[0] for lane in lanes],
-                              [lane[1] for lane in lanes],
-                              [lane[2] for lane in lanes], dt,
-                              [lane[3] for lane in lanes], streams["lanes"])
-    want = [_integrate_or_raise(state, params, rate, dt, carbs, rng)
-            for (state, params, rate, carbs, _, _), rng
-            in zip(lanes, streams["scalar"])]
-    assert len(got) == len(want)
-    for new, ref in zip(got, want):
-        assert type(new) is type(ref)
-        # repr tells -0.0 from 0.0, and an error by its message.
-        assert repr(new) == repr(ref)
-    for new, ref in zip(streams["lanes"], streams["scalar"]):
-        if ref is not None:
-            assert new.bit_generator.state == ref.bit_generator.state
+        got, errors = integrate_lanes(
+            fields, np.array([p.rk4_constants for _, p, *_ in lanes]).T,
+            np.array([rate for _, _, rate, *_ in lanes]) / 60.0, dt, carbs,
+            noise, sigma, clock)
+    assert len(got) == 6 and all(f.shape == (len(lanes),) for f in got)
+    for i, lane in enumerate(lanes):
+        want = _integrate_or_raise(*lane[:3], dt, *lane[3:])
+        if isinstance(want, FloatingPointError):
+            # repr tells an error by its message.
+            assert repr(errors[i]) == repr(want)
+        else:
+            assert i not in errors
+            # repr tells -0.0 from 0.0.
+            assert repr([f[i].item() for f in got]) == repr(
+                [want.g, want.s1, want.s2, want.x, want.q_gut, want.t_elapsed])
 
 
 @pytest.mark.parametrize("noise", [False, True])
@@ -335,7 +353,8 @@ def test_integrate_raises_when_state_turns_non_finite_mid_interval():
     with pytest.raises(FloatingPointError):
         _per_minute_reference(state, params, 1.0, 1.0, carbs,
                               np.random.default_rng(0))
+    noise = np.random.default_rng(0).standard_normal(15).tolist()
     with pytest.raises(FloatingPointError):
-        integrate(state, params, 1.0, 1.0, carbs, np.random.default_rng(0))
+        integrate(state, params, 1.0, 1.0, carbs, noise)
     # The first seven substeps alone stay finite.
-    integrate(state, params, 1.0, 1.0, carbs[:7], np.random.default_rng(0))
+    integrate(state, params, 1.0, 1.0, carbs[:7], noise[:7])
