@@ -34,11 +34,15 @@ def _load_config(path):
     import yaml
     if path is None:
         return {}
-    with open(path) as fh:
-        overrides = yaml.safe_load(fh) or {}
-    if not isinstance(overrides, dict):
-        raise SystemExit(f"dosebench train: --config {path} is not a YAML "
-                         f"mapping of config fields")
+    try:
+        with open(path) as fh:
+            overrides = yaml.safe_load(fh) or {}
+        if not isinstance(overrides, dict):
+            raise ValueError("not a YAML mapping of config fields")
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        # A YAML error names where, then what, over several lines.
+        raise SystemExit(f"dosebench train: --config {path}: "
+                         f"{' '.join(str(exc).split())}") from exc
     return overrides
 
 
@@ -138,7 +142,8 @@ def cmd_eval(args):
         try:
             config = LlmConfig(base_url=args.base_url or "",
                                model_name=args.model,
-                               temperature=args.temperature)
+                               temperature=args.temperature,
+                               workers=args.workers)
         except ValueError as exc:
             raise SystemExit(f"dosebench eval llm: {exc}") from exc
         spec = harness.PolicySpec(
@@ -148,10 +153,9 @@ def cmd_eval(args):
         spec = harness.PolicySpec(kind="scripted", scripted_name=args.name,
                                   label=args.label or f"scripted-{args.name}")
     try:
-        records = harness.run_protocol(spec, protocol, workers=args.workers)
+        records = harness.run_protocol(spec, protocol)
     except (OSError, ValueError, nets.CheckpointError) as exc:
-        # Bad workers, or a policy that cannot be resolved: an unknown
-        # scripted dose, a missing or unreadable checkpoint.
+        # An unknown scripted dose, an unreadable checkpoint, a bad URL.
         raise SystemExit(f"dosebench eval {args.policy}: {exc}") from exc
     if all(r.error is not None for r in records):
         raise SystemExit(f"dosebench eval {args.policy}: every episode "
@@ -185,7 +189,7 @@ def cmd_mock_llm(args):
         if not script:
             raise ValueError(f"{args.script} has no reply (one per line)")
         server = ScriptedMockServer(script, port=args.port).start()
-    except (OSError, ValueError) as exc:  # no script, or the port is taken
+    except (OSError, ValueError, OverflowError) as exc:  # bad script or port
         raise SystemExit(f"dosebench mock-llm: {exc}") from exc
     print(f"mock chat-completions server on {server.base_url} "
           f"({len(script)} scripted replies, cycling)")
@@ -226,11 +230,11 @@ def build_parser():
     p_llm.add_argument("--model", default="qwen2.5-7b-instruct")
     p_llm.add_argument("--temperature", type=float, default=0.7)
     p_llm.add_argument("--base-url", default=None)
+    p_llm.add_argument("--workers", type=int, default=1)
     p_sc = eval_sub.add_parser("scripted")
     p_sc.add_argument("--name", default="zero")
     for sp in (p_ck, p_llm, p_sc):
         sp.add_argument("--label", default=None)
-        sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--out", default="runs")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -18,6 +18,7 @@ the episodes one by one.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -107,6 +108,9 @@ class Policy:
         call."""
         raise NotImplementedError
 
+    def close(self):
+        """Called by ``run_protocol`` once the run has ended."""
+
 
 class ScriptedPolicy(Policy):
     """Named scripted baselines used in tests and as comparison anchors."""
@@ -165,8 +169,8 @@ class PpoEvalPolicy(Policy):
 
 class LlmPolicy(Policy):
     """A ``transport`` of None sends each request with ``http_transport``.
-    A round sends its lanes' requests one after another, in lane order; an
-    exception from one lane's ``llm_act`` fails that lane only.
+    A round asks for its lanes' rates in turn, or over a run-long pool of up
+    to ``config.workers`` threads; a lane whose ``llm_act`` raises fails alone.
 
     ``finished`` keeps each lane's finished prompt lines for the run, so a
     decision formats only its episode's newest rows. It is keyed by the lane
@@ -178,19 +182,27 @@ class LlmPolicy(Policy):
         self.config = config
         self.transport = transport
         self.finished = {}
+        self._pool = None
 
     def act(self, obs, lanes):
         from .llm import llm_act
-        rates = []
-        for lane in lanes:
+
+        def ask(lane):
             try:
-                rates.append(llm_act(lane.history,
-                                     self.finished.setdefault(lane, []),
-                                     self.kind, self.config,
-                                     transport=self.transport)[0])
+                return llm_act(lane.history, self.finished.setdefault(lane, []),
+                               self.kind, self.config, self.transport)[0]
             except Exception as exc:  # noqa: BLE001 - recorded per episode
-                rates.append(exc)
-        return rates
+                return exc
+
+        workers = min(self.config.workers, len(lanes))
+        if self._pool is None and workers > 1:  # the first round is widest
+            self._pool = ThreadPoolExecutor(workers)
+        return list((self._pool.map if self._pool else map)(ask, lanes))
+
+    def close(self):
+        # Not left to collection: a lane's exception holds this in a cycle.
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 @dataclass
@@ -208,13 +220,11 @@ class PolicySpec:
     def resolve(self) -> Policy:
         if self.kind == "scripted":
             return ScriptedPolicy(self.scripted_name)
+        if self.kind in ("dqn", "ppo") and not self.checkpoint_path:
+            raise ValueError(f"{self.kind} policy requires a checkpoint path")
         if self.kind == "dqn":
-            if not self.checkpoint_path:
-                raise ValueError("dqn policy requires a checkpoint path")
             return DqnPolicy(_load_net(self.checkpoint_path, N_ACTIONS))
         if self.kind == "ppo":
-            if not self.checkpoint_path:
-                raise ValueError("ppo policy requires a checkpoint path")
             return PpoEvalPolicy(load_ppo_checkpoint(self.checkpoint_path))
         if self.kind == "llm":
             from .llm.client import LlmConfig, check_base_url
@@ -482,34 +492,24 @@ def _play(policy: Policy, keys: list[EpisodeKey]) -> list[EpisodeRecord]:
     return records
 
 
-def run_protocol(policy_spec: PolicySpec, protocol: EvalProtocol,
-                 workers: int = 1) -> list[EpisodeRecord]:
+def run_protocol(policy_spec: PolicySpec,
+                 protocol: EvalProtocol) -> list[EpisodeRecord]:
     """All protocol episodes, in protocol order. Per-episode failures are
     recorded, not fatal.
 
     The policy is resolved once, so a checkpoint that cannot be loaded raises
-    here. The episodes run in lock-step (``_play``); ``workers`` splits them
-    into that many contiguous slices (at most one per episode), each stepped
-    in its own thread. Every lane has its own streams, so the records do not
-    depend on ``workers``.
+    here. The episodes run together in one lock-step (``_play``). Every
+    lane has its own streams, so against a server whose reply depends only
+    on the prompt the records do not depend on ``LlmConfig.workers``.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     policy = policy_spec.resolve()
     keys = [EpisodeKey(cohort.value, pid, seed, repeat)
             for cohort in protocol.cohorts
             for pid in range(protocol.patients_per_cohort)
             for seed in protocol.seeds
             for repeat in range(protocol.repeats_per_seed)]
-    workers = min(workers, len(keys))
-    if workers <= 1:
+    with contextlib.closing(policy):
         return _play(policy, keys)
-    n = len(keys)
-    slices = [keys[i * n // workers:(i + 1) * n // workers]
-              for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [record for part in pool.map(lambda s: _play(policy, s), slices)
-                for record in part]
 
 
 @dataclass

@@ -47,6 +47,7 @@ class LlmConfig:
     model_name: str = "qwen2.5-7b-instruct"
     temperature: float = 0.7
     request_timeout: float = 30.0
+    workers: int = 1        # requests in flight in a lock-step round
 
     def __post_init__(self):
         # NaN passes a `< 0` test, and a NaN or infinite temperature cannot be
@@ -59,6 +60,8 @@ class LlmConfig:
                 and self.request_timeout > 0):
             raise ValueError(f"request_timeout must be finite and positive, "
                              f"got {self.request_timeout!r}")
+        if not self.workers >= 1:   # NaN too: NaN threads never start
+            raise ValueError(f"workers must be at least 1, got {self.workers!r}")
 
     def resolved_base_url(self) -> str:
         url = self.base_url or os.environ.get(ENV_BASE_URL, "")

@@ -186,13 +186,9 @@ def integrate(state: PatientState, params: PatientParams, rate: float,
     else:
         noise = None
 
-    def check(g, s1, s2, x, q, t):
-        PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
-                     clock=clock).check_finite()
-
     g, s1, s2, x, q, t = _rk4(g, s1, s2, x, q, state.t_elapsed,
                               params.rk4_constants, rate / 60.0, dt,
-                              carbs, noise, sigma, None, check)
+                              carbs, noise, sigma, None, clock)
     # The clock advances per control interval, not here.
     return PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
                         clock=clock)
@@ -234,17 +230,14 @@ def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
     """
     errors = {}
 
-    def check_one(g, s1, s2, x, q, t):
-        PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
-                     clock=clock).check_finite()
-
     def check(g, s1, s2, x, q, t):
         bad = ~np.isfinite(g + s1 + s2 + x + q)
         if bad.any():
             for i in np.flatnonzero(bad).tolist():
                 if i not in errors:     # integrate raises at the first
+                    lane = [float(f[i]) for f in (g, s1, s2, x, q, t)]
                     try:
-                        check_one(*(float(f[i]) for f in (g, s1, s2, x, q, t)))
+                        PatientState(*lane, clock).check_finite()
                     except FloatingPointError as exc:
                         errors[i] = exc
 
@@ -259,7 +252,7 @@ def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
     if len(infusion) >= ARRAY_MIN_LANES:
         with np.errstate(all="ignore"):
             return _rk4(*fields, constants, infusion, dt, carbs, noise, sigma,
-                        settle, None), errors
+                        settle, clock), errors
 
     meals = [[grams.tolist() for grams in k] for k in carbs] \
         if any(carbs) else None
@@ -273,8 +266,7 @@ def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
                 if meals else carbs
             try:
                 state = _rk4(*state, lane_constants, lane_infusion, dt,
-                             lane_carbs, lane_noise, lane_sigma, None,
-                             check_one)
+                             lane_carbs, lane_noise, lane_sigma, None, clock)
             except FloatingPointError as exc:
                 errors[i] = exc
                 state = [math.nan] * len(state)
@@ -283,17 +275,17 @@ def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
 
 
 def _rk4(g, s1, s2, x, q, t, constants, infusion, dt, carbs, noise, sigma,
-         settle, check):
+         settle, clock):
     """The RK4 body of integrate and integrate_lanes, on floats or arrays.
 
     On arrays, ``settle`` floors a substep's fields and tests their
     finiteness. On floats (``settle`` is None) the floors are written out
-    here, and ``check`` raises for the fields of a substep whose sum is not
-    finite; so the float path makes no call per substep. Every
-    expression keeps the operand order of the module's derivatives and of
-    y + dt/6 * (k1 + 2*k2 + 2*k3 + k4), term by term, so n substeps here are
-    bit-identical to n one-substep calls; only loop-invariant constants are
-    hoisted.
+    here, and a substep whose fields do not sum to a finite value raises the
+    ``check_finite`` error of its state at ``clock``; so the float path
+    makes no call per substep. Every expression keeps the operand order of
+    the module's derivatives and of y + dt/6 * (k1 + 2*k2 + 2*k3 + k4), term
+    by term, so n substeps here are bit-identical to n one-substep calls;
+    only loop-invariant constants are hoisted.
     """
     neg_p1, g_b, neg_p2, p2_s_i, tau, tau_v_i, ra_gain, v_g, neg_k_abs = \
         constants
@@ -358,7 +350,7 @@ def _rk4(g, s1, s2, x, q, t, constants, infusion, dt, carbs, noise, sigma,
             q = 0.0
         if not isfinite(g + s1 + s2 + x + q):
             # A NaN or infinite field makes the sum non-finite; name it.
-            check(g, s1, s2, x, q, t)
+            PatientState(g, s1, s2, x, q, t, clock).check_finite()
     return g, s1, s2, x, q, t
 
 

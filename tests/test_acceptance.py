@@ -251,10 +251,10 @@ def test_criterion_10_llm_pipeline(tmp_path):
     with ScriptedMockServer(["1.0"]) as server:
         spec = harness.PolicySpec(
             kind="llm", llm_kind="base",
-            llm_config=LlmConfig(base_url=server.base_url),
+            llm_config=LlmConfig(base_url=server.base_url, workers=8),
             label="mock-llm")
         protocol = harness.EvalProtocol()
-        records = harness.run_protocol(spec, protocol, workers=8)
+        records = harness.run_protocol(spec, protocol)
         report = harness.aggregate(records, protocol, policy_label="mock-llm")
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
         harness.emit_report(report, p1, "json")

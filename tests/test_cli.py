@@ -109,9 +109,22 @@ def test_compare_exits_with_a_message_on_a_file_that_is_not_a_report(
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_eval_refuses_fewer_than_one_worker_before_the_run(workers, tmp_path):
     out = tmp_path / "runs"
-    with pytest.raises(SystemExit, match="^dosebench eval scripted: workers "
+    with pytest.raises(SystemExit, match="^dosebench eval llm: workers "
                                          f"must be at least 1, got {workers}"):
-        main(["eval", "scripted", "--workers", workers, "--out", str(out)])
+        main(["eval", "llm", "--workers", workers,
+              "--base-url", "http://127.0.0.1:9", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["scripted"], ["checkpoint", "ckpt.dnet"]],
+                         ids=["scripted", "checkpoint"])
+def test_eval_takes_workers_only_for_llm_runs(argv, tmp_path, capsys):
+    # Their rounds wait on no server, so more threads could only slow them.
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", *argv, "--workers", "2", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -136,6 +149,31 @@ def test_train_rejects_config_keys_it_would_not_use(algo, extra, rejected,
     with pytest.raises(SystemExit, match=rejected):
         main(["train", "--algo", algo, "--env", "adult", "--seed", "1",
               "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    ("epochs: 2\n  steps_per_epoch: 48\n",
+     "mapping values are not allowed here"),
+    ("epochs: [2\n", "while parsing a flow sequence"),
+    (b"epochs: \xff\n", "can't decode byte 0xff"),
+], ids=["missing", "bad-indent", "unclosed", "not-utf-8"])
+def test_train_exits_with_one_line_on_a_config_it_cannot_read(
+        content, message, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    if isinstance(content, bytes):
+        cfg.write_bytes(content)
+    elif content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--algo", "dqn", "--env", "adult", "--config", str(cfg),
+              "--out", str(out)])
+    text = str(exit_info.value.code)
+    assert text.startswith(f"dosebench train: --config {cfg}: ")
+    assert message in text
+    assert "\n" not in text
     assert not out.exists()
 
 
@@ -281,6 +319,15 @@ def test_mock_llm_exits_with_a_message_on_a_script_without_replies(
         script.write_text(content)
     with pytest.raises(SystemExit, match=f"^dosebench mock-llm: .*{message}"):
         main(["mock-llm", "--script", str(script)])
+
+
+@pytest.mark.parametrize("port", ["-1", "70000"])
+def test_mock_llm_exits_with_a_message_on_a_port_out_of_range(port, tmp_path):
+    script = tmp_path / "script.txt"
+    script.write_text("1.0\n")
+    with pytest.raises(SystemExit,
+                       match="^dosebench mock-llm: .*port must be 0-65535"):
+        main(["mock-llm", "--script", str(script), "--port", port])
 
 
 def test_runs_that_start_in_the_same_second_get_their_own_directories(

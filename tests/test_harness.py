@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import threading
 import zlib
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosebench import env, harness, nets, patients
-from dosebench.llm import LlmConfig
+from dosebench.llm import LlmConfig, ScriptedMockServer
 from dosebench.patients import Cohort
 from dosebench.ppo import PpoConfig, make_policy
 
@@ -377,79 +378,71 @@ def test_run_protocol_loads_the_checkpoint_once(tmp_path, monkeypatch):
     assert loads == [path]
 
 
-def test_run_protocol_makes_no_more_slices_than_episodes(monkeypatch):
-    pools = []
+def test_an_llm_run_starts_no_more_threads_than_lanes_and_ends_them():
+    threads = set()
 
-    class InlinePool:
-        """Records its size and slices, and plays them in this thread."""
+    def transport(messages, config, kind):
+        threads.add(threading.current_thread())
+        if len(messages[-1]["content"]) % 7 == 0:
+            # Fails its lane; the exception's traceback then holds the
+            # policy, and its pool, in a reference cycle.
+            raise RuntimeError("not a transport error")
+        return _prompt_dose(messages, config, kind)
 
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, slices):
-            self.slices = list(slices)
-            return map(fn, self.slices)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
-    spec = harness.PolicySpec(kind="scripted", scripted_name="constant:1.0")
     protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1,),
                                     repeats_per_seed=1)
-    serial = harness.run_protocol(spec, protocol)
-    records = harness.run_protocol(spec, protocol, workers=64)
-    [pool] = pools
-    assert pool.max_workers == 4
-    assert [len(part) for part in pool.slices] == [1, 1, 1, 1]
-    assert [(r.key, r.actions) for r in records] \
-        == [(r.key, r.actions) for r in serial]
-    # An empty protocol still gives no records, and no pool.
-    empty = harness.EvalProtocol(seeds=())
-    assert harness.run_protocol(spec, empty, workers=64) == []
-    assert len(pools) == 1
+    serial = harness.run_protocol(harness.PolicySpec(
+        kind="llm", llm_transport=transport), protocol)
+    assert threads == {threading.current_thread()}
+    assert any(r.error is not None for r in serial)
+    threads.clear()
+    spec = harness.PolicySpec(kind="llm", llm_config=LlmConfig(workers=64),
+                              llm_transport=transport)
+    records = harness.run_protocol(spec, protocol)
+    assert records == serial
+    # Four lanes: at most four pool threads, none of them this one, and
+    # every one joined before run_protocol returned.
+    assert 1 <= len(threads) <= 4
+    assert threading.current_thread() not in threads
+    assert not any(thread.is_alive() for thread in threads)
+    # An empty protocol asks for nothing.
+    assert harness.run_protocol(spec, harness.EvalProtocol(seeds=())) == []
 
 
 def test_workers_give_same_records_as_serial(tmp_path):
-    # The warmstart-random policy, resolved once per protocol, draws from the
-    # rng that reset() installed on every step; one instance shared by the
-    # worker threads would mix the episodes' streams.
-    specs = {
-        "constant": harness.PolicySpec(kind="scripted",
-                                       scripted_name="constant:1.0"),
-        "shared-random": harness.PolicySpec(kind="scripted",
-                                            scripted_name="warmstart-random"),
-        "dqn": harness.PolicySpec(kind="dqn",
-                                  checkpoint_path=_dqn_checkpoint(tmp_path)),
-        # One LlmPolicy keeps every lane's prompt lines for all the threads.
-        "llm": harness.PolicySpec(kind="llm", llm_kind="meal-cot",
-                                  llm_transport=_prompt_dose),
-    }
+    # One LlmPolicy keeps every lane's prompt lines for all its threads; over
+    # HTTP each thread has its own connection to the one-reply server.
     protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1, 100),
                                     repeats_per_seed=2)
-    for name, spec in specs.items():
-        runs = {}
-        for workers in (1, 4):
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)  # switch threads often, mid-episode
-            try:
-                records = harness.run_protocol(spec, protocol, workers=workers)
-            finally:
-                sys.setswitchinterval(interval)
-            path = tmp_path / f"{name}-{workers}.json"
-            harness.emit_report(harness.aggregate(records, protocol, name),
-                                path, "json")
-            runs[workers] = (records, path.read_bytes())
-        (serial, serial_report), (threaded, threaded_report) = runs.values()
-        key = lambda r: (r.cohort, r.patient_id, r.seed, r.repeat)
-        serial, threaded = sorted(serial, key=key), sorted(threaded, key=key)
-        assert [r.actions for r in serial] == [r.actions for r in threaded], name
-        assert [r.rewards for r in serial] == [r.rewards for r in threaded], name
-        assert serial_report == threaded_report, name
+    with ScriptedMockServer(["1.5"]) as server:
+        specs = {
+            "llm": lambda workers: harness.PolicySpec(
+                kind="llm", llm_kind="meal-cot",
+                llm_config=LlmConfig(workers=workers),
+                llm_transport=_prompt_dose),
+            "http": lambda workers: harness.PolicySpec(
+                kind="llm", llm_kind="base",
+                llm_config=LlmConfig(base_url=server.base_url,
+                                     workers=workers)),
+        }
+        for name, spec in specs.items():
+            runs = {}
+            for workers in (1, 4):
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)  # switch threads often, mid-round
+                try:
+                    records = harness.run_protocol(spec(workers), protocol)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert all(r.error is None for r in records), name
+                path = tmp_path / f"{name}-{workers}.json"
+                harness.emit_report(harness.aggregate(records, protocol, name),
+                                    path, "json")
+                runs[workers] = (records, path.read_bytes())
+            assert runs[1] == runs[4], name
+        # One request per decision of either HTTP run.
+        decisions = sum(len(r.actions) for r in runs[1][0])
+        assert len(server.requests) == 2 * decisions
 
 
 def test_run_protocol_raises_on_a_missing_checkpoint(tmp_path):
@@ -475,8 +468,9 @@ def _prompt_dose(messages, config, kind):
     return f"<ans>{len(messages[-1]['content']) % 11 * 0.9:.1f}</ans>"
 
 
-def _policies(name):
-    """(lock-step policy, per-episode policy) acting alike."""
+def _policies(name, workers=1):
+    """(lock-step policy, per-episode policy) acting alike; the LLM policy
+    keeps ``workers`` requests in flight."""
     if name.startswith("dqn"):
         qnet = nets.init_standard([48, 64, 64, 11], seed=int(name[3:]))
         return harness.DqnPolicy(qnet), _oracles.DqnPolicy(qnet)
@@ -486,7 +480,8 @@ def _policies(name):
             scale=0.05, size=ppo.actor.params.shape)
         return harness.PpoEvalPolicy(ppo), _oracles.PpoEvalPolicy(ppo)
     if name == "llm":
-        return (harness.LlmPolicy("meal-cot", LlmConfig(), _prompt_dose),
+        return (harness.LlmPolicy("meal-cot", LlmConfig(workers=workers),
+                                  _prompt_dose),
                 _oracles.LlmPolicy("meal-cot", LlmConfig(), _prompt_dose))
     return harness.ScriptedPolicy(name), _oracles.ScriptedPolicy(name)
 
@@ -496,8 +491,8 @@ POLICIES = ("zero", "max", "constant:1.2", "warmstart-random", "dqn0", "dqn1",
 
 
 def _assert_lockstep_matches_per_episode_loop(name, protocol, workers=1):
-    new, old = _policies(name)
-    records = harness.run_protocol(Spec(new), protocol, workers=workers)
+    new, old = _policies(name, workers)
+    records = harness.run_protocol(Spec(new), protocol)
     expected = _oracles.run_protocol(old, protocol)
     assert records == expected, name
     assert repr(records) == repr(expected), name   # -0.0 and 0.0 too

@@ -140,6 +140,14 @@ def test_llm_config_requires_a_finite_temperature_and_timeout(value):
         LlmConfig(request_timeout=value)
 
 
+@pytest.mark.parametrize("workers", [0, -1, math.nan])
+def test_llm_config_refuses_fewer_than_one_worker(workers):
+    # A pool of NaN threads would start none, and its first round would
+    # wait for ever.
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        LlmConfig(workers=workers)
+
+
 def test_llm_act_happy_path():
     cfg = LlmConfig(base_url="http://unused")
     action, ex = llm_act(FIXED_HISTORY, [], PromptKind.BASE_ZERO_SHOT, cfg,
@@ -523,9 +531,10 @@ def test_lockstep_formats_each_finished_line_once_per_episode(
     monkeypatch.setattr(prompts, "_line",
                         lambda rec, meals: calls.append(rec) or line(rec, meals))
     spec = harness.PolicySpec(kind="llm", llm_kind="meal-cot",
+                              llm_config=LlmConfig(workers=workers),
                               llm_transport=lambda *_: "<ans>1.2</ans>")
     protocol = harness.EvalProtocol(seeds=seeds, repeats_per_seed=repeats)
-    records = harness.run_protocol(spec, protocol, workers=workers)
+    records = harness.run_protocol(spec, protocol)
     assert len(records) == 12 * len(seeds) * repeats
     assert all(r.error is None and len(r.actions) == 64 for r in records)
     # Each decision formats its current row; each finished row once.
