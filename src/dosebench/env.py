@@ -12,14 +12,15 @@ integrates the patient physiology at 1-minute RK4 substeps in one kernel
 call, with any meal falling in the interval entering before its substep, and
 scores the resulting true glucose with the risk reward. Observations report
 sensor glucose (true + Gaussian noise); reward and termination always use
-true glucose. The env keeps the observation window as a flat list of OBS_DIM
-floats and rolls it by one row per step, so an observation costs the same at
-every step of an episode.
+true glucose.
 
-In lock-step evaluation (``harness.Lane``) a round integrates, reads the
-sensor and rolls the window of many envs at once, on arrays, and ``step``
-keeps each env's own bookkeeping: the rate check, the reward, the
-termination and the history (see ``GlucoseEnv._advance``).
+There is one simulator core, ``Columns``: the lanes of a lock-step round,
+which keep each lane's noise and observation window in arrays and run one
+control interval of every lane per round. An env is a lane of one in a core
+of its own, built once with the env, and a lock-step evaluation episode
+(``harness.Lane``) is a lane of the round's core; either way ``step`` takes
+the interval's outcome from the core and keeps the env's own bookkeeping:
+the rate check, the reward, the termination and the history.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
-from .patients import (Cohort, MealEvent, PatientState, get_patient,
-                       integrate)
+from . import metrics, patients
+from .patients import Cohort, MealEvent, PatientState, get_patient
 
 CONTROL_INTERVAL_MIN = 15
 SUBSTEP_MIN = 1.0
@@ -106,21 +106,21 @@ class StepRecord:
 
 @dataclass
 class StepResult:
-    observation: np.ndarray
+    observation: np.ndarray | None     # None for a lock-step lane
     reward: float
     terminated: bool
     truncated: bool
 
 
-def build_observation(window: list[float]) -> np.ndarray:
-    """The observation: an env's OBS_DIM-float window as a new array.
+def build_observation(window: np.ndarray) -> np.ndarray:
+    """The observation: a copy of an env's row of its core's window.
 
     The window holds the trailing 16 (sensor glucose, rate, dose) triples,
     chronological, most recent last; rows before episode start replicate the
     initial sensor glucose with zero insulin. Every call returns a new array,
     so a kept observation never changes when the window rolls on.
     """
-    return np.array(window, dtype=np.float64)
+    return window.copy()
 
 
 def featurize(flat_obs: np.ndarray) -> np.ndarray:
@@ -137,23 +137,23 @@ def row_stacked(observations) -> np.ndarray:
 class GlucoseEnv:
     """Single-patient simulation environment; owns its random streams.
 
-    ``history`` holds one StepRecord per measurement. ``_window`` is the
-    observation window over it as a flat list of (sensor glucose, rate, dose)
-    triples: a step writes the chosen rate and dose into the current row,
-    drops the oldest row and appends the new measurement.
+    ``history`` holds one StepRecord per measurement, and ``state`` is the
+    patient state the episode started in. The env is row ``row`` of its
+    ``core``, a one-row ``Columns`` built with it: reset draws the episode's
+    noise into that row and writes its observation window there, and each
+    step advances the core by one interval and takes the interval's true
+    glucose, sensor reading and grams eaten from it. A lock-step lane
+    (``harness.Lane``) is a row of its round's core instead, which the round
+    advances before its lanes step.
     """
 
     def __init__(self, cohort: Cohort, patient_id: int):
         self.params = get_patient(cohort, patient_id)
         self._plan = meal_plan(cohort)
         self.history: list[StepRecord] = []
-        self._window: list[float] = []
         self.state: PatientState | None = None
         self._meals: list[MealEvent] = []
-        # The episode's noise, which reset draws: one process-noise value
-        # per substep and one sensor-noise value per measurement.
-        self._noise = np.empty((MAX_STEPS, CONTROL_INTERVAL_MIN))
-        self._sensor_noise = np.empty(MAX_STEPS + 1)
+        self.core, self.row = Columns(1), 0
         self._step_count = 0
         self._done = False
         self.termination_cause: str | None = None
@@ -163,9 +163,13 @@ class GlucoseEnv:
         ss = seed if isinstance(seed, np.random.SeedSequence) \
             else np.random.SeedSequence(int(seed))
         init_ss, jitter_ss, noise_ss, sensor_ss = ss.spawn(4)
-        # One array draw per stream gives the values of as many scalar draws.
-        np.random.default_rng(noise_ss).standard_normal(out=self._noise)
-        np.random.default_rng(sensor_ss).standard_normal(out=self._sensor_noise)
+        # One array draw per stream gives the values of as many scalar draws:
+        # one process-noise value per substep and one sensor-noise value per
+        # measurement.
+        core, row = self.core, self.row
+        np.random.default_rng(noise_ss).standard_normal(out=core.noise[row])
+        np.random.default_rng(sensor_ss).standard_normal(
+            out=core.sensor_noise[row])
 
         init_rng = np.random.default_rng(init_ss)
         bg0 = float(init_rng.uniform(*INITIAL_BG_RANGE))
@@ -187,54 +191,15 @@ class GlucoseEnv:
         self._step_count = 0
         self._done = False
         self.termination_cause = None
-        sensor0 = self._sense(bg0, 0)
+        noise = self.params.cgm_sigma * float(core.sensor_noise[row, 0])
+        sensor0 = max(bg0 + noise, 1.0)
         self.history = [StepRecord(step=0, clock=clock0, bg_true=bg0,
                                    bg_sensor=sensor0)]
-        self._window = [sensor0, 0.0, 0.0] * WINDOW_STEPS
-        return build_observation(self._window)
-
-    def interval_meals(self) -> tuple[list[tuple[float, ...]], float]:
-        """The meals of the next control interval: the grams eaten in each
-        of its substeps, as ``integrate`` takes them, and their sum."""
-        # A meal is eaten in substep k when t0 + k <= offset < t0 + k + 1; t0
-        # is a whole number of minutes, so k is floor(offset - t0).
-        t0 = self.state.t_elapsed
-        carbs = [()] * CONTROL_INTERVAL_MIN
-        meal_carbs = 0.0
-        for meal in self._meals:
-            minute = math.floor(meal.time_offset - t0)
-            if 0 <= minute < CONTROL_INTERVAL_MIN:
-                carbs[minute] += (meal.carbs,)
-                meal_carbs += meal.carbs
-        return carbs, meal_carbs
-
-    def _sense(self, bg_true: float, measurement: int) -> float:
-        """The sensor reading of true glucose at the episode's measurement
-        with that index (0 at reset)."""
-        noise = self.params.cgm_sigma * float(self._sensor_noise[measurement])
-        return max(bg_true + noise, 1.0)
-
-    def _advance(self, rate: float, dose: float) -> tuple[float, float, float]:
-        """Integrate this interval at ``rate`` and roll the window; returns
-        the true glucose at its end, its sensor reading and the grams eaten
-        in it. A lock-step lane (``harness.Lane``) takes these from its row
-        of the round's columns instead."""
-        carbs, meal_carbs = self.interval_meals()
-        step = self._step_count
-        state = self.state = integrate(self.state, self.params, rate,
-                                       SUBSTEP_MIN, carbs,
-                                       self._noise[step].tolist())
-        state.clock += CONTROL_INTERVAL_MIN
-        sensor = self._sense(state.g, step + 1)
-        window = self._window
-        window[-2] = rate
-        window[-1] = dose
-        del window[:3]
-        window += (sensor, 0.0, 0.0)
-        return state.g, sensor, meal_carbs
-
-    def _observation(self) -> np.ndarray:
-        return build_observation(self._window)
+        window = core.window[row]
+        window[:] = 0.0
+        window[::3] = sensor0
+        core.interval = 0       # the episode's first interval comes next
+        return build_observation(window)
 
     def step(self, action: float) -> StepResult:
         if self.state is None:
@@ -245,19 +210,26 @@ class GlucoseEnv:
             raise ValueError(f"action must lie in [{ACTION_LOW}, {ACTION_HIGH}], "
                              f"got {action!r}")
 
-        # Record the chosen action on the current measurement row.
         rate = float(action)
-        dose = rate / 60.0 * CONTROL_INTERVAL_MIN
+        core = self.core
+        alone = core.interval == self._step_count
+        if alone:   # no lock-step round has run this interval
+            if not self._step_count:
+                core.start([self])
+            core.advance([rate])
+        advanced = core.advanced[self.row]
+        if isinstance(advanced, Exception):
+            raise advanced
+        bg, sensor, meal_carbs = advanced
+        # Record the chosen action on the current measurement row.
         last = self.history[-1]
         last.rate = rate
-        last.dose = dose
-        bg, sensor, meal_carbs = self._advance(rate, dose)
+        last.dose = rate / 60.0 * CONTROL_INTERVAL_MIN
         self._step_count += 1
 
         terminated = bg < BG_TERMINATE_LOW or bg > BG_TERMINATE_HIGH
         truncated = not terminated and self._step_count >= MAX_STEPS
-        risk = metrics.risk_index(bg).ri
-        reward = metrics.risk_reward(risk, terminated)
+        reward = metrics.step_reward(bg, terminated)
         if terminated:
             self.termination_cause = "hypo" if bg < BG_TERMINATE_LOW else "hyper"
         self._done = terminated or truncated
@@ -265,8 +237,177 @@ class GlucoseEnv:
             step=self._step_count, clock=last.clock + CONTROL_INTERVAL_MIN,
             bg_true=bg, bg_sensor=sensor, meal_carbs=meal_carbs,
             reward=reward))
-        return StepResult(observation=self._observation(), reward=reward,
-                          terminated=terminated, truncated=truncated)
+        # A lock-step lane's observation is its row of the round's window.
+        return StepResult(
+            observation=build_observation(core.window[self.row]) if alone
+            else None, reward=reward, terminated=terminated,
+            truncated=truncated)
+
+
+class Columns:
+    """The lanes of a lock-step round, lane i in row i: GlucoseEnvs whose
+    episodes run together (an env on its own is a round of one lane).
+
+    A lane's reset draws its episode's noise into its row of ``noise`` and
+    ``sensor_noise`` and writes its first observations into its row of
+    ``window``, the (lanes, OBS_DIM) observations a policy reads; ``start``
+    takes the rest of the lanes' episodes. A round (``advance``) runs one
+    control interval of every lane, leaves each lane's outcome in
+    ``advanced`` and rolls the window; ``keep`` drops the lanes that ended.
+
+    Below ``patients.ARRAY_MIN_LANES`` lanes a round places the meals, runs
+    the kernel and reads the sensor per lane on floats (``lanes``: each
+    lane's g, s1, s2, x, q_gut and t_elapsed, RK4 constants, noise scales and
+    meals); from there on it does so on (lanes,) arrays (``fields`` and the
+    arrays beside it), with operations that repeat the float ones element by
+    element. The lanes move to arrays at the first round that runs on them,
+    and back to floats at the first that does not.
+    """
+
+    def __init__(self, rows: int):
+        """Rows for ``rows`` lanes to reset into."""
+        self._hold(np.empty((rows, MAX_STEPS, CONTROL_INTERVAL_MIN)),
+                   np.empty((rows, MAX_STEPS + 1)), np.empty((rows, OBS_DIM)))
+        self.interval = 0
+        self.advanced = []
+
+    def _hold(self, noise, sensor_noise, window):
+        """Make these the lanes' arrays. A round reads and writes them
+        through flat views of their doubles (``_flat``), which cost a lane
+        less than array indexing does."""
+        self.noise, self.sensor_noise, self.window = noise, sensor_noise, window
+        self._flat = [a.reshape(-1).data for a in (noise, sensor_noise, window)]
+
+    def start(self, envs: list[GlucoseEnv]):
+        """Take the episodes of ``envs``, the lanes whose reset succeeded, in
+        that order."""
+        rows = [env.row for env in envs]
+        if len(rows) < len(self.noise):     # a lane failed its reset
+            self._hold(self.noise[rows], self.sensor_noise[rows],
+                       self.window[rows])
+        self.lanes = []
+        for row, env in enumerate(envs):
+            env.row = row
+            s, p = env.state, env.params
+            self.lanes.append((
+                [s.g, s.s1, s.s2, s.x, s.q_gut, s.t_elapsed], p.rk4_constants,
+                p.noise_sigma * math.sqrt(SUBSTEP_MIN), p.cgm_sigma,
+                [(m.time_offset, m.carbs) for m in env._meals]))
+        self.clock = envs[0].state.clock    # every lane's: all start together
+        self.fields = None
+
+    def advance(self, rates: list[float]):
+        """One control interval of every lane at its rate (U/h)."""
+        # Shifting the whole window by three values moves each row's last 45
+        # values to its front; the round then writes each row's last five: the
+        # interval's rate and dose, and the new row (over the next row's first
+        # three, which the shift left there).
+        window = self._flat[2]
+        window[:-3] = window[3:]
+        if len(rates) >= patients.ARRAY_MIN_LANES:
+            self._advance_arrays(rates)
+        else:
+            self._advance_floats(rates)
+        self.interval += 1
+        self.clock += CONTROL_INTERVAL_MIN
+
+    def _advance_floats(self, rates):
+        if self.fields is not None:     # the last round ran on arrays
+            for lane, state in zip(self.lanes, zip(*(f.tolist()
+                                                     for f in self.fields))):
+                lane[0][:] = state
+            self.fields = None
+        interval, clock, rk4 = self.interval, self.clock, patients._rk4
+        noise, sensor_noise, window = self._flat
+        advanced = []
+        for i, (rate, (state, constants, sigma, cgm_sigma, meals)) in enumerate(
+                zip(rates, self.lanes)):
+            # A meal is eaten in substep k when t0 + k <= offset < t0 + k + 1;
+            # t0 is a whole number of minutes, so k is floor(offset - t0).
+            t0 = state[5]
+            carbs, eaten = [()] * CONTROL_INTERVAL_MIN, 0.0
+            for offset, grams in meals:
+                minute = math.floor(offset - t0)
+                if 0 <= minute < CONTROL_INTERVAL_MIN:
+                    carbs[minute] += (grams,)
+                    eaten += grams
+            infusion = rate / 60.0
+            # Lane i's noise of this interval, and of the reading at its end.
+            z = (i * MAX_STEPS + interval) * CONTROL_INTERVAL_MIN
+            z_sensor = i * (MAX_STEPS + 1) + interval + 1
+            try:
+                state[:] = rk4(*state, constants, infusion, SUBSTEP_MIN, carbs,
+                               noise[z:z + CONTROL_INTERVAL_MIN].tolist(), sigma,
+                               None, clock)
+                sensor = max(state[0] + cgm_sigma * sensor_noise[z_sensor], 1.0)
+                advanced.append((state[0], sensor, eaten))
+            except FloatingPointError as exc:
+                sensor = math.nan
+                advanced.append(exc)
+            w = (i + 1) * OBS_DIM
+            window[w - 5] = rate
+            window[w - 4] = infusion * CONTROL_INTERVAL_MIN
+            window[w - 3] = sensor
+            window[w - 2] = window[w - 1] = 0.0
+        self.advanced = advanced
+
+    def _advance_arrays(self, rates):
+        if self.fields is None:     # the last round ran on floats
+            lanes = self.lanes
+            self.fields = tuple(np.array(f)
+                                for f in zip(*(lane[0] for lane in lanes)))
+            self.constants = np.array([lane[1] for lane in lanes]).T.copy()
+            self.sigma = np.array([lane[2] for lane in lanes])
+            self.cgm_sigma = np.array([lane[3] for lane in lanes])
+            self.meal_times = np.array([[t for t, _ in lane[4]]
+                                        for lane in lanes]).T.copy()
+            self.meal_grams = np.array([[c for _, c in lane[4]]
+                                        for lane in lanes]).T.copy()
+        k, t = self.interval, self.fields[5]
+        rates = np.array(rates, dtype=np.float64)
+        # The float round's meal placement: meal j of substep k is one array
+        # over the lanes.
+        minute = np.floor(self.meal_times - t)
+        eaten = (0.0 <= minute) & (minute < CONTROL_INTERVAL_MIN)
+        carbs = [[] for _ in range(CONTROL_INTERVAL_MIN)]
+        meal_carbs = np.zeros(len(t))
+        if eaten.any():
+            for j in range(len(minute)):
+                for m in np.unique(minute[j][eaten[j]]).tolist():
+                    carbs[int(m)].append(np.where(minute[j] == m,
+                                                  self.meal_grams[j], -0.0))
+                meal_carbs = meal_carbs + np.where(eaten[j],
+                                                   self.meal_grams[j], 0.0)
+        infusion = rates / 60.0
+        self.fields, errors = patients.integrate_lanes(
+            self.fields, self.constants, infusion, SUBSTEP_MIN, carbs,
+            self.noise[:, k].T.copy(), self.sigma, self.clock)
+        g = self.fields[0]
+        sensor = g + self.cgm_sigma * self.sensor_noise[:, k + 1]
+        np.copyto(sensor, 1.0, where=1.0 > sensor)     # max(reading, 1.0)
+        tail = self.window[:, -5:]
+        tail[:, 0] = rates
+        tail[:, 1] = infusion * CONTROL_INTERVAL_MIN     # the dose
+        tail[:, 2] = sensor
+        tail[:, 3:] = 0.0
+        self.advanced = list(zip(g.tolist(), sensor.tolist(),
+                                 meal_carbs.tolist()))
+        for i, exc in errors.items():
+            self.advanced[i] = exc
+
+    def keep(self, rows: list[int], envs: list[GlucoseEnv]):
+        """Keep only ``envs``, the lanes of ``rows``, in that order."""
+        self._hold(self.noise[rows], self.sensor_noise[rows],
+                   self.window[rows])
+        self.lanes = [self.lanes[row] for row in rows]
+        if self.fields is not None:
+            self.fields = tuple(f[rows] for f in self.fields)
+            self.constants = self.constants[:, rows]
+            self.sigma, self.cgm_sigma = self.sigma[rows], self.cgm_sigma[rows]
+            self.meal_times = self.meal_times[:, rows]
+            self.meal_grams = self.meal_grams[:, rows]
+        for row, env in enumerate(envs):
+            env.row = row
 
 
 def cohort_envs(env_group: str) -> list[GlucoseEnv]:

@@ -7,13 +7,13 @@ repeats of a deterministic policy would be vacuous.
 
 The episodes run in lock-step, one round per control interval: every live
 episode is a ``Lane`` (its env, key and policy stream) and a row of the
-round's ``Columns``, which keep the lanes' state, noise, meals and
-observation window in arrays from reset to the last round. A round asks the
-policy for all live lanes' rates in one ``Policy.act(obs, lanes)`` call on
-the window, advances the columns by one interval with array operations (one
-``patients.integrate_lanes`` call) and then steps each lane's env, which
-does that lane's bookkeeping. The records are bit for bit those of playing
-the episodes one by one.
+round's ``env.Columns``, the simulator core that training envs run as lanes
+of one. A round asks the policy for all live lanes' rates in one
+``Policy.act(obs, lanes)`` call on the core's window, advances the core by
+one interval (on arrays from ``patients.ARRAY_MIN_LANES`` live lanes on, on
+each lane's floats below) and then steps each lane's env, which does that
+lane's bookkeeping. The records are bit for bit those of playing the
+episodes one by one.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ import numpy as np
 
 from . import metrics, nets
 from .dqn import N_ACTIONS, bin_to_rate
-from .env import (ACTION_HIGH, ACTION_LOW, CONTROL_INTERVAL_MIN,
-                  INITIAL_BG_RANGE, MAX_STEPS, MEAL_JITTER_CARB_FRAC,
-                  MEAL_JITTER_MIN, OBS_DIM, START_CLOCK, SUBSTEP_MIN,
-                  GlucoseEnv, meal_plan, row_stacked)
-from .patients import Cohort, integrate_lanes
+from .env import (ACTION_HIGH, ACTION_LOW, INITIAL_BG_RANGE,
+                  MEAL_JITTER_CARB_FRAC, MEAL_JITTER_MIN, OBS_DIM,
+                  START_CLOCK, Columns, GlucoseEnv, meal_plan, row_stacked)
+from .patients import Cohort
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
 REPEATS_PER_SEED = 5
@@ -290,30 +289,16 @@ def episode_seed_sequence(seed: int, repeat: int) -> np.random.SeedSequence:
 
 class Lane(GlucoseEnv):
     """One protocol episode in lock-step: its patient's env, its key and its
-    policy stream, in ``row`` of the round's ``columns``. Its reset draws
-    the episode's noise straight into that row; from then on the lane's
-    state, meals and observation window live in the columns too (its
-    ``state`` stays the reset state), and ``step`` takes each interval's
-    outcome from there and does the lane's bookkeeping."""
+    policy stream, in ``row`` of the round's core ``columns``, which the
+    round advances before its lanes step."""
 
     def __init__(self, key: EpisodeKey, columns: Columns, row: int):
         super().__init__(key.cohort, key.patient_id)
         self.key = key
-        self.columns, self.row = columns, row
-        self._noise = columns.noise[row]
-        self._sensor_noise = columns.sensor_noise[row]
+        self.core, self.row = columns, row
         env_ss, policy_ss = episode_seed_sequence(key.seed, key.repeat).spawn(2)
         self.rng = np.random.default_rng(policy_ss)
         self.reset(env_ss)
-
-    def _advance(self, rate, dose):
-        advanced = self.columns.advanced[self.row]
-        if isinstance(advanced, Exception):
-            raise advanced
-        return advanced
-
-    def _observation(self):
-        return None     # the lane's row of ``Columns.window``
 
     def record(self, truncated: bool) -> EpisodeRecord:
         history = self.history
@@ -323,104 +308,6 @@ class Lane(GlucoseEnv):
                              rewards=[rec.reward for rec in history[1:]],
                              termination_cause=self.termination_cause,
                              truncated=truncated)
-
-
-class Columns:
-    """The live lanes of a lock-step round as arrays, lane i in entry i.
-
-    The columns hold each lane's episode noise as its reset drew it
-    (``noise``, ``sensor_noise``), its patient state (``fields``: g, s1, s2,
-    x, q_gut, t_elapsed), its RK4 constants and noise scales, its meal
-    schedule and ``window``, the (lanes, OBS_DIM) observations the policy
-    reads. A round (``advance``) integrates every lane, reads its sensor and
-    rolls its window with array operations that repeat the scalar env's,
-    element by element; ``keep`` drops the lanes that ended.
-    """
-
-    def __init__(self, rows: int):
-        """Noise rows for ``rows`` lanes to reset into; ``start`` takes the
-        rest of the lanes that did."""
-        self.noise = np.empty((rows, MAX_STEPS, CONTROL_INTERVAL_MIN))
-        self.sensor_noise = np.empty((rows, MAX_STEPS + 1))
-        self.interval = 0
-        self.advanced = []
-
-    def start(self, lanes: list[Lane]):
-        """Take the state, constants, meals and window of ``lanes``, the
-        lanes whose reset succeeded, in that order."""
-        rows = [lane.row for lane in lanes]
-        if len(rows) < len(self.noise):     # a lane failed its reset
-            self.noise = self.noise[rows]
-            self.sensor_noise = self.sensor_noise[rows]
-        for row, lane in enumerate(lanes):
-            lane.row = row
-        states = [lane.state for lane in lanes]
-        self.fields = tuple(np.array(f, dtype=np.float64) for f in zip(
-            *((s.g, s.s1, s.s2, s.x, s.q_gut, s.t_elapsed) for s in states)))
-        self.clock = states[0].clock    # every lane's: all start together
-        self.constants = np.array([lane.params.rk4_constants
-                                   for lane in lanes]).T.copy()
-        self.sigma = np.array([lane.params.noise_sigma * math.sqrt(SUBSTEP_MIN)
-                               for lane in lanes])
-        self.cgm_sigma = np.array([lane.params.cgm_sigma for lane in lanes])
-        meals = [lane._meals for lane in lanes]
-        self.meal_times = np.array([[m.time_offset for m in lane_meals]
-                                    for lane_meals in meals]).T.copy()
-        self.meal_grams = np.array([[m.carbs for m in lane_meals]
-                                    for lane_meals in meals]).T.copy()
-        self.window = np.array([lane._window for lane in lanes])
-
-    def advance(self, rates: list[float]):
-        """One control interval of every lane at its rate (U/h)."""
-        t = self.fields[5]
-        rates = np.array(rates, dtype=np.float64)
-        # A meal is eaten in substep floor(offset - t0), as interval_meals
-        # places it; meal j of substep k is one array over the lanes.
-        minute = np.floor(self.meal_times - t)
-        eaten = (0.0 <= minute) & (minute < CONTROL_INTERVAL_MIN)
-        carbs = [[] for _ in range(CONTROL_INTERVAL_MIN)]
-        meal_carbs = np.zeros(len(t))
-        if eaten.any():
-            for j in range(len(minute)):
-                for k in np.unique(minute[j][eaten[j]]).tolist():
-                    carbs[int(k)].append(np.where(minute[j] == k,
-                                                  self.meal_grams[j], -0.0))
-                meal_carbs = meal_carbs + np.where(eaten[j],
-                                                   self.meal_grams[j], 0.0)
-        infusion = rates / 60.0
-        self.fields, errors = integrate_lanes(
-            self.fields, self.constants, infusion, SUBSTEP_MIN, carbs,
-            self.noise[:, self.interval].T.copy(), self.sigma, self.clock)
-        g = self.fields[0]
-        self.interval += 1
-        self.clock += CONTROL_INTERVAL_MIN
-        sensor = g + self.cgm_sigma * self.sensor_noise[:, self.interval]
-        np.copyto(sensor, 1.0, where=1.0 > sensor)     # max(reading, 1.0)
-        window = self.window
-        window[:, -2] = rates
-        window[:, -1] = infusion * CONTROL_INTERVAL_MIN     # the dose
-        window[:, :-3] = window[:, 3:]
-        window[:, -3] = sensor
-        window[:, -2:] = 0.0
-        # Lane i's true glucose, sensor reading and grams eaten, or the
-        # error that failed its integration.
-        self.advanced = list(zip(g.tolist(), sensor.tolist(),
-                                 meal_carbs.tolist()))
-        for i, exc in errors.items():
-            self.advanced[i] = exc
-
-    def keep(self, rows: list[int], lanes: list[Lane]):
-        """Keep only ``lanes``, the lanes of ``rows``, in that order."""
-        self.noise = self.noise[rows]
-        self.sensor_noise = self.sensor_noise[rows]
-        self.fields = tuple(f[rows] for f in self.fields)
-        self.constants = self.constants[:, rows]
-        self.sigma, self.cgm_sigma = self.sigma[rows], self.cgm_sigma[rows]
-        self.meal_times = self.meal_times[:, rows]
-        self.meal_grams = self.meal_grams[:, rows]
-        self.window = self.window[rows]
-        for row, lane in enumerate(lanes):
-            lane.row = row
 
 
 def _failed(key: EpisodeKey, exc: Exception) -> EpisodeRecord:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ TARGET_HIGH = 140.0
 TERMINATION_PENALTY = -100.0
 
 
-@dataclass(frozen=True)
-class RiskBreakdown:
+class RiskBreakdown(NamedTuple):
     """Risk decomposition at a single glucose value."""
 
     f_bg: float
@@ -81,12 +81,7 @@ def risk_index(bg: float) -> RiskBreakdown:
 
 def step_reward(bg: float, terminated: bool) -> float:
     """Per-step reward: scaled risk term plus the termination penalty."""
-    return risk_reward(risk_index(bg).ri, terminated)
-
-
-def risk_reward(ri: float, terminated: bool) -> float:
-    """step_reward for a glucose value whose risk index ri is already known."""
-    r = (100.0 - ri) / 100.0
+    r = (100.0 - risk_index(bg).ri) / 100.0
     if terminated:
         r += TERMINATION_PENALTY
     return r

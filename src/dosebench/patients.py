@@ -15,12 +15,13 @@ State derivatives (u = infusion rate in U/h):
     q'  = -k_abs*q
     g'  = -p1*(g - g_b) - x*g + 1000*f_bio*k_abs*q/v_g  (+ process noise)
 
-Integration is RK4 at 1-minute substeps, one kernel call per control
-interval: integrate for one patient's PatientState, integrate_lanes for the
-(lanes,) state arrays of a lock-step round, both through the one RK4 body
-_rk4. A meal enters the gut before the substep it falls in; process noise
-enters after each substep, from standard normal draws the caller passes in
-(the env draws an episode's at its reset).
+Integration is RK4 at 1-minute substeps in the one RK4 body ``_rk4``, one
+call per control interval: on one lane's floats, or through
+``integrate_lanes`` on the (lanes,) state arrays of a lock-step round
+(``env.Columns`` chooses by lane count, ``ARRAY_MIN_LANES``). A meal enters
+the gut before the substep it falls in; process noise enters after each
+substep, from standard normal draws the caller passes in (the env draws an
+episode's at its reset).
 """
 
 from __future__ import annotations
@@ -158,49 +159,15 @@ def get_patient(cohort: Cohort, patient_id: int) -> PatientParams:
     return make_cohort(cohort)[patient_id]
 
 
-def integrate(state: PatientState, params: PatientParams, rate: float,
-              dt: float, carbs: Sequence[Sequence[float]],
-              noise: Sequence[float] | None) -> PatientState:
-    """RK4 over len(carbs) substeps of dt minutes at a constant rate (U/h).
-
-    carbs[k] holds the grams of each meal eaten in substep k; they enter the
-    gut one at a time, in order, before the substep is integrated. noise[k]
-    is the standard normal draw of substep k's process noise (None: no
-    noise). Non-negativity is restored by flooring after every substep;
-    glucose is floored at a small positive value so downstream logs stay
-    defined. A state that is, or becomes, non-finite raises
-    FloatingPointError.
-
-    The substeps run in ``_rk4``, the one RK4 body, here on floats;
-    ``integrate_lanes`` runs the same body on lane arrays.
-    """
-    g, s1, s2, x, q = state.g, state.s1, state.s2, state.x, state.q_gut
-    clock = state.clock
-    # A NaN or infinite field makes the sum non-finite; only then is each
-    # field checked (a sum of finite fields that overflows passes).
-    if not math.isfinite(g + s1 + s2 + x + q):
-        state.check_finite()
-    sigma = None
-    if noise is not None and params.noise_sigma > 0:
-        sigma = params.noise_sigma * math.sqrt(dt)
-    else:
-        noise = None
-
-    g, s1, s2, x, q, t = _rk4(g, s1, s2, x, q, state.t_elapsed,
-                              params.rk4_constants, rate / 60.0, dt,
-                              carbs, noise, sigma, None, clock)
-    # The clock advances per control interval, not here.
-    return PatientState(g=g, s1=s1, s2=s2, x=x, q_gut=q, t_elapsed=t,
-                        clock=clock)
-
-
-# integrate_lanes makes one array call from this many lanes on, and one float
-# call per lane below it: an array call has a fixed cost of about 1.2 ms.
-# Measured on a 2-vCPU x86-64 VM, per lock-step interval (least of 7 runs of
-# 64 intervals, float calls against the array call): 0.74 against 1.20 ms at
-# 24 lanes, 0.91 against 1.18 at 32, 1.08 against 1.15 at 38, 1.25 against
-# 1.17 at 40, 1.84 against 1.16 at 64, 7.07 against 1.43 at 240.
-ARRAY_MIN_LANES = 40
+# env.Columns runs a control interval (meal placement, the kernel and the
+# sensor read) as array operations over its lanes from this many lanes on, and
+# per lane on floats below it: the array round has a fixed cost of about
+# 1.0 ms. Measured on a 2-vCPU x86-64 VM, one pinned CPU, per lock-step
+# interval (least of 7 runs of 64 intervals, floats against arrays): 0.60
+# against 1.01 ms at 24 lanes, 0.80 against 1.01 at 32, 0.98 against 1.04 at
+# 38, 1.02 against 1.03 at 40, 1.05 against 1.07 at 42, 1.13 against 1.06 at
+# 44, 1.64 against 1.01 at 64, 5.97 against 1.24 at 240.
+ARRAY_MIN_LANES = 44
 
 
 def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
@@ -209,7 +176,9 @@ def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
                     sigma: np.ndarray, clock: int
                     ) -> tuple[tuple[np.ndarray, ...],
                                dict[int, FloatingPointError]]:
-    """``integrate`` of every lane of a lock-step round, on (lanes,) arrays.
+    """One control interval of every lane of a lock-step round, on (lanes,)
+    arrays: one ``_rk4`` call, so every float operation is a lane's float
+    call's, element by element.
 
     ``fields`` are the lanes' g, s1, s2, x, q_gut and t_elapsed, and
     ``clock`` is every lane's clock. ``constants`` has one row per entry of
@@ -220,13 +189,9 @@ def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
     lane without noise (which then adds 0.0 * z to glucose before its
     floor, leaving the floored value as it is).
 
-    Returns the fields at the end of the interval, lane i's bit for bit
-    those of ``integrate`` on lane i, and the FloatingPointError that
-    ``integrate`` raises for each lane that fails; a failed lane runs on as
-    NaN or inf and leaves the others as they are. From ARRAY_MIN_LANES
-    lanes on, the lanes run as one ``_rk4`` call on the arrays, so every
-    float operation is the scalar call's, element by element; below it,
-    as one float ``_rk4`` call per lane.
+    Returns the fields at the end of the interval and the
+    FloatingPointError that the float call raises for each lane that fails;
+    a failed lane runs on as NaN or inf and leaves the others as they are.
     """
     errors = {}
 
@@ -234,7 +199,7 @@ def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
         bad = ~np.isfinite(g + s1 + s2 + x + q)
         if bad.any():
             for i in np.flatnonzero(bad).tolist():
-                if i not in errors:     # integrate raises at the first
+                if i not in errors:     # a float call raises at the first
                     lane = [float(f[i]) for f in (g, s1, s2, x, q, t)]
                     try:
                         PatientState(*lane, clock).check_finite()
@@ -249,48 +214,41 @@ def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
         return g, s1, s2, x, q
 
     check(*fields)
-    if len(infusion) >= ARRAY_MIN_LANES:
-        with np.errstate(all="ignore"):
-            return _rk4(*fields, constants, infusion, dt, carbs, noise, sigma,
-                        settle, clock), errors
-
-    meals = [[grams.tolist() for grams in k] for k in carbs] \
-        if any(carbs) else None
-    rows = []
-    for i, (*state, lane_constants, lane_infusion, lane_noise, lane_sigma) \
-            in enumerate(zip(*(f.tolist() for f in fields),
-                             constants.T.tolist(), infusion.tolist(),
-                             noise.T.tolist(), sigma.tolist())):
-        if i not in errors:
-            lane_carbs = [[grams[i] for grams in k] for k in meals] \
-                if meals else carbs
-            try:
-                state = _rk4(*state, lane_constants, lane_infusion, dt,
-                             lane_carbs, lane_noise, lane_sigma, None, clock)
-            except FloatingPointError as exc:
-                errors[i] = exc
-                state = [math.nan] * len(state)
-        rows.append(state)
-    return tuple(np.array(rows).T), errors
+    with np.errstate(all="ignore"):
+        return _rk4(*fields, constants, infusion, dt, carbs, noise, sigma,
+                    settle, clock), errors
 
 
 def _rk4(g, s1, s2, x, q, t, constants, infusion, dt, carbs, noise, sigma,
          settle, clock):
-    """The RK4 body of integrate and integrate_lanes, on floats or arrays.
+    """RK4 over len(carbs) substeps of dt minutes at a constant infusion
+    (rate / 60), on the floats of one lane or the arrays of many
+    (``integrate_lanes``).
+
+    carbs[k] holds the grams of each meal eaten in substep k; they enter the
+    gut one at a time, in order, before the substep is integrated. noise[k]
+    is the standard normal draw of substep k's process noise, which enters
+    as sigma * noise[k] (None: no noise). Non-negativity is restored by
+    flooring after every substep; glucose is floored at a small positive
+    value so downstream logs stay defined.
 
     On arrays, ``settle`` floors a substep's fields and tests their
     finiteness. On floats (``settle`` is None) the floors are written out
-    here, and a substep whose fields do not sum to a finite value raises the
-    ``check_finite`` error of its state at ``clock``; so the float path
-    makes no call per substep. Every expression keeps the operand order of
-    the module's derivatives and of y + dt/6 * (k1 + 2*k2 + 2*k3 + k4), term
-    by term, so n substeps here are bit-identical to n one-substep calls;
-    only loop-invariant constants are hoisted.
+    here, and a state that does not sum to a finite value, at the start or
+    after a substep, raises the ``check_finite`` error of its state at
+    ``clock`` (a sum of finite fields that overflows passes); so the float
+    path makes no call per substep. Every expression keeps the operand
+    order of the module's derivatives and of y + dt/6 * (k1 + 2*k2 + 2*k3
+    + k4), term by term, so n substeps here are bit-identical to n
+    one-substep calls; only loop-invariant constants are hoisted. Returns
+    g, s1, s2, x, q and t at the end.
     """
     neg_p1, g_b, neg_p2, p2_s_i, tau, tau_v_i, ra_gain, v_g, neg_k_abs = \
         constants
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     isfinite = math.isfinite
+    if settle is None and not isfinite(g + s1 + s2 + x + q):
+        PatientState(g, s1, s2, x, q, t, clock).check_finite()
 
     for k in range(len(carbs)):
         for grams in carbs[k]:
@@ -359,16 +317,20 @@ def step_physiology(state: PatientState, params: PatientParams, rate: float,
                     ) -> PatientState:
     """One RK4 step of the surrogate dynamics plus optional process noise.
 
-    dt is in minutes, rate in U/h held constant over the step. This is the
-    one-substep, meal-free call of integrate, with its inputs validated; the
+    dt is in minutes, rate in U/h held constant over the step. This is one
+    meal-free float substep of ``_rk4``, with its inputs validated; the
     noise is one draw from noise_stream.
     """
     if not (0 < dt <= 15):
         raise ValueError("dt must lie in (0, 15] minutes")
     if rate < 0 or not math.isfinite(rate):
         raise ValueError("infusion rate must be finite and non-negative")
-    noise = None
+    noise = sigma = None
     if noise_stream is not None and params.noise_sigma > 0:
         noise = (noise_stream.standard_normal(),)
-    return integrate(state, params, rate, dt, ((),), noise)
-
+        sigma = params.noise_sigma * math.sqrt(dt)
+    *fields, t = _rk4(state.g, state.s1, state.s2, state.x, state.q_gut,
+                      state.t_elapsed, params.rk4_constants, rate / 60.0, dt,
+                      ((),), noise, sigma, None, state.clock)
+    # The clock advances per control interval, not here.
+    return PatientState(*fields, t_elapsed=t, clock=state.clock)

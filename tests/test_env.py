@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dosebench.dqn import ReplayBuffer, warm_start_fill
+from dosebench import env as env_module
+from dosebench import patients
+from dosebench.dqn import DqnConfig, ReplayBuffer, train_dqn, warm_start_fill
 from dosebench.env import (ACTION_HIGH, ACTION_LOW, CONTROL_INTERVAL_MIN,
                            INITIAL_BG_RANGE, MAX_STEPS, MEAL_JITTER_CARB_FRAC,
                            MEAL_JITTER_MIN, OBS_DIM, START_CLOCK, WINDOW_STEPS,
                            GlucoseEnv, cohort_envs, format_clock, meal_plan,
                            parse_clock, rollout)
-from dosebench.patients import Cohort, MealEvent
+from dosebench.patients import Cohort, MealEvent, PatientState
+from dosebench.ppo import PpoConfig, train_ppo
 
 import _oracles
 from _helpers import apply_meal, noiseless
@@ -242,18 +245,34 @@ def test_rewards_use_true_bg_not_sensor():
         metrics.step_reward(env.history[-1].bg_true, False))
 
 
-def test_meals_enter_before_their_substep_as_per_minute_scan():
+def _core_state(env):
+    """The patient state in env's row of its core, on either branch."""
+    core = env.core
+    if core.fields is None:
+        fields = core.lanes[env.row][0]
+    else:
+        fields = [f[env.row].item() for f in core.fields]
+    return PatientState(*fields, clock=core.clock)
+
+
+@pytest.mark.parametrize("min_lanes", [1, patients.ARRAY_MIN_LANES],
+                         ids=["arrays", "floats"])
+def test_meals_enter_before_their_substep_as_per_minute_scan(min_lanes,
+                                                             monkeypatch):
     # Meals on an interval boundary (15.0), in its last minute (29.5), two in
-    # one minute (45.0, 45.5) and one at the last substep of a later step.
-    # Reset draws the jitter from a stream of its own, so planting the meals
-    # after it leaves every other stream as it was.
+    # one minute (45.0, 45.5) and one at the last substep of a later step,
+    # through the core's array branch and through its float branch. Reset
+    # draws the jitter from a stream of its own, and the core takes the
+    # meals at the first step, so planting them between the two leaves every
+    # other stream as it was.
+    monkeypatch.setattr(patients, "ARRAY_MIN_LANES", min_lanes)
     meals = [MealEvent(15.0, 8.0), MealEvent(29.5, 4.0),
              MealEvent(45.0, 6.0), MealEvent(45.5, 2.5),
              MealEvent(74.999, 5.0)]
-    env, ref = GlucoseEnv(Cohort.ADULT, 2), GlucoseEnv(Cohort.ADULT, 2)
+    env = GlucoseEnv(Cohort.ADULT, 2)
     env.reset(21)
-    ref.reset(21)
-    env._meals, ref._meals = list(meals), list(meals)
+    env._meals = list(meals)
+    state = env.state
     # The reference draws its process noise one scalar at a time from the
     # episode's noise stream, as the env drew it before it drew an episode's
     # noise at reset.
@@ -261,18 +280,20 @@ def test_meals_enter_before_their_substep_as_per_minute_scan():
     for _ in range(6):
         res = env.step(0.9)
         assert not res.terminated
+        assert (env.core.fields is None) == (min_lanes > 1)
         # The per-minute scan the interval kernel replaced.
-        t0, eaten = ref.state.t_elapsed, 0.0
+        t0, eaten = state.t_elapsed, 0.0
         for minute in range(CONTROL_INTERVAL_MIN):
             t = t0 + minute
-            for meal in ref._meals:
+            for meal in meals:
                 if t <= meal.time_offset < t + 1.0:
-                    ref.state = apply_meal(ref.state, meal.carbs)
+                    state = apply_meal(state, meal.carbs)
                     eaten += meal.carbs
-            ref.state = _oracles.step_physiology(ref.state, ref.params, 0.9,
-                                                 1.0, noise_rng)
-        ref.state.clock += CONTROL_INTERVAL_MIN
-        assert env.state == ref.state
+            state = _oracles.step_physiology(state, env.params, 0.9, 1.0,
+                                             noise_rng)
+        state.clock += CONTROL_INTERVAL_MIN
+        assert _core_state(env) == state
+        assert repr(_core_state(env)) == repr(state)
         assert env.history[-1].meal_carbs == eaten
     assert [r.meal_carbs for r in env.history[1:6]] == [
         0.0, 12.0, 0.0, 8.5, 5.0]
@@ -290,19 +311,20 @@ def test_reset_draws_the_noise_of_scalar_draws_from_the_episode_streams(cohort):
         noise_ss, sensor_ss = np.random.SeedSequence(seed).spawn(4)[2:]
         per_interval = np.random.default_rng(noise_ss)
         scalars = np.random.default_rng(noise_ss)
-        assert env._noise.shape == (MAX_STEPS, CONTROL_INTERVAL_MIN)
-        for row in env._noise:
+        noise = env.core.noise[env.row]
+        sensor_noise = env.core.sensor_noise[env.row]
+        assert noise.shape == (MAX_STEPS, CONTROL_INTERVAL_MIN)
+        for row in noise:
             assert row.tobytes() == per_interval.standard_normal(
                 CONTROL_INTERVAL_MIN).tobytes()
             assert row.tolist() == [scalars.standard_normal()
                                     for _ in range(CONTROL_INTERVAL_MIN)]
         sensor = np.random.default_rng(sensor_ss)
-        assert env._sensor_noise.tolist() == [
+        assert sensor_noise.tolist() == [
             sensor.standard_normal() for _ in range(MAX_STEPS + 1)]
     # The first measurement's reading uses the first sensor value.
     assert env.history[0].bg_sensor == max(
-        env.history[0].bg_true + env.params.cgm_sigma * env._sensor_noise[0],
-        1.0)
+        env.history[0].bg_true + env.params.cgm_sigma * sensor_noise[0], 1.0)
 
 
 def _max_dose(obs, env):
@@ -355,3 +377,39 @@ def test_warm_start_fill_of_zero_steps_draws_nothing():
     buffer = warm_start_fill(ReplayBuffer(8), env, 0, rng)
     assert rng.bit_generator.state == before
     assert buffer.size == 0 and env.state is None
+
+
+@pytest.mark.parametrize("train, config", [
+    (train_dqn, DqnConfig(epochs=2, steps_per_epoch=320, warm_start_steps=64,
+                          batch_size=16)),
+    (train_ppo, PpoConfig(epochs=2, steps_per_epoch=320, steps_per_collect=160,
+                          warm_start_steps=64, batch_size=32,
+                          repeat_per_collect=1)),
+], ids=["dqn", "ppo"])
+def test_training_runs_each_env_as_a_lane_of_one(train, config, monkeypatch):
+    # Training steps the evaluation's core: each env builds its one-row core
+    # once, not once per episode, and each env step advances it once, in
+    # one float kernel call and through no other integrator.
+    calls = {}
+
+    def counting(owner, name):
+        wrapped = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(owner, name, count)
+
+    for owner, name in ((env_module.Columns, "__init__"),
+                        (env_module.Columns, "advance"),
+                        (env_module.GlucoseEnv, "step"),
+                        (env_module.GlucoseEnv, "reset"),
+                        (patients, "_rk4"), (patients, "integrate_lanes"),
+                        (patients, "step_physiology")):
+        counting(owner, name)
+    train("child", config, 1)
+    assert calls["__init__"] == len(cohort_envs("child"))
+    assert calls["reset"] > calls["__init__"]      # envs play many episodes
+    assert calls["advance"] == calls["step"] == calls["_rk4"] \
+        == 64 + config.epochs * config.steps_per_epoch
+    assert "integrate_lanes" not in calls and "step_physiology" not in calls

@@ -13,6 +13,10 @@ they cover the DQN evaluation grid and LLM dose clamping.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,11 @@ DQN_REPORT_DIGEST = \
 LLM_CLAMPED_REPORT_DIGEST = \
     "c0fa8a44f49b7f5eed470bdd98efb5c305ae99b0e287ccfa652b2ecba85665b5"
 
+# The paper's full protocol at a constant 1.2 U/h, recorded before the
+# training env became a lane of one of the evaluation core.
+CONSTANT_REPORT_DIGEST = \
+    "55332d0be86bd7ace9ff93eee3f97880d89699bc76e5d739467e14613ff1fe79"
+
 CHILD_PROTOCOL = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1, 100),
                                       repeats_per_seed=2)
 
@@ -173,3 +182,50 @@ def test_llm_clamped_report_bytes(tmp_path):
         llm_config=LlmConfig(base_url="http://127.0.0.1:9"),
         llm_transport=lambda messages, config, kind: "<ans>12</ans>")
     assert _report_digest(spec, tmp_path) == LLM_CLAMPED_REPORT_DIGEST
+
+
+# Run in a fresh interpreter: the golden PPO training log, and the report
+# digests of warmstart-random on the golden protocol and of constant:1.2 on
+# the full one, as one JSON line.
+_DIGESTS_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+import test_golden as golden
+from dosebench import harness
+from dosebench.ppo import PpoConfig, train_ppo
+
+log = train_ppo("child", PpoConfig(epochs=2), 1).log
+rows = json.dumps([vars(e) for e in log], indent=2, sort_keys=True)
+digests = {"ppo": golden._sha256(rows.encode())}
+with tempfile.TemporaryDirectory() as tmp:
+    digests["warmstart-random"] = golden._report_digest(harness.PolicySpec(
+        kind="scripted", scripted_name="warmstart-random",
+        label="scripted-warmstart-random"), Path(tmp))
+    protocol = harness.EvalProtocol()
+    spec = harness.PolicySpec(kind="scripted", scripted_name="constant:1.2",
+                              label="scripted-constant:1.2")
+    report = harness.aggregate(harness.run_protocol(spec, protocol),
+                               protocol, policy_label=spec.label)
+    path = Path(tmp) / "full.json"
+    harness.emit_report(report, path, "json")
+    digests["constant:1.2"] = golden._sha256(path.read_bytes())
+print(json.dumps(digests))
+"""
+
+
+def test_bytes_do_not_depend_on_the_hash_seed():
+    # str hashes, and so the order of any set or dict keyed by strings,
+    # change with PYTHONHASHSEED; no pinned byte may.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here),
+                            os.environ.get("PYTHONPATH", "")])
+    for hash_seed in ("0", "4242"):
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGESTS_SCRIPT], capture_output=True,
+            text=True, timeout=600, check=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                 "PYTHONPATH": path})
+        assert json.loads(done.stdout.splitlines()[-1]) == {
+            "ppo": TRAINING_LOG_DIGESTS["ppo"],
+            "warmstart-random": REPORT_DIGESTS["warmstart-random"],
+            "constant:1.2": CONSTANT_REPORT_DIGEST}, hash_seed

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from dosebench import patients
 from dosebench.patients import (Cohort, MealEvent, PatientState, get_patient,
-                                integrate, integrate_lanes, make_cohort,
-                                step_physiology)
+                                integrate_lanes, make_cohort, step_physiology)
 
 import _oracles
 from _helpers import (apply_bolus, apply_meal, correction_drop,
@@ -171,6 +170,17 @@ def test_larger_dose_never_raises_glucose():
     assert np.all(trajs[4.0] <= trajs[2.0] + 1e-9)
 
 
+def _integrate(state, params, rate, dt, carbs, noise):
+    """A lane's float kernel call, as ``env.Columns`` makes it: len(carbs)
+    substeps of dt minutes from ``state`` at ``rate``, noise[k] the draw of
+    substep k (None: no noise)."""
+    *fields, t = patients._rk4(
+        state.g, state.s1, state.s2, state.x, state.q_gut, state.t_elapsed,
+        params.rk4_constants, rate / 60.0, dt, carbs, noise,
+        params.noise_sigma * math.sqrt(dt), None, state.clock)
+    return PatientState(*fields, t_elapsed=t, clock=state.clock)
+
+
 def _per_minute_reference(state, params, rate, dt, carbs, rng):
     """n verbatim per-minute steps, each meal applied before its substep."""
     for minute_meals in carbs:
@@ -187,9 +197,9 @@ def _assert_kernel_matches_reference(params, state, rate, dt, carbs, noise,
     ref_rng = np.random.default_rng(seed) if noise else None
     new_rng = np.random.default_rng(seed) if noise else None
     ref = _per_minute_reference(state, params, rate, dt, carbs, ref_rng)
-    new = integrate(state, params, rate, dt, carbs,
-                    new_rng.standard_normal(len(carbs)).tolist() if noise
-                    else None)
+    new = _integrate(state, params, rate, dt, carbs,
+                     new_rng.standard_normal(len(carbs)).tolist() if noise
+                     else None)
     assert new == ref
     # == treats 0.0 and -0.0 as equal; repr does not.
     assert repr(new) == repr(ref)
@@ -230,8 +240,8 @@ def test_integrate_matches_per_minute_reference(case):
 
 @st.composite
 def _lanes(draw):
-    """Lanes for integrate_lanes, some of them faulty: each is one
-    integrate call's arguments, all with the same dt, substep count and
+    """Lanes for integrate_lanes, some of them faulty: each is one float
+    kernel call's arguments, all with the same dt, substep count and
     clock."""
     n = draw(st.integers(1, 15))
     dt = draw(st.sampled_from((1.0, 0.5, 1.0 / 3.0, 2.0)))
@@ -260,14 +270,14 @@ def _lanes(draw):
 
 def _integrate_or_raise(state, params, rate, dt, carbs, noise):
     try:
-        return integrate(state, params, rate, dt, carbs,
-                         None if noise is None else noise.tolist())
+        return _integrate(state, params, rate, dt, carbs,
+                          None if noise is None else noise.tolist())
     except FloatingPointError as exc:
         return exc
 
 
-@given(_lanes(), st.sampled_from((1, patients.ARRAY_MIN_LANES, 10**6)))
-def test_integrate_lanes_equals_one_integrate_per_lane(lanes, min_lanes):
+@given(_lanes())
+def test_integrate_lanes_equals_one_integrate_per_lane(lanes):
     dt, clock, lanes = lanes
     n = len(lanes[0][3])
     states = [lane[0] for lane in lanes]
@@ -282,12 +292,10 @@ def test_integrate_lanes_equals_one_integrate_per_lane(lanes, min_lanes):
                       for *_, z in lanes]).T.copy()
     sigma = np.array([0.0 if z is None else p.noise_sigma * math.sqrt(dt)
                       for _, p, _, _, z in lanes])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(patients, "ARRAY_MIN_LANES", min_lanes)
-        got, errors = integrate_lanes(
-            fields, np.array([p.rk4_constants for _, p, *_ in lanes]).T,
-            np.array([rate for _, _, rate, *_ in lanes]) / 60.0, dt, carbs,
-            noise, sigma, clock)
+    got, errors = integrate_lanes(
+        fields, np.array([p.rk4_constants for _, p, *_ in lanes]).T,
+        np.array([rate for _, _, rate, *_ in lanes]) / 60.0, dt, carbs,
+        noise, sigma, clock)
     assert len(got) == 6 and all(f.shape == (len(lanes),) for f in got)
     for i, lane in enumerate(lanes):
         want = _integrate_or_raise(*lane[:3], dt, *lane[3:])
@@ -339,10 +347,10 @@ def test_integrate_rejects_non_finite_input_state():
     for field in ("g", "s1", "s2", "x", "q_gut"):
         state = replace(steady_state(params), **{field: float("nan")})
         with pytest.raises(FloatingPointError):
-            integrate(state, params, 1.0, 1.0, [()] * 15, None)
+            _integrate(state, params, 1.0, 1.0, [()] * 15, None)
     state = replace(steady_state(params), s2=float("inf"))
     with pytest.raises(FloatingPointError):
-        integrate(state, params, 1.0, 1.0, [()] * 15, None)
+        _integrate(state, params, 1.0, 1.0, [()] * 15, None)
 
 
 def test_integrate_raises_when_state_turns_non_finite_mid_interval():
@@ -355,6 +363,6 @@ def test_integrate_raises_when_state_turns_non_finite_mid_interval():
                               np.random.default_rng(0))
     noise = np.random.default_rng(0).standard_normal(15).tolist()
     with pytest.raises(FloatingPointError):
-        integrate(state, params, 1.0, 1.0, carbs, noise)
+        _integrate(state, params, 1.0, 1.0, carbs, noise)
     # The first seven substeps alone stay finite.
-    integrate(state, params, 1.0, 1.0, carbs[:7], noise[:7])
+    _integrate(state, params, 1.0, 1.0, carbs[:7], noise[:7])
