@@ -15,18 +15,23 @@ sensor glucose (true + Gaussian noise); reward and termination always use
 true glucose.
 
 There is one simulator core, ``Columns``: the lanes of a lock-step round,
-which keep each lane's noise and observation window in arrays and run one
-control interval of every lane per round. An env is a lane of one in a core
-of its own, built once with the env, and a lock-step evaluation episode
-(``harness.Lane``) is a lane of the round's core; either way ``step`` takes
-the interval's outcome from the core and keeps the env's own bookkeeping:
-the rate check, the reward, the termination and the history.
+which keep each lane's noise, observation window and episode so far in
+arrays and run one control interval of every lane per round. A round also
+does every lane's bookkeeping at once: it records the interval's rate, true
+glucose, sensor reading, grams eaten and reward in the lane's row, decides
+termination for all lanes in one comparison and scores them in one pass.
+An env is a lane of one in a core of its own, built once with the env, and
+a lock-step evaluation episode (``harness.Lane``) is a lane of the round's
+core; either way ``step`` checks the rate, reads the lane's outcome from the
+core and keeps the step count, truncation and termination cause. An env's
+``history`` reads its row of the core's arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +94,60 @@ class StepRecord:
     """One measurement plus the action taken at that time.
 
     `rate` is the infusion chosen at this measurement (0.0 for the current,
-    not-yet-acted row and for the initial measurement). `meal_carbs` is the
-    carbohydrate amount ingested during the interval ending at this
-    measurement.
+    not-yet-acted row) and `dose` its insulin over the interval. `meal_carbs`
+    is the carbohydrate amount ingested during the interval ending at this
+    measurement, and `reward` the interval's reward (both 0.0 for the
+    initial measurement).
     """
 
     step: int
     clock: int
     bg_true: float
     bg_sensor: float
-    rate: float = 0.0
-    dose: float = 0.0
-    meal_carbs: float = 0.0
-    reward: float = 0.0
+    rate: float
+    dose: float
+    meal_carbs: float
+    reward: float
+
+
+class History(Sequence):
+    """An env's episode so far, one StepRecord per measurement, read from the
+    env's row of its core's arrays.
+
+    A read-only sequence (``len``, indexing, slices, iteration) that builds a
+    record only for the rows asked for. A row's dose is its rate / 60 * 15
+    and its clock the start clock plus 15 minutes per step; the current row
+    (the last) is not acted on yet, so its rate and dose read 0.0. A
+    lock-step lane's history lasts as long as its lane: the round that ends
+    it drops its row.
+    """
+
+    __slots__ = ("_env",)
+
+    def __init__(self, env: GlucoseEnv):
+        self._env = env
+
+    def __len__(self) -> int:
+        env = self._env
+        return 0 if env.state is None else env._step_count + 1
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]   # IndexError past either end
+        if isinstance(rows, int):
+            return self._record(rows)
+        return [self._record(step) for step in rows]
+
+    def _record(self, step: int) -> StepRecord:
+        env = self._env
+        # The row's columns through the core's flat views, whose items are
+        # floats already.
+        _, _, _, bg_true, bg_sensor, rate_at, meal_carbs, reward = env.core._flat
+        i = env.row * (MAX_STEPS + 1) + step
+        rate = rate_at[i] if step < env._step_count else 0.0
+        return StepRecord(step, env.state.clock + CONTROL_INTERVAL_MIN * step,
+                          bg_true[i], bg_sensor[i], rate,
+                          rate / 60.0 * CONTROL_INTERVAL_MIN, meal_carbs[i],
+                          reward[i])
 
 
 @dataclass
@@ -137,26 +183,34 @@ def row_stacked(observations) -> np.ndarray:
 class GlucoseEnv:
     """Single-patient simulation environment; owns its random streams.
 
-    ``history`` holds one StepRecord per measurement, and ``state`` is the
-    patient state the episode started in. The env is row ``row`` of its
-    ``core``, a one-row ``Columns`` built with it: reset draws the episode's
-    noise into that row and writes its observation window there, and each
-    step advances the core by one interval and takes the interval's true
-    glucose, sensor reading and grams eaten from it. A lock-step lane
+    The env is row ``row`` of its ``core``, a one-row ``Columns`` built with
+    it: reset draws the episode's noise into that row and writes its first
+    measurement and observation window there, and each step advances the
+    core by one interval, which records and scores the interval in the
+    row. ``history`` reads the episode from the row, and ``state`` is the
+    patient state the episode started in. A lock-step lane
     (``harness.Lane``) is a row of its round's core instead, which the round
     advances before its lanes step.
     """
 
     def __init__(self, cohort: Cohort, patient_id: int):
+        self._join(cohort, patient_id, Columns(1), 0)
+
+    def _join(self, cohort: Cohort, patient_id: int, core: Columns, row: int):
+        """Make the env, as row ``row`` of ``core``."""
         self.params = get_patient(cohort, patient_id)
         self._plan = meal_plan(cohort)
-        self.history: list[StepRecord] = []
         self.state: PatientState | None = None
         self._meals: list[MealEvent] = []
-        self.core, self.row = Columns(1), 0
+        self.core, self.row = core, row
         self._step_count = 0
         self._done = False
         self.termination_cause: str | None = None
+
+    @property
+    def history(self) -> History:
+        """The episode so far, read from the env's row of its core."""
+        return History(self)
 
     def reset(self, seed) -> np.ndarray:
         """Start an episode. `seed` is an int or a numpy SeedSequence."""
@@ -185,16 +239,15 @@ class GlucoseEnv:
                                          carbs=max(meal.carbs * (1 + dc), 1.0)))
         self._meals.sort(key=lambda m: m.time_offset)
 
-        clock0 = parse_clock(START_CLOCK)
         self.state = PatientState(g=bg0, s1=0.0, s2=0.0, x=0.0, q_gut=0.0,
-                                  t_elapsed=0.0, clock=clock0)
+                                  t_elapsed=0.0, clock=parse_clock(START_CLOCK))
         self._step_count = 0
         self._done = False
         self.termination_cause = None
         noise = self.params.cgm_sigma * float(core.sensor_noise[row, 0])
         sensor0 = max(bg0 + noise, 1.0)
-        self.history = [StepRecord(step=0, clock=clock0, bg_true=bg0,
-                                   bg_sensor=sensor0)]
+        core.bg_true[row, 0] = bg0
+        core.bg_sensor[row, 0] = sensor0
         window = core.window[row]
         window[:] = 0.0
         window[::3] = sensor0
@@ -206,41 +259,31 @@ class GlucoseEnv:
             raise RuntimeError("call reset() before step()")
         if self._done:
             raise RuntimeError("episode is over; call reset()")
-        if not math.isfinite(action) or not (ACTION_LOW <= action <= ACTION_HIGH):
+        if not ACTION_LOW <= action <= ACTION_HIGH:     # NaN fails too
             raise ValueError(f"action must lie in [{ACTION_LOW}, {ACTION_HIGH}], "
                              f"got {action!r}")
 
         rate = float(action)
-        core = self.core
-        alone = core.interval == self._step_count
+        core, row, steps = self.core, self.row, self._step_count
+        alone = core.interval == steps
         if alone:   # no lock-step round has run this interval
-            if not self._step_count:
+            if not steps:
                 core.start([self])
             core.advance([rate])
-        advanced = core.advanced[self.row]
-        if isinstance(advanced, Exception):
-            raise advanced
-        bg, sensor, meal_carbs = advanced
-        # Record the chosen action on the current measurement row.
-        last = self.history[-1]
-        last.rate = rate
-        last.dose = rate / 60.0 * CONTROL_INTERVAL_MIN
-        self._step_count += 1
-
-        terminated = bg < BG_TERMINATE_LOW or bg > BG_TERMINATE_HIGH
-        truncated = not terminated and self._step_count >= MAX_STEPS
-        reward = metrics.step_reward(bg, terminated)
+        failed = core.failed.get(row)
+        if failed is not None:
+            raise failed
+        self._step_count = steps = steps + 1
+        terminated = core.ended[row]
+        truncated = not terminated and steps >= MAX_STEPS
         if terminated:
-            self.termination_cause = "hypo" if bg < BG_TERMINATE_LOW else "hyper"
+            self.termination_cause = "hypo" \
+                if core.bg_true[row, steps] < BG_TERMINATE_LOW else "hyper"
         self._done = terminated or truncated
-        self.history.append(StepRecord(
-            step=self._step_count, clock=last.clock + CONTROL_INTERVAL_MIN,
-            bg_true=bg, bg_sensor=sensor, meal_carbs=meal_carbs,
-            reward=reward))
         # A lock-step lane's observation is its row of the round's window.
         return StepResult(
-            observation=build_observation(core.window[self.row]) if alone
-            else None, reward=reward, terminated=terminated,
+            observation=build_observation(core.window[row]) if alone
+            else None, reward=core.rewards[row], terminated=terminated,
             truncated=truncated)
 
 
@@ -249,11 +292,18 @@ class Columns:
     episodes run together (an env on its own is a round of one lane).
 
     A lane's reset draws its episode's noise into its row of ``noise`` and
-    ``sensor_noise`` and writes its first observations into its row of
+    ``sensor_noise``, writes its first measurement into column 0 of
+    ``bg_true`` and ``bg_sensor`` and its first observations into its row of
     ``window``, the (lanes, OBS_DIM) observations a policy reads; ``start``
     takes the rest of the lanes' episodes. A round (``advance``) runs one
-    control interval of every lane, leaves each lane's outcome in
-    ``advanced`` and rolls the window; ``keep`` drops the lanes that ended.
+    control interval of every lane and rolls the window. It records the
+    interval in each lane's row: the rate in column k of ``rate``, and the
+    true glucose, sensor reading, grams eaten and reward of the measurement
+    that ends it in column k + 1 of ``bg_true``, ``bg_sensor``,
+    ``meal_carbs`` and ``reward``. It leaves each lane's outcome in
+    ``ended`` (glucose outside the termination band), ``rewards`` and
+    ``failed`` (lane -> the error of a lane whose state became non-finite).
+    ``keep`` drops the lanes that ended, with their rows of every array.
 
     Below ``patients.ARRAY_MIN_LANES`` lanes a round places the meals, runs
     the kernel and reads the sensor per lane on floats (``lanes``: each
@@ -261,30 +311,38 @@ class Columns:
     meals); from there on it does so on (lanes,) arrays (``fields`` and the
     arrays beside it), with operations that repeat the float ones element by
     element. The lanes move to arrays at the first round that runs on them,
-    and back to floats at the first that does not.
+    and back to floats at the first that does not. Either way the round
+    scores all lanes in one ``metrics.step_rewards`` pass.
     """
 
     def __init__(self, rows: int):
         """Rows for ``rows`` lanes to reset into."""
+        measurements = (rows, MAX_STEPS + 1)
+        # Column 0 of meal_carbs and reward stays 0.0: nothing is eaten or
+        # scored before the first measurement.
         self._hold(np.empty((rows, MAX_STEPS, CONTROL_INTERVAL_MIN)),
-                   np.empty((rows, MAX_STEPS + 1)), np.empty((rows, OBS_DIM)))
+                   np.empty(measurements), np.empty((rows, OBS_DIM)),
+                   np.empty(measurements), np.empty(measurements),
+                   np.empty(measurements), np.zeros(measurements),
+                   np.zeros(measurements))
         self.interval = 0
-        self.advanced = []
+        self.ended, self.rewards, self.failed = [], [], {}
 
-    def _hold(self, noise, sensor_noise, window):
-        """Make these the lanes' arrays. A round reads and writes them
+    def _hold(self, *arrays):
+        """Make these the lanes' arrays. A float round reads and writes them
         through flat views of their doubles (``_flat``), which cost a lane
         less than array indexing does."""
-        self.noise, self.sensor_noise, self.window = noise, sensor_noise, window
-        self._flat = [a.reshape(-1).data for a in (noise, sensor_noise, window)]
+        (self.noise, self.sensor_noise, self.window, self.bg_true,
+         self.bg_sensor, self.rate, self.meal_carbs, self.reward) = arrays
+        self._arrays = arrays
+        self._flat = [a.reshape(-1).data for a in arrays]
 
     def start(self, envs: list[GlucoseEnv]):
         """Take the episodes of ``envs``, the lanes whose reset succeeded, in
         that order."""
         rows = [env.row for env in envs]
         if len(rows) < len(self.noise):     # a lane failed its reset
-            self._hold(self.noise[rows], self.sensor_noise[rows],
-                       self.window[rows])
+            self._hold(*(a[rows] for a in self._arrays))
         self.lanes = []
         for row, env in enumerate(envs):
             env.row = row
@@ -305,21 +363,26 @@ class Columns:
         window = self._flat[2]
         window[:-3] = window[3:]
         if len(rates) >= patients.ARRAY_MIN_LANES:
-            self._advance_arrays(rates)
+            glucose, self.ended = self._advance_arrays(rates)
         else:
-            self._advance_floats(rates)
+            glucose, self.ended = self._advance_floats(rates)
+        self.rewards = metrics.step_rewards(glucose, self.ended)
         self.interval += 1
+        self.reward[:, self.interval] = self.rewards
         self.clock += CONTROL_INTERVAL_MIN
 
     def _advance_floats(self, rates):
+        """The round on each lane's floats; returns the lanes' true glucose
+        and termination flags, as lists."""
         if self.fields is not None:     # the last round ran on arrays
             for lane, state in zip(self.lanes, zip(*(f.tolist()
                                                      for f in self.fields))):
                 lane[0][:] = state
             self.fields = None
         interval, clock, rk4 = self.interval, self.clock, patients._rk4
-        noise, sensor_noise, window = self._flat
-        advanced = []
+        (noise, sensor_noise, window, bg_true, bg_sensor, rate_at,
+         meal_carbs) = self._flat[:7]
+        glucose, ended, failed = [], [], {}
         for i, (rate, (state, constants, sigma, cgm_sigma, meals)) in enumerate(
                 zip(rates, self.lanes)):
             # A meal is eaten in substep k when t0 + k <= offset < t0 + k + 1;
@@ -332,26 +395,36 @@ class Columns:
                     carbs[minute] += (grams,)
                     eaten += grams
             infusion = rate / 60.0
-            # Lane i's noise of this interval, and of the reading at its end.
+            # Lane i's noise of this interval; its measurement columns: m of
+            # the measurement the rate was chosen at, m + 1 of the next.
             z = (i * MAX_STEPS + interval) * CONTROL_INTERVAL_MIN
-            z_sensor = i * (MAX_STEPS + 1) + interval + 1
+            m = i * (MAX_STEPS + 1) + interval
             try:
                 state[:] = rk4(*state, constants, infusion, SUBSTEP_MIN, carbs,
                                noise[z:z + CONTROL_INTERVAL_MIN].tolist(), sigma,
                                None, clock)
-                sensor = max(state[0] + cgm_sigma * sensor_noise[z_sensor], 1.0)
-                advanced.append((state[0], sensor, eaten))
+                g = state[0]
+                sensor = max(g + cgm_sigma * sensor_noise[m + 1], 1.0)
             except FloatingPointError as exc:
-                sensor = math.nan
-                advanced.append(exc)
+                failed[i] = exc
+                g = sensor = math.nan
+            glucose.append(g)
+            ended.append(g < BG_TERMINATE_LOW or g > BG_TERMINATE_HIGH)
+            rate_at[m] = rate
+            bg_true[m + 1] = g
+            bg_sensor[m + 1] = sensor
+            meal_carbs[m + 1] = eaten
             w = (i + 1) * OBS_DIM
             window[w - 5] = rate
             window[w - 4] = infusion * CONTROL_INTERVAL_MIN
             window[w - 3] = sensor
             window[w - 2] = window[w - 1] = 0.0
-        self.advanced = advanced
+        self.failed = failed
+        return glucose, ended
 
     def _advance_arrays(self, rates):
+        """The round on (lanes,) arrays; returns the lanes' true glucose and
+        termination flags, as lists."""
         if self.fields is None:     # the last round ran on floats
             lanes = self.lanes
             self.fields = tuple(np.array(f)
@@ -379,7 +452,7 @@ class Columns:
                 meal_carbs = meal_carbs + np.where(eaten[j],
                                                    self.meal_grams[j], 0.0)
         infusion = rates / 60.0
-        self.fields, errors = patients.integrate_lanes(
+        self.fields, self.failed = patients.integrate_lanes(
             self.fields, self.constants, infusion, SUBSTEP_MIN, carbs,
             self.noise[:, k].T.copy(), self.sigma, self.clock)
         g = self.fields[0]
@@ -390,15 +463,16 @@ class Columns:
         tail[:, 1] = infusion * CONTROL_INTERVAL_MIN     # the dose
         tail[:, 2] = sensor
         tail[:, 3:] = 0.0
-        self.advanced = list(zip(g.tolist(), sensor.tolist(),
-                                 meal_carbs.tolist()))
-        for i, exc in errors.items():
-            self.advanced[i] = exc
+        self.rate[:, k] = rates
+        self.bg_true[:, k + 1] = g
+        self.bg_sensor[:, k + 1] = sensor
+        self.meal_carbs[:, k + 1] = meal_carbs
+        ended = (g < BG_TERMINATE_LOW) | (g > BG_TERMINATE_HIGH)
+        return g.tolist(), ended.tolist()
 
     def keep(self, rows: list[int], envs: list[GlucoseEnv]):
         """Keep only ``envs``, the lanes of ``rows``, in that order."""
-        self._hold(self.noise[rows], self.sensor_noise[rows],
-                   self.window[rows])
+        self._hold(*(a[rows] for a in self._arrays))
         self.lanes = [self.lanes[row] for row in rows]
         if self.fields is not None:
             self.fields = tuple(f[rows] for f in self.fields)

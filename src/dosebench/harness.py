@@ -11,9 +11,10 @@ round's ``env.Columns``, the simulator core that training envs run as lanes
 of one. A round asks the policy for all live lanes' rates in one
 ``Policy.act(obs, lanes)`` call on the core's window, advances the core by
 one interval (on arrays from ``patients.ARRAY_MIN_LANES`` live lanes on, on
-each lane's floats below) and then steps each lane's env, which does that
-lane's bookkeeping. The records are bit for bit those of playing the
-episodes one by one.
+each lane's floats below), which also records, scores and judges every
+lane, and then steps each lane's env, which keeps that lane's step count and
+outcome. A lane's record is sliced from its row of the core when it ends.
+The records are bit for bit those of playing the episodes one by one.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import csv
 import hashlib
 import json
 import math
+import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -182,6 +184,7 @@ class LlmPolicy(Policy):
         self.transport = transport
         self.finished = {}
         self._pool = None
+        self._threads = []      # the pool's thread ids
 
     def act(self, obs, lanes):
         from .llm import llm_act
@@ -195,11 +198,16 @@ class LlmPolicy(Policy):
 
         workers = min(self.config.workers, len(lanes))
         if self._pool is None and workers > 1:  # the first round is widest
-            self._pool = ThreadPoolExecutor(workers)
+            self._pool = ThreadPoolExecutor(
+                workers, initializer=lambda: self._threads.append(
+                    threading.get_ident()))
         return list((self._pool.map if self._pool else map)(ask, lanes))
 
     def close(self):
-        # Not left to collection: a lane's exception holds this in a cycle.
+        # Not left to collection: a lane's exception holds this in a cycle,
+        # and a connection that collection closes warns (ResourceWarning).
+        from .llm.client import close_connections
+        close_connections([*self._threads, threading.get_ident()])
         if self._pool is not None:
             self._pool.shutdown()
 
@@ -290,22 +298,22 @@ def episode_seed_sequence(seed: int, repeat: int) -> np.random.SeedSequence:
 class Lane(GlucoseEnv):
     """One protocol episode in lock-step: its patient's env, its key and its
     policy stream, in ``row`` of the round's core ``columns``, which the
-    round advances before its lanes step."""
+    round advances, records and scores before its lanes step."""
 
     def __init__(self, key: EpisodeKey, columns: Columns, row: int):
-        super().__init__(key.cohort, key.patient_id)
+        self._join(key.cohort, key.patient_id, columns, row)
         self.key = key
-        self.core, self.row = columns, row
         env_ss, policy_ss = episode_seed_sequence(key.seed, key.repeat).spawn(2)
         self.rng = np.random.default_rng(policy_ss)
         self.reset(env_ss)
 
     def record(self, truncated: bool) -> EpisodeRecord:
-        history = self.history
+        """The episode's record, sliced from the lane's row of the core."""
+        core, row, steps = self.core, self.row, self._step_count
         return EpisodeRecord(key=self.key,
-                             bg=[rec.bg_true for rec in history],
-                             actions=[rec.rate for rec in history[:-1]],
-                             rewards=[rec.reward for rec in history[1:]],
+                             bg=core.bg_true[row, :steps + 1].tolist(),
+                             actions=core.rate[row, :steps].tolist(),
+                             rewards=core.reward[row, 1:steps + 1].tolist(),
                              termination_cause=self.termination_cause,
                              truncated=truncated)
 
@@ -446,38 +454,43 @@ def protocol_hash(protocol: EvalProtocol) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _metric_values(records):
+def _metric_values(records) -> dict[str, np.ndarray]:
+    """Each metric's value per record, in record order."""
     return {
-        "normalized_return": [metrics.normalized_return(r.episode_return)
-                              for r in records],
-        "tir": [r.tir for r in records],
-        "survival": [1.0 if r.survived else 0.0 for r in records],
-        "mean_dosage": [r.mean_dosage for r in records],
+        "normalized_return": np.array([
+            metrics.normalized_return(r.episode_return) for r in records]),
+        "tir": np.array([r.tir for r in records]),
+        "survival": np.array([1.0 if r.survived else 0.0 for r in records]),
+        "mean_dosage": np.array([r.mean_dosage for r in records]),
     }
 
 
 def aggregate(records, protocol: EvalProtocol,
               policy_label: str) -> MetricsReport:
+    """Bootstrap summaries per cohort stratum and ``overall``. Each
+    successful record is scored once; a stratum without one is listed in
+    ``incomplete_strata``, as is a cohort with a failed episode."""
     # Stable order so aggregation is permutation-invariant.
     records = sorted(records, key=lambda r: r.key)
     if not records:
         raise ValueError("aggregate requires at least one record")
     ok = [r for r in records if r.error is None]
     incomplete = sorted({r.cohort for r in records if r.error is not None})
+    values = _metric_values(ok)
 
     strata = {}
-    groups = {c.value: [r for r in ok if r.cohort == c.value]
+    groups = {c.value: [i for i, r in enumerate(ok) if r.cohort == c.value]
               for c in protocol.cohorts}
-    groups["overall"] = ok
-    for name, group in groups.items():
-        if not group:
+    groups["overall"] = list(range(len(ok)))
+    for name, rows in groups.items():
+        if not rows:
             incomplete.append(name)
             continue
         summaries = {}
-        for metric_name, values in _metric_values(group).items():
+        for metric_name, column in values.items():
             seed = zlib.crc32(f"{name}/{metric_name}".encode())
             summaries[metric_name] = metrics.bootstrap_ci(
-                values, resamples=protocol.bootstrap_resamples, seed=seed)
+                column[rows], resamples=protocol.bootstrap_resamples, seed=seed)
         strata[name] = summaries
     return MetricsReport(policy_label=policy_label,
                          protocol_hash=protocol_hash(protocol),

@@ -13,6 +13,7 @@ import ssl
 import threading
 import urllib.error
 import urllib.request
+import weakref
 from dataclasses import dataclass
 from urllib.parse import unquote, urlsplit
 
@@ -87,6 +88,9 @@ class ChatExchange:
 
 
 _local = threading.local()  # .connection: (base URL, *_connect(base URL))
+# Each thread's connection by thread id, held weakly, so that another thread
+# can close it; a thread's own ends with the thread.
+_connections = weakref.WeakValueDictionary()
 
 
 def _basic_auth(user: str, password: str) -> str:
@@ -198,6 +202,7 @@ def _connection(base_url: str, timeout: float):
             cached[1].close()
         cached = (base_url, *_connect(base_url, timeout))
         _local.connection = cached
+        _connections[threading.get_ident()] = cached[1]
     _, conn, target, headers = cached
     if conn.sock is not None:
         # An idle socket is readable only if the server closed it (or sent
@@ -211,6 +216,16 @@ def _connection(base_url: str, timeout: float):
         if conn.sock is not None:
             conn.sock.settimeout(timeout)
     return conn, target, headers
+
+
+def close_connections(threads):
+    """Close the keep-alive connections of ``threads`` (``threading.get_ident``
+    values), which must be between requests. A thread's next request opens
+    its connection again."""
+    for thread in threads:
+        conn = _connections.get(thread)
+        if conn is not None:
+            conn.close()
 
 
 def http_transport(messages, config: LlmConfig, kind: PromptKind) -> str:

@@ -87,6 +87,25 @@ def step_reward(bg: float, terminated: bool) -> float:
     return r
 
 
+def step_rewards(bgs: list[float], terminated: list[bool]) -> list[float]:
+    """``step_reward`` of each glucose value and termination flag, in one
+    pass: the lanes of a lock-step round.
+
+    Per element this is ``step_reward``'s float arithmetic written out
+    (``math.log`` and float ``**``; an array ``np.log`` or ``**`` changes the
+    last bit of some rewards), so each reward has its bits. A NaN or +inf
+    glucose value (a round's lane whose state failed) gives a NaN or -inf
+    reward, not an error.
+    """
+    log = math.log
+    rewards = []
+    for bg, ended in zip(bgs, terminated):
+        f = F_SCALE * (log(bg) ** F_POWER - F_OFFSET)
+        r = (100.0 - 10.0 * f * f) / 100.0
+        rewards.append(r + TERMINATION_PENALTY if ended else r)
+    return rewards
+
+
 def normalized_return(total: float) -> float:
     """Min-max scale an episode return to [0, 100] percent."""
     return (total - RETURN_MIN) / (RETURN_MAX - RETURN_MIN) * 100.0

@@ -1,3 +1,4 @@
+import math
 from itertools import islice
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dosebench import env as env_module
-from dosebench import patients
+from dosebench import metrics, patients
 from dosebench.dqn import DqnConfig, ReplayBuffer, train_dqn, warm_start_fill
 from dosebench.env import (ACTION_HIGH, ACTION_LOW, CONTROL_INTERVAL_MIN,
                            INITIAL_BG_RANGE, MAX_STEPS, MEAL_JITTER_CARB_FRAC,
@@ -237,7 +238,6 @@ def test_sensor_noise_differs_from_truth():
 
 
 def test_rewards_use_true_bg_not_sensor():
-    from dosebench import metrics
     env = GlucoseEnv(Cohort.ADULT, 0)
     env.reset(4)
     res = env.step(1.0)
@@ -413,3 +413,66 @@ def test_training_runs_each_env_as_a_lane_of_one(train, config, monkeypatch):
     assert calls["advance"] == calls["step"] == calls["_rk4"] \
         == 64 + config.epochs * config.steps_per_epoch
     assert "integrate_lanes" not in calls and "step_physiology" not in calls
+
+
+# Glucose values at which numpy's SIMD log differs from libm's in the last
+# bit on AVX-512 x86-64 builds of numpy 2.4: an array np.log there would
+# give these lanes other rewards.
+_NP_LOG_DIFFERS = [float.fromhex(v) for v in (
+    "0x1.d4152a403fae1p+8", "0x1.13c556bb8bb78p+7", "0x1.0d537c3c8637cp+9",
+    "0x1.119c20c0aa3d4p+7", "0x1.1e3361963a8fcp+8", "0x1.755fe2a70ac35p+6")]
+
+
+def _reward_grid(lanes):
+    """(MAX_STEPS, lanes) glucose values in [1, 600] mg/dL: an even grid,
+    the termination thresholds and their neighbours, and _NP_LOG_DIFFERS."""
+    edges = [v for bg in (env_module.BG_TERMINATE_LOW,
+                          env_module.BG_TERMINATE_HIGH)
+             for v in (math.nextafter(bg, 0.0), bg, math.nextafter(bg, 600.0))]
+    special = [1.0, 600.0, *edges, *_NP_LOG_DIFFERS]
+    even = np.linspace(1.0, 600.0, MAX_STEPS * lanes - len(special))
+    grid = np.concatenate([special, even])
+    return np.random.default_rng(0).permutation(grid).reshape(MAX_STEPS, lanes)
+
+
+@pytest.mark.parametrize("min_lanes", [1, patients.ARRAY_MIN_LANES],
+                         ids=["arrays", "floats"])
+def test_round_rewards_equal_step_reward_bit_for_bit(min_lanes, monkeypatch):
+    # A round scores all its lanes in one pass; each reward must have the
+    # bits of the scalar step_reward, hypo and hyper terminations included.
+    # The kernel is replaced by one that lands each lane on a grid value.
+    lanes = patients.ARRAY_MIN_LANES - 4
+    grid = _reward_grid(lanes)
+    monkeypatch.setattr(patients, "ARRAY_MIN_LANES", min_lanes)
+    values = iter(grid.reshape(-1).tolist())
+    kernels = []
+
+    def float_kernel(g, s1, s2, x, q, t, *args):
+        kernels.append("floats")
+        return next(values), s1, s2, x, q, t + CONTROL_INTERVAL_MIN
+
+    def array_kernel(fields, *args):
+        kernels.append("arrays")
+        g = np.array([next(values) for _ in range(lanes)])
+        return (g, *fields[1:5], fields[5] + CONTROL_INTERVAL_MIN), {}
+
+    monkeypatch.setattr(patients, "_rk4", float_kernel)
+    monkeypatch.setattr(patients, "integrate_lanes", array_kernel)
+    core = env_module.Columns(lanes)
+    envs = [GlucoseEnv(Cohort.ADULT, row % 4) for row in range(lanes)]
+    for row, env in enumerate(envs):
+        env.core, env.row = core, row
+        env.reset(row)
+    core.start(envs)
+    for k, bgs in enumerate(grid.tolist()):
+        core.advance([1.0] * lanes)
+        terminated = [bg < 40.0 or bg > 500.0 for bg in bgs]
+        expected = [metrics.step_reward(bg, ended).hex()
+                    for bg, ended in zip(bgs, terminated)]
+        assert core.ended == terminated
+        assert [r.hex() for r in core.rewards] == expected
+        assert [r.hex() for r in core.reward[:, k + 1].tolist()] == expected
+        assert core.bg_true[:, k + 1].tolist() == bgs
+    assert set(kernels) == {"arrays" if min_lanes == 1 else "floats"}
+    assert 0 < np.mean([bg < 40.0 for bg in grid.flat]) < 0.1
+    assert 0 < np.mean([bg > 500.0 for bg in grid.flat]) < 0.2

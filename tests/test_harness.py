@@ -1,8 +1,11 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
 import threading
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dosebench import env, harness, nets, patients
+from dosebench import env, harness, metrics, nets, patients
 from dosebench.llm import LlmConfig, ScriptedMockServer
 from dosebench.patients import Cohort
 from dosebench.ppo import PpoConfig, make_policy
@@ -153,7 +156,37 @@ def test_run_protocol_records_policy_failures(monkeypatch):
     # The error keeps its class, as ``dosebench eval`` reports it.
     assert all(r.error == "RuntimeError: kaput" for r in records)
     report = harness.aggregate(records, protocol, policy_label="")
-    assert "adult" in report.incomplete_strata
+    assert report.incomplete_strata == ["adult", "overall"]
+    assert report.strata == {}
+
+
+def test_aggregate_reports_the_cohorts_that_did_not_fail():
+    # The child lanes fail at their first round; the other cohorts' strata,
+    # and overall, summarise the successful records alone.
+    class ChildFails(harness.Policy):
+        def act(self, obs, lanes):
+            return [RuntimeError("kaput") if lane.key.cohort == "child"
+                    else 1.2 for lane in lanes]
+
+    protocol = harness.EvalProtocol(seeds=(1, 100), repeats_per_seed=1,
+                                    bootstrap_resamples=200)
+    records = harness.run_protocol(Spec(ChildFails()), protocol)
+    # aggregate scores the records in key order.
+    ok = sorted((r for r in records if r.error is None), key=lambda r: r.key)
+    assert {r.cohort for r in records if r.error is not None} == {"child"}
+    assert len(ok) == 16
+    report = harness.aggregate(records, protocol, policy_label="")
+    assert report.incomplete_strata == ["child"]
+    assert list(report.strata) == ["adult", "adolescent", "overall"]
+    groups = {name: [r for r in ok if r.cohort == name]
+              for name in ("adult", "adolescent")}
+    for name, group in [*groups.items(), ("overall", ok)]:
+        returns = [metrics.normalized_return(r.episode_return) for r in group]
+        expected = metrics.bootstrap_ci(
+            returns, resamples=200,
+            seed=zlib.crc32(f"{name}/normalized_return".encode()))
+        assert report.strata[name]["normalized_return"] == expected
+        assert report.strata[name]["tir"].n == len(group)
 
 
 def test_aggregate_permutation_invariant():
@@ -739,3 +772,90 @@ def test_evaluation_makes_at_most_one_forward_per_round(name, monkeypatch):
     rounds = max(len(r.actions) for r in records)
     assert len(calls) == rounds
     assert calls[0] == (36, 1, 48)
+
+
+# The round's bookkeeping: one traced ``GlucoseEnv.step`` per env step, as the
+# benchmark's trace check counts them, and records sliced from the core.
+
+def _counting(monkeypatch, counts, owner, name, key):
+    wrapped = getattr(owner, name)
+
+    def count(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return wrapped(*args, **kwargs)
+    monkeypatch.setattr(owner, name, count)
+
+
+@pytest.mark.parametrize("name, seeds", [("dqn0", (1,)),
+                                         ("max", (1, 100, 1000, 10000))],
+                         ids=["dqn-12-lanes", "max-48-lanes"])
+def test_a_round_steps_each_lane_once_and_builds_no_step_record(
+        name, seeds, monkeypatch):
+    counts = {}
+    for owner, attr, key in ((env.GlucoseEnv, "step", "step"),
+                             (env.StepRecord, "__init__", "StepRecord"),
+                             (harness.EpisodeRecord, "__init__",
+                              "EpisodeRecord"),
+                             (env.Columns, "__init__", "Columns")):
+        _counting(monkeypatch, counts, owner, attr, key)
+    new, _ = _policies(name)
+    protocol = harness.EvalProtocol(seeds=seeds, repeats_per_seed=1)
+    records = harness.run_protocol(Spec(new), protocol)
+    assert all(r.error is None for r in records)
+    assert counts["step"] == sum(len(r.actions) for r in records)
+    assert "StepRecord" not in counts
+    assert counts["EpisodeRecord"] == len(records) == 12 * len(seeds)
+    assert counts["Columns"] == 1   # the round's core; a lane builds none
+    if name == "max":   # lanes end at different rounds
+        assert len({len(r.actions) for r in records}) > 1
+
+
+def test_an_llm_decision_builds_only_the_rows_it_formats(monkeypatch):
+    # The first decision of an episode formats its first row; each later one
+    # the row finished since, and the current row. Each such row's
+    # StepRecord is built once, for its line: 2n - 1 for n decisions.
+    from dosebench.llm import prompts
+    counts = {}
+    _counting(monkeypatch, counts, env.StepRecord, "__init__", "StepRecord")
+    _counting(monkeypatch, counts, prompts, "_line", "line")
+    new, _ = _policies("llm")
+    protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1,),
+                                    repeats_per_seed=1)
+    records = harness.run_protocol(Spec(new), protocol)
+    assert all(r.error is None for r in records)
+    decisions = [len(r.actions) for r in records]
+    assert counts["StepRecord"] == counts["line"] \
+        == sum(2 * n - 1 for n in decisions)
+
+
+def test_closing_an_llm_run_closes_its_connections():
+    # Each pool thread's keep-alive connection, and the calling thread's, is
+    # closed by the run, not by collection, which would warn.
+    script = """
+import gc
+from dosebench import harness
+from dosebench.llm import LlmConfig, ScriptedMockServer
+from dosebench.llm.client import http_transport
+from dosebench.patients import Cohort
+
+with ScriptedMockServer(["<ans>1.2</ans>"]) as server:
+    config = LlmConfig(base_url=server.base_url, workers=2)
+    http_transport([{"role": "user", "content": "ready?"}], config, "base")
+    spec = harness.PolicySpec(kind="llm", llm_kind="meal-cot",
+                              llm_config=config)
+    protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,),
+                                    patients_per_cohort=2, seeds=(1,),
+                                    repeats_per_seed=1)
+    records = harness.run_protocol(spec, protocol)
+    gc.collect()
+    print(sum(len(r.actions) for r in records if r.error is None))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["128"]
+    assert "ResourceWarning" not in done.stderr, done.stderr

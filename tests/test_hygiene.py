@@ -39,7 +39,7 @@ SRC = ROOT / "src" / "dosebench"
 TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
-OPTIONS = 70
+OPTIONS = 66
 
 # Declared distributions whose import name differs from their project name.
 IMPORT_NAMES = {"pyyaml": "yaml"}

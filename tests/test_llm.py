@@ -24,11 +24,11 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # Fixed synthetic history used for the golden prompt files.
 FIXED_HISTORY = [
     StepRecord(step=0, clock=300, bg_true=150.0, bg_sensor=150.23,
-               rate=0.0, dose=0.0),
+               rate=0.0, dose=0.0, meal_carbs=0.0, reward=0.0),
     StepRecord(step=1, clock=315, bg_true=148.5, bg_sensor=148.96,
-               rate=1.0, dose=0.25),
+               rate=1.0, dose=0.25, meal_carbs=0.0, reward=0.0),
     StepRecord(step=2, clock=330, bg_true=152.0, bg_sensor=151.4,
-               rate=0.5, dose=0.125, meal_carbs=27.0),
+               rate=0.5, dose=0.125, meal_carbs=27.0, reward=0.0),
 ]
 
 
@@ -476,15 +476,16 @@ def test_netrc_basic_auth_takes_precedence_over_the_api_key(monkeypatch,
 def _episode(rates, meal_steps=()):
     """Yields a growing history the way the env builds it: the current row
     is acted on (rate and dose written) before the next row is appended."""
-    history = [StepRecord(step=0, clock=300, bg_true=150.0, bg_sensor=150.23)]
+    history = [StepRecord(step=0, clock=300, bg_true=150.0, bg_sensor=150.23,
+                          rate=0.0, dose=0.0, meal_carbs=0.0, reward=0.0)]
     for step, rate in enumerate(rates, start=1):
         yield history
         history[-1].rate = rate
         history[-1].dose = rate / 60.0 * 15
         history.append(StepRecord(
             step=step, clock=300 + 15 * step, bg_true=150.0 - step,
-            bg_sensor=150.0 - step + 0.37,
-            meal_carbs=27.0 if step in meal_steps else 0.0))
+            bg_sensor=150.0 - step + 0.37, rate=0.0, dose=0.0,
+            meal_carbs=27.0 if step in meal_steps else 0.0, reward=0.0))
     yield history
 
 
