@@ -15,11 +15,13 @@ sensor glucose (true + Gaussian noise); reward and termination always use
 true glucose.
 
 There is one simulator core, ``Columns``: the lanes of a lock-step round,
-which keep each lane's noise, observation window and episode so far in
-arrays and run one control interval of every lane per round. A round also
-does every lane's bookkeeping at once: it records the interval's rate, true
-glucose, sensor reading, grams eaten and reward in the lane's row, decides
-termination for all lanes in one comparison and scores them in one pass.
+which keep each lane's episode (noise, patient state, meals, observation
+window and record so far) in its row of one store of arrays and run one
+control interval of every lane per round, on floats or on arrays, both on
+that store. A round also does every lane's bookkeeping at once: it records
+the interval's rate, true glucose, sensor reading, grams eaten and reward
+in the lane's row, decides termination for all lanes in one comparison and
+scores them in one pass.
 An env is a lane of one in a core of its own, built once with the env, and
 a lock-step evaluation episode (``harness.Lane``) is a lane of the round's
 core; either way ``step`` checks the rate, reads the lane's outcome from the
@@ -33,6 +35,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,6 +65,11 @@ MEAL_JITTER_CARB_FRAC = 0.2         # and its carbs by up to +- this share
 # scale factor, minutes after episode start (05:00 + offset).
 _MEALS = ((120.0, 45.0), (420.0, 60.0), (600.0, 20.0))
 _COHORT_MEAL_SCALE = {Cohort.ADULT: 1.0, Cohort.ADOLESCENT: 0.8, Cohort.CHILD: 0.6}
+
+# A lane's row of ``Columns.lane``: g, s1, s2, x, q_gut and t_elapsed, the
+# RK4 constants, the noise scales, then each meal's (offset, grams).
+_LANE_STATE, _LANE_RK4 = slice(0, 6), slice(6, 15)
+_LANE_SIGMA, _LANE_CGM_SIGMA, _LANE_MEALS = 15, 16, 17
 
 # Fixed feature scaling applied to the raw observation before the policy
 # networks: glucose, rate and dose live on very different ranges.
@@ -141,13 +149,13 @@ class History(Sequence):
         env = self._env
         # The row's columns through the core's flat views, whose items are
         # floats already.
-        _, _, _, bg_true, bg_sensor, rate_at, meal_carbs, reward = env.core._flat
+        flat = env.core._flat
         i = env.row * (MAX_STEPS + 1) + step
-        rate = rate_at[i] if step < env._step_count else 0.0
+        rate = flat.rate[i] if step < env._step_count else 0.0
         return StepRecord(step, env.state.clock + CONTROL_INTERVAL_MIN * step,
-                          bg_true[i], bg_sensor[i], rate,
-                          rate / 60.0 * CONTROL_INTERVAL_MIN, meal_carbs[i],
-                          reward[i])
+                          flat.bg_true[i], flat.bg_sensor[i], rate,
+                          rate / 60.0 * CONTROL_INTERVAL_MIN,
+                          flat.meal_carbs[i], flat.reward[i])
 
 
 @dataclass
@@ -291,28 +299,28 @@ class Columns:
     """The lanes of a lock-step round, lane i in row i: GlucoseEnvs whose
     episodes run together (an env on its own is a round of one lane).
 
-    A lane's reset draws its episode's noise into its row of ``noise`` and
+    The core keeps each lane's episode in its row of one store of arrays. A
+    lane's reset draws its episode's noise into ``noise`` and
     ``sensor_noise``, writes its first measurement into column 0 of
-    ``bg_true`` and ``bg_sensor`` and its first observations into its row of
+    ``bg_true`` and ``bg_sensor`` and its first observations into
     ``window``, the (lanes, OBS_DIM) observations a policy reads; ``start``
-    takes the rest of the lanes' episodes. A round (``advance``) runs one
-    control interval of every lane and rolls the window. It records the
-    interval in each lane's row: the rate in column k of ``rate``, and the
-    true glucose, sensor reading, grams eaten and reward of the measurement
-    that ends it in column k + 1 of ``bg_true``, ``bg_sensor``,
-    ``meal_carbs`` and ``reward``. It leaves each lane's outcome in
-    ``ended`` (glucose outside the termination band), ``rewards`` and
-    ``failed`` (lane -> the error of a lane whose state became non-finite).
-    ``keep`` drops the lanes that ended, with their rows of every array.
+    writes its patient state, RK4 constants, noise scales and meals into
+    ``lane``. A round (``advance``) runs one control interval of every lane
+    and rolls the window. It records the interval in each lane's row: the
+    rate in column k of ``rate``, and the true glucose, sensor reading, grams
+    eaten and reward of the measurement that ends it in column k + 1 of
+    ``bg_true``, ``bg_sensor``, ``meal_carbs`` and ``reward``. It leaves
+    each lane's outcome in ``ended`` (glucose outside the termination band),
+    ``rewards`` and ``failed`` (lane -> the error of a lane whose state
+    became non-finite). ``keep`` drops the lanes that ended, with their rows.
 
     Below ``patients.ARRAY_MIN_LANES`` lanes a round places the meals, runs
-    the kernel and reads the sensor per lane on floats (``lanes``: each
-    lane's g, s1, s2, x, q_gut and t_elapsed, RK4 constants, noise scales and
-    meals); from there on it does so on (lanes,) arrays (``fields`` and the
-    arrays beside it), with operations that repeat the float ones element by
-    element. The lanes move to arrays at the first round that runs on them,
-    and back to floats at the first that does not. Either way the round
-    scores all lanes in one ``metrics.step_rewards`` pass.
+    the kernel and reads the sensor per lane on floats, one read of a lane's
+    row of ``lane`` each; from there on it does so on (lanes,) columns of
+    ``lane``, with operations that repeat the float ones element by element.
+    Either branch reads and writes the one store, so a change of branch
+    converts nothing. Either way the round scores all lanes in one
+    ``metrics.step_rewards`` pass.
     """
 
     def __init__(self, rows: int):
@@ -320,39 +328,39 @@ class Columns:
         measurements = (rows, MAX_STEPS + 1)
         # Column 0 of meal_carbs and reward stays 0.0: nothing is eaten or
         # scored before the first measurement.
-        self._hold(np.empty((rows, MAX_STEPS, CONTROL_INTERVAL_MIN)),
-                   np.empty(measurements), np.empty((rows, OBS_DIM)),
-                   np.empty(measurements), np.empty(measurements),
-                   np.empty(measurements), np.zeros(measurements),
-                   np.zeros(measurements))
+        self._hold(noise=np.empty((rows, MAX_STEPS, CONTROL_INTERVAL_MIN)),
+                   window=np.empty((rows, OBS_DIM)), lane=np.empty((rows, 0)),
+                   **{name: np.zeros(measurements) for name in (
+                       "sensor_noise", "bg_true", "bg_sensor", "rate",
+                       "meal_carbs", "reward")})
         self.interval = 0
         self.ended, self.rewards, self.failed = [], [], {}
 
-    def _hold(self, *arrays):
-        """Make these the lanes' arrays. A float round reads and writes them
-        through flat views of their doubles (``_flat``), which cost a lane
-        less than array indexing does."""
-        (self.noise, self.sensor_noise, self.window, self.bg_true,
-         self.bg_sensor, self.rate, self.meal_carbs, self.reward) = arrays
+    def _hold(self, **arrays):
+        """Make these the lanes' arrays, each an attribute of its name. A
+        float round reads and writes them through flat views of their
+        doubles, by the same names in ``_flat``, which cost a lane less than
+        array indexing does."""
+        vars(self).update(arrays)
         self._arrays = arrays
-        self._flat = [a.reshape(-1).data for a in arrays]
+        self._flat = SimpleNamespace(**{name: a.reshape(-1).data
+                                        for name, a in arrays.items()})
 
     def start(self, envs: list[GlucoseEnv]):
         """Take the episodes of ``envs``, the lanes whose reset succeeded, in
         that order."""
-        rows = [env.row for env in envs]
-        if len(rows) < len(self.noise):     # a lane failed its reset
-            self._hold(*(a[rows] for a in self._arrays))
-        self.lanes = []
-        for row, env in enumerate(envs):
-            env.row = row
+        if len(envs) < len(self.noise):     # a lane failed its reset
+            self.keep([env.row for env in envs], envs)
+        lane = []
+        for env in envs:
             s, p = env.state, env.params
-            self.lanes.append((
-                [s.g, s.s1, s.s2, s.x, s.q_gut, s.t_elapsed], p.rk4_constants,
-                p.noise_sigma * math.sqrt(SUBSTEP_MIN), p.cgm_sigma,
-                [(m.time_offset, m.carbs) for m in env._meals]))
+            lane.append([s.g, s.s1, s.s2, s.x, s.q_gut, s.t_elapsed,
+                         *p.rk4_constants,
+                         p.noise_sigma * math.sqrt(SUBSTEP_MIN), p.cgm_sigma,
+                         *(v for m in env._meals
+                           for v in (m.time_offset, m.carbs))])
+        self._hold(**dict(self._arrays, lane=np.array(lane)))
         self.clock = envs[0].state.clock    # every lane's: all start together
-        self.fields = None
 
     def advance(self, rates: list[float]):
         """One control interval of every lane at its rate (U/h)."""
@@ -360,7 +368,7 @@ class Columns:
         # values to its front; the round then writes each row's last five: the
         # interval's rate and dose, and the new row (over the next row's first
         # three, which the shift left there).
-        window = self._flat[2]
+        window = self._flat.window
         window[:-3] = window[3:]
         if len(rates) >= patients.ARRAY_MIN_LANES:
             glucose, self.ended = self._advance_arrays(rates)
@@ -374,22 +382,21 @@ class Columns:
     def _advance_floats(self, rates):
         """The round on each lane's floats; returns the lanes' true glucose
         and termination flags, as lists."""
-        if self.fields is not None:     # the last round ran on arrays
-            for lane, state in zip(self.lanes, zip(*(f.tolist()
-                                                     for f in self.fields))):
-                lane[0][:] = state
-            self.fields = None
         interval, clock, rk4 = self.interval, self.clock, patients._rk4
-        (noise, sensor_noise, window, bg_true, bg_sensor, rate_at,
-         meal_carbs) = self._flat[:7]
+        flat, width = self._flat, self.lane.shape[1]
+        lane, noise, sensor_noise = flat.lane, flat.noise, flat.sensor_noise
+        window, bg_true, bg_sensor = flat.window, flat.bg_true, flat.bg_sensor
+        rate_at, meal_carbs = flat.rate, flat.meal_carbs
         glucose, ended, failed = [], [], {}
-        for i, (rate, (state, constants, sigma, cgm_sigma, meals)) in enumerate(
-                zip(rates, self.lanes)):
+        for i, rate in enumerate(rates):
+            b = i * width
+            row = lane[b:b + width].tolist()
             # A meal is eaten in substep k when t0 + k <= offset < t0 + k + 1;
             # t0 is a whole number of minutes, so k is floor(offset - t0).
-            t0 = state[5]
+            t0 = row[5]
             carbs, eaten = [()] * CONTROL_INTERVAL_MIN, 0.0
-            for offset, grams in meals:
+            meals = iter(row[_LANE_MEALS:])
+            for offset, grams in zip(meals, meals):
                 minute = math.floor(offset - t0)
                 if 0 <= minute < CONTROL_INTERVAL_MIN:
                     carbs[minute] += (grams,)
@@ -400,11 +407,15 @@ class Columns:
             z = (i * MAX_STEPS + interval) * CONTROL_INTERVAL_MIN
             m = i * (MAX_STEPS + 1) + interval
             try:
-                state[:] = rk4(*state, constants, infusion, SUBSTEP_MIN, carbs,
-                               noise[z:z + CONTROL_INTERVAL_MIN].tolist(), sigma,
-                               None, clock)
+                state = rk4(*row[_LANE_STATE], row[_LANE_RK4], infusion,
+                            SUBSTEP_MIN, carbs,
+                            noise[z:z + CONTROL_INTERVAL_MIN].tolist(),
+                            row[_LANE_SIGMA], None, clock)
+                for j, value in enumerate(state, b):
+                    lane[j] = value
                 g = state[0]
-                sensor = max(g + cgm_sigma * sensor_noise[m + 1], 1.0)
+                sensor = max(g + row[_LANE_CGM_SIGMA] * sensor_noise[m + 1],
+                             1.0)
             except FloatingPointError as exc:
                 failed[i] = exc
                 g = sensor = math.nan
@@ -423,40 +434,34 @@ class Columns:
         return glucose, ended
 
     def _advance_arrays(self, rates):
-        """The round on (lanes,) arrays; returns the lanes' true glucose and
-        termination flags, as lists."""
-        if self.fields is None:     # the last round ran on floats
-            lanes = self.lanes
-            self.fields = tuple(np.array(f)
-                                for f in zip(*(lane[0] for lane in lanes)))
-            self.constants = np.array([lane[1] for lane in lanes]).T.copy()
-            self.sigma = np.array([lane[2] for lane in lanes])
-            self.cgm_sigma = np.array([lane[3] for lane in lanes])
-            self.meal_times = np.array([[t for t, _ in lane[4]]
-                                        for lane in lanes]).T.copy()
-            self.meal_grams = np.array([[c for _, c in lane[4]]
-                                        for lane in lanes]).T.copy()
-        k, t = self.interval, self.fields[5]
+        """The round on (lanes,) columns of the store; returns the lanes' true
+        glucose and termination flags, as lists."""
+        k, lane = self.interval, self.lane
+        state = lane[:, _LANE_STATE].T
+        t = state[5]
         rates = np.array(rates, dtype=np.float64)
         # The float round's meal placement: meal j of substep k is one array
         # over the lanes.
-        minute = np.floor(self.meal_times - t)
+        grams = lane[:, _LANE_MEALS + 1::2].T
+        minute = np.floor(lane[:, _LANE_MEALS::2].T - t)
         eaten = (0.0 <= minute) & (minute < CONTROL_INTERVAL_MIN)
         carbs = [[] for _ in range(CONTROL_INTERVAL_MIN)]
         meal_carbs = np.zeros(len(t))
         if eaten.any():
             for j in range(len(minute)):
                 for m in np.unique(minute[j][eaten[j]]).tolist():
-                    carbs[int(m)].append(np.where(minute[j] == m,
-                                                  self.meal_grams[j], -0.0))
-                meal_carbs = meal_carbs + np.where(eaten[j],
-                                                   self.meal_grams[j], 0.0)
+                    carbs[int(m)].append(np.where(minute[j] == m, grams[j],
+                                                  -0.0))
+                meal_carbs = meal_carbs + np.where(eaten[j], grams[j], 0.0)
         infusion = rates / 60.0
-        self.fields, self.failed = patients.integrate_lanes(
-            self.fields, self.constants, infusion, SUBSTEP_MIN, carbs,
-            self.noise[:, k].T.copy(), self.sigma, self.clock)
-        g = self.fields[0]
-        sensor = g + self.cgm_sigma * self.sensor_noise[:, k + 1]
+        # The kernel reads each constant in every substep: a contiguous copy
+        # of them costs less than strided columns there.
+        fields, self.failed = patients.integrate_lanes(
+            tuple(state), lane[:, _LANE_RK4].T.copy(), infusion, SUBSTEP_MIN,
+            carbs, self.noise[:, k].T.copy(), lane[:, _LANE_SIGMA], self.clock)
+        state[:] = fields
+        g = fields[0]
+        sensor = g + lane[:, _LANE_CGM_SIGMA] * self.sensor_noise[:, k + 1]
         np.copyto(sensor, 1.0, where=1.0 > sensor)     # max(reading, 1.0)
         tail = self.window[:, -5:]
         tail[:, 0] = rates
@@ -472,14 +477,7 @@ class Columns:
 
     def keep(self, rows: list[int], envs: list[GlucoseEnv]):
         """Keep only ``envs``, the lanes of ``rows``, in that order."""
-        self._hold(*(a[rows] for a in self._arrays))
-        self.lanes = [self.lanes[row] for row in rows]
-        if self.fields is not None:
-            self.fields = tuple(f[rows] for f in self.fields)
-            self.constants = self.constants[:, rows]
-            self.sigma, self.cgm_sigma = self.sigma[rows], self.cgm_sigma[rows]
-            self.meal_times = self.meal_times[:, rows]
-            self.meal_grams = self.meal_grams[:, rows]
+        self._hold(**{name: a[rows] for name, a in self._arrays.items()})
         for row, env in enumerate(envs):
             env.row = row
 

@@ -298,11 +298,12 @@ def episode_seed_sequence(seed: int, repeat: int) -> np.random.SeedSequence:
 class Lane(GlucoseEnv):
     """One protocol episode in lock-step: its patient's env, its key and its
     policy stream, in ``row`` of the round's core ``columns``, which the
-    round advances, records and scores before its lanes step."""
+    round advances, records and scores before its lanes step. ``slot`` is
+    the episode's place in the protocol, the row it was built in."""
 
     def __init__(self, key: EpisodeKey, columns: Columns, row: int):
         self._join(key.cohort, key.patient_id, columns, row)
-        self.key = key
+        self.key, self.slot = key, row
         env_ss, policy_ss = episode_seed_sequence(key.seed, key.repeat).spawn(2)
         self.rng = np.random.default_rng(policy_ss)
         self.reset(env_ss)
@@ -334,12 +335,11 @@ def _play(policy: Policy, keys: list[EpisodeKey]) -> list[EpisodeRecord]:
     is not one rate per lane, fails every lane of the round. Each record
     stays in its key's place, so a repeated key keeps both episodes.
     """
-    records, lanes, slots = [None] * len(keys), [], []
+    records, lanes = [None] * len(keys), []
     columns = Columns(len(keys))
     for slot, key in enumerate(keys):
         try:
             lanes.append(Lane(key, columns, slot))
-            slots.append(slot)
         except Exception as exc:  # noqa: BLE001 - recorded per episode
             records[slot] = _failed(key, exc)
     if lanes:
@@ -354,35 +354,34 @@ def _play(policy: Policy, keys: list[EpisodeKey]) -> list[EpisodeRecord]:
                 raise ValueError(f"{type(policy).__name__}.act gave "
                                  f"{len(acted)} rates for {len(lanes)} lanes")
         except Exception as exc:  # noqa: BLE001 - recorded per episode
-            for slot, lane in zip(slots, lanes):
-                records[slot] = _failed(lane.key, exc)
+            for lane in lanes:
+                records[lane.slot] = _failed(lane.key, exc)
             break
         rates = []
-        for slot, lane, rate in zip(slots, lanes, acted):
+        for lane, rate in zip(lanes, acted):
             try:
                 if isinstance(rate, Exception):
                     raise rate
                 rates.append(float(rate))
             except Exception as exc:  # noqa: BLE001 - recorded per episode
-                records[slot] = _failed(lane.key, exc)
+                records[lane.slot] = _failed(lane.key, exc)
                 rates.append(math.nan)      # the lane's row runs on unused
         columns.advance(rates)
         live = []
-        for row, (slot, lane, rate) in enumerate(zip(slots, lanes, rates)):
-            if records[slot] is not None:   # its rate failed it
+        for row, (lane, rate) in enumerate(zip(lanes, rates)):
+            if records[lane.slot] is not None:   # its rate failed it
                 continue
             try:
                 res = lane.step(rate)
             except Exception as exc:  # noqa: BLE001 - recorded per episode
-                records[slot] = _failed(lane.key, exc)
+                records[lane.slot] = _failed(lane.key, exc)
                 continue
             if res.terminated or res.truncated:
-                records[slot] = lane.record(res.truncated)
+                records[lane.slot] = lane.record(res.truncated)
             else:
                 live.append(row)
         if len(live) < len(lanes):
             lanes = [lanes[row] for row in live]
-            slots = [slots[row] for row in live]
             columns.keep(live, lanes)
     return records
 

@@ -17,11 +17,12 @@ State derivatives (u = infusion rate in U/h):
 
 Integration is RK4 at 1-minute substeps in the one RK4 body ``_rk4``, one
 call per control interval: on one lane's floats, or through
-``integrate_lanes`` on the (lanes,) state arrays of a lock-step round
-(``env.Columns`` chooses by lane count, ``ARRAY_MIN_LANES``). A meal enters
-the gut before the substep it falls in; process noise enters after each
-substep, from standard normal draws the caller passes in (the env draws an
-episode's at its reset).
+``integrate_lanes`` on the (lanes,) state columns of a lock-step round
+(``env.Columns`` chooses by lane count, ``ARRAY_MIN_LANES``, and keeps the
+lanes' state in one store that either call reads and is written back to). A
+meal enters the gut before the substep it falls in; process noise enters
+after each substep, from standard normal draws the caller passes in (the env
+draws an episode's at its reset).
 """
 
 from __future__ import annotations

@@ -246,13 +246,10 @@ def test_rewards_use_true_bg_not_sensor():
 
 
 def _core_state(env):
-    """The patient state in env's row of its core, on either branch."""
+    """The patient state in env's row of its core's store."""
     core = env.core
-    if core.fields is None:
-        fields = core.lanes[env.row][0]
-    else:
-        fields = [f[env.row].item() for f in core.fields]
-    return PatientState(*fields, clock=core.clock)
+    return PatientState(*core.lane[env.row, env_module._LANE_STATE].tolist(),
+                        clock=core.clock)
 
 
 @pytest.mark.parametrize("min_lanes", [1, patients.ARRAY_MIN_LANES],
@@ -266,6 +263,11 @@ def test_meals_enter_before_their_substep_as_per_minute_scan(min_lanes,
     # meals at the first step, so planting them between the two leaves every
     # other stream as it was.
     monkeypatch.setattr(patients, "ARRAY_MIN_LANES", min_lanes)
+    kernel_calls = []
+    integrate_lanes = patients.integrate_lanes
+    monkeypatch.setattr(patients, "integrate_lanes",
+                        lambda *args: kernel_calls.append(1)
+                        or integrate_lanes(*args))
     meals = [MealEvent(15.0, 8.0), MealEvent(29.5, 4.0),
              MealEvent(45.0, 6.0), MealEvent(45.5, 2.5),
              MealEvent(74.999, 5.0)]
@@ -277,10 +279,10 @@ def test_meals_enter_before_their_substep_as_per_minute_scan(min_lanes,
     # episode's noise stream, as the env drew it before it drew an episode's
     # noise at reset.
     noise_rng = np.random.default_rng(np.random.SeedSequence(21).spawn(4)[2])
-    for _ in range(6):
+    for step in range(1, 7):
         res = env.step(0.9)
         assert not res.terminated
-        assert (env.core.fields is None) == (min_lanes > 1)
+        assert len(kernel_calls) == (step if min_lanes == 1 else 0)
         # The per-minute scan the interval kernel replaced.
         t0, eaten = state.t_elapsed, 0.0
         for minute in range(CONTROL_INTERVAL_MIN):

@@ -532,20 +532,49 @@ def _assert_lockstep_matches_per_episode_loop(name, protocol, workers=1):
     return records
 
 
+def _recording_rounds(monkeypatch):
+    """A list that gets (lanes, whether it ran on arrays) for each round of
+    more than one lane, in order: the lock-step's rounds, not the per-episode
+    loop's."""
+    rounds, kernel_calls = [], []
+    integrate_lanes = patients.integrate_lanes
+    monkeypatch.setattr(patients, "integrate_lanes",
+                        lambda *args: kernel_calls.append(1)
+                        or integrate_lanes(*args))
+    advance = env.Columns.advance
+
+    def recording(self, rates):
+        before = len(kernel_calls)
+        advance(self, rates)
+        if len(rates) > 1:
+            rounds.append((len(rates), len(kernel_calls) > before))
+    monkeypatch.setattr(env.Columns, "advance", recording)
+    return rounds
+
+
 @pytest.mark.parametrize("name", POLICIES)
 @pytest.mark.parametrize("seeds", [(1,), (1, 100, 1000, 10000)],
                          ids=["12-lanes", "48-lanes"])
-def test_lockstep_records_equal_the_per_episode_loop(name, seeds):
+def test_lockstep_records_equal_the_per_episode_loop(name, seeds,
+                                                     monkeypatch):
     # 12 lanes take one scalar kernel call per lane, 48 one array call.
     protocol = harness.EvalProtocol(seeds=seeds, repeats_per_seed=1)
     lanes = 12 * len(seeds)
     assert (lanes >= patients.ARRAY_MIN_LANES) == (lanes == 48)
+    rounds = _recording_rounds(monkeypatch)
     records = _assert_lockstep_matches_per_episode_loop(name, protocol)
+    assert all(on_arrays == (n >= patients.ARRAY_MIN_LANES)
+               for n, on_arrays in rounds)
     if name in ("zero", "max"):
         # Lanes end early, and at different rounds.
         cause = "hyper" if name == "zero" else "hypo"
         assert any(r.termination_cause == cause for r in records)
         assert len({len(r.actions) for r in records}) > 1
+        if lanes == 48:
+            # The round's branch changes in the middle of the run: array
+            # rounds first, float rounds once fewer lanes are left.
+            on_arrays = [on_arrays for _, on_arrays in rounds]
+            assert on_arrays[0] and not all(on_arrays)
 
 
 def test_lockstep_records_equal_the_per_episode_loop_on_the_full_protocol():
@@ -588,11 +617,14 @@ def test_lockstep_parity_on_random_protocols(case):
             case["name"], case["protocol"], case["workers"])
 
 
-@pytest.mark.parametrize("min_lanes", [1, 10**6], ids=["arrays", "scalars"])
+@pytest.mark.parametrize("min_lanes", [1, 10**6, 40],
+                         ids=["arrays", "scalars", "arrays-then-floats"])
 def test_a_non_finite_lane_fails_only_its_own_episode(min_lanes, monkeypatch):
     # Patient 1 overflows in the first substep of its first interval, and
     # patient 2 starts non-finite; each fails with the scalar kernel's
-    # exception, and the other lanes run on.
+    # exception, and the other lanes run on. With 40 lanes to a round on
+    # arrays, the child protocol's 40 lanes take round 1 on arrays and the
+    # 20 left take every later round on floats.
     reset = env.GlucoseEnv.reset
 
     def faulty_reset(self, seed):
@@ -605,9 +637,12 @@ def test_a_non_finite_lane_fails_only_its_own_episode(min_lanes, monkeypatch):
 
     monkeypatch.setattr(env.GlucoseEnv, "reset", faulty_reset)
     monkeypatch.setattr(patients, "ARRAY_MIN_LANES", min_lanes)
+    rounds = _recording_rounds(monkeypatch)
     protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1, 100))
     records = _assert_lockstep_matches_per_episode_loop("constant:1.2",
                                                         protocol)
+    on_arrays = min_lanes <= 20     # the lanes left after round 1
+    assert rounds == [(40, min_lanes <= 40)] + [(20, on_arrays)] * 63
     failed = {r.patient_id for r in records if r.error is not None}
     assert failed == {1, 2}
     assert all(r.error.startswith("FloatingPointError: non-finite patient "
@@ -710,21 +745,32 @@ def test_a_lane_builds_one_patient_state(monkeypatch):
 
 def test_a_round_is_one_kernel_call_on_the_arrays_the_last_one_left(
         monkeypatch):
-    calls = []
+    cores, calls = [], []
+    init = env.Columns.__init__
+
+    def recording_init(self, rows):
+        cores.append(self)
+        init(self, rows)
 
     def recording(rk4):
         def _rk4(g, *args):
+            in_store = np.shares_memory(g, cores[0].lane)
+            g_in = g.copy()
             out = rk4(g, *args)
-            calls.append((g, out[0]))
+            calls.append((g_in, in_store, out[0]))
             return out
         return _rk4
 
+    monkeypatch.setattr(env.Columns, "__init__", recording_init)
     _full_protocol_run(monkeypatch, patients, "_rk4", recording)
-    assert len(calls) == 64
-    assert all(g.shape == (240,) for g, _ in calls)
-    # No lane ends before round 64, so each round integrates the glucose
-    # array the round before it left.
-    assert all(g is left for (g, _), (_, left) in zip(calls[1:], calls))
+    assert len(cores) == 1 and len(calls) == 64
+    assert all(g.shape == (240,) for g, _, _ in calls)
+    # Each round integrates the glucose column of the core's one store, and
+    # no lane ends before round 64, so that column holds what the round
+    # before it left.
+    assert all(in_store for _, in_store, _ in calls)
+    assert all(g.tobytes() == left.tobytes()
+               for (g, _, _), (_, _, left) in zip(calls[1:], calls))
 
 
 def test_rounds_draw_no_noise(monkeypatch):
