@@ -410,7 +410,7 @@ class Columns:
                 state = rk4(*row[_LANE_STATE], row[_LANE_RK4], infusion,
                             SUBSTEP_MIN, carbs,
                             noise[z:z + CONTROL_INTERVAL_MIN].tolist(),
-                            row[_LANE_SIGMA], None, clock)
+                            row[_LANE_SIGMA], clock)
                 for j, value in enumerate(state, b):
                     lane[j] = value
                 g = state[0]

@@ -15,9 +15,9 @@ State derivatives (u = infusion rate in U/h):
     q'  = -k_abs*q
     g'  = -p1*(g - g_b) - x*g + 1000*f_bio*k_abs*q/v_g  (+ process noise)
 
-Integration is RK4 at 1-minute substeps in the one RK4 body ``_rk4``, one
-call per control interval: on one lane's floats, or through
-``integrate_lanes`` on the (lanes,) state columns of a lock-step round
+Integration is RK4 at 1-minute substeps, one call per control interval:
+``_rk4`` on one lane's floats, or ``integrate_lanes``, with the same float
+operations, on a (5, lanes) stack of a lock-step round's state columns
 (``env.Columns`` chooses by lane count, ``ARRAY_MIN_LANES``, and keeps the
 lanes' state in one store that either call reads and is written back to). A
 meal enters the gut before the substep it falls in; process noise enters
@@ -163,12 +163,14 @@ def get_patient(cohort: Cohort, patient_id: int) -> PatientParams:
 # env.Columns runs a control interval (meal placement, the kernel and the
 # sensor read) as array operations over its lanes from this many lanes on, and
 # per lane on floats below it: the array round has a fixed cost of about
-# 1.0 ms. Measured on a 2-vCPU x86-64 VM, one pinned CPU, per lock-step
-# interval (least of 7 runs of 64 intervals, floats against arrays): 0.60
-# against 1.01 ms at 24 lanes, 0.80 against 1.01 at 32, 0.98 against 1.04 at
-# 38, 1.02 against 1.03 at 40, 1.05 against 1.07 at 42, 1.13 against 1.06 at
-# 44, 1.64 against 1.01 at 64, 5.97 against 1.24 at 240.
-ARRAY_MIN_LANES = 44
+# 0.6 ms, which floats undercut up to 23 lanes and stay within 6% of up to
+# 25. Measured on a 2-vCPU x86-64 VM, one pinned CPU, per lock-step interval
+# (least of 7 runs of 64 intervals, floats against arrays): 0.41 against
+# 0.59 ms at 16 lanes, 0.56 against 0.59 at 22, 0.59 against 0.59 at 23,
+# 0.61 against 0.59 at 24, 0.64 against 0.60 at 25, 0.67 against 0.60 at 26,
+# 0.81 against 0.60 at 32, 1.01 against 0.63 at 40, 1.68 against 0.63 at 64,
+# 6.24 against 0.85 at 240.
+ARRAY_MIN_LANES = 26
 
 
 def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
@@ -177,9 +179,12 @@ def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
                     sigma: np.ndarray, clock: int
                     ) -> tuple[tuple[np.ndarray, ...],
                                dict[int, FloatingPointError]]:
-    """One control interval of every lane of a lock-step round, on (lanes,)
-    arrays: one ``_rk4`` call, so every float operation is a lane's float
-    call's, element by element.
+    """One control interval of every lane of a lock-step round. g, s1, s2, x
+    and q are the rows of one (5, lanes) stack, so per substep a stage point
+    is two numpy calls, the final update six, and the floors and the
+    finiteness check two each. Each expression is ``_rk4``'s, at most with
+    the operands of a + or * swapped (IEEE + and * commute exactly), so
+    every lane gets the bits of its float call.
 
     ``fields`` are the lanes' g, s1, s2, x, q_gut and t_elapsed, and
     ``clock`` is every lane's clock. ``constants`` has one row per entry of
@@ -191,40 +196,83 @@ def integrate_lanes(fields: Sequence[np.ndarray], constants: np.ndarray,
     floor, leaving the floored value as it is).
 
     Returns the fields at the end of the interval and the
-    FloatingPointError that the float call raises for each lane that fails;
-    a failed lane runs on as NaN or inf and leaves the others as they are.
+    FloatingPointError that the float call raises for each lane that fails,
+    one with a non-finite field at the start or after a substep; a failed
+    lane runs on as NaN or inf and leaves the others as they are.
     """
-    errors = {}
+    neg_p1, g_b, neg_p2, p2_s_i, tau, tau_v_i, ra_gain, v_g, neg_k_abs = \
+        constants
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    y, t = np.array(fields[:5]), fields[5]
+    floors = np.array([[1.0], [0.0], [0.0], [0.0], [0.0]])
+    # Scratch made once per call: the stage point, the four slopes, the
+    # final update's sum and one lane-long temporary.
+    stage, acc, k = np.empty_like(y), np.empty_like(y), np.empty((4, *y.shape))
+    rows, stage_rows, slopes = tuple(y), tuple(stage), [tuple(r) for r in k]
+    w, errors = np.empty(len(t)), {}
 
-    def check(g, s1, s2, x, q, t):
-        bad = ~np.isfinite(g + s1 + s2 + x + q)
-        if bad.any():
-            for i in np.flatnonzero(bad).tolist():
+    def check():
+        finite = np.isfinite(y)
+        if not finite.all():
+            for i in np.flatnonzero(~finite.all(axis=0)).tolist():
                 if i not in errors:     # a float call raises at the first
-                    lane = [float(f[i]) for f in (g, s1, s2, x, q, t)]
                     try:
-                        PatientState(*lane, clock).check_finite()
+                        PatientState(*y[:, i].tolist(), float(t[i]),
+                                     clock).check_finite()
                     except FloatingPointError as exc:
                         errors[i] = exc
 
-    def settle(g, s1, s2, x, q, t):
-        np.copyto(g, 1.0, where=1.0 > g)
-        for v in (s1, s2, x, q):
-            np.copyto(v, 0.0, where=0.0 > v)
-        check(g, s1, s2, x, q, t)
-        return g, s1, s2, x, q
+    def slope(at, out):
+        """The derivatives at the fields ``at`` into the rows ``out``."""
+        gs, s1s, s2s, xs, qs = at
+        kg, ka, kb, kx, kq = out
+        np.subtract(gs, g_b, out=kg)        # neg_p1 * (gs - g_b)
+        kg *= neg_p1
+        np.multiply(xs, gs, out=w)          # - xs * gs
+        kg -= w
+        np.multiply(ra_gain, qs, out=w)     # + ra_gain * qs / v_g
+        np.divide(w, v_g, out=w)
+        kg += w
+        np.divide(s1s, tau, out=ka)         # infusion - s1s / tau
+        np.subtract(infusion, ka, out=ka)
+        np.subtract(s1s, s2s, out=kb)       # (s1s - s2s) / tau
+        kb /= tau
+        np.divide(s2s, tau_v_i, out=w)      # neg_p2 * xs + p2_s_i * (...)
+        np.multiply(w, p2_s_i, out=w)
+        np.multiply(neg_p2, xs, out=kx)
+        kx += w
+        np.multiply(neg_k_abs, qs, out=kq)
 
-    check(*fields)
+    check()
+    g, q = rows[0], rows[4]
     with np.errstate(all="ignore"):
-        return _rk4(*fields, constants, infusion, dt, carbs, noise, sigma,
-                    settle, clock), errors
+        for n in range(len(carbs)):
+            for grams in carbs[n]:
+                q += grams
+            slope(rows, slopes[0])
+            for j, c in ((1, half_dt), (2, half_dt), (3, dt)):
+                np.multiply(k[j - 1], c, out=stage)     # y + c * k[j - 1]
+                stage += y
+                slope(stage_rows, slopes[j])
+            # y + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4), left to right.
+            k[1:3] *= 2.0
+            np.add(k[0], k[1], out=acc)
+            acc += k[2]
+            acc += k[3]
+            acc *= sixth_dt
+            y += acc
+            np.multiply(sigma, noise[n], out=w)
+            g += w
+            t = t + dt
+            np.copyto(y, floors, where=floors > y)      # max(field, floor)
+            check()
+    return (*rows, t), errors
 
 
 def _rk4(g, s1, s2, x, q, t, constants, infusion, dt, carbs, noise, sigma,
-         settle, clock):
+         clock):
     """RK4 over len(carbs) substeps of dt minutes at a constant infusion
-    (rate / 60), on the floats of one lane or the arrays of many
-    (``integrate_lanes``).
+    (rate / 60), on the floats of one lane.
 
     carbs[k] holds the grams of each meal eaten in substep k; they enter the
     gut one at a time, in order, before the substep is integrated. noise[k]
@@ -233,22 +281,20 @@ def _rk4(g, s1, s2, x, q, t, constants, infusion, dt, carbs, noise, sigma,
     flooring after every substep; glucose is floored at a small positive
     value so downstream logs stay defined.
 
-    On arrays, ``settle`` floors a substep's fields and tests their
-    finiteness. On floats (``settle`` is None) the floors are written out
-    here, and a state that does not sum to a finite value, at the start or
-    after a substep, raises the ``check_finite`` error of its state at
-    ``clock`` (a sum of finite fields that overflows passes); so the float
-    path makes no call per substep. Every expression keeps the operand
-    order of the module's derivatives and of y + dt/6 * (k1 + 2*k2 + 2*k3
-    + k4), term by term, so n substeps here are bit-identical to n
-    one-substep calls; only loop-invariant constants are hoisted. Returns
-    g, s1, s2, x, q and t at the end.
+    A state that does not sum to a finite value, at the start or after a
+    substep, raises the ``check_finite`` error of its state at ``clock`` (a
+    sum of finite fields that overflows passes); so the kernel makes no call
+    per substep. Every expression keeps the operand order of the module's
+    derivatives and of y + dt/6 * (k1 + 2*k2 + 2*k3 + k4), term by term, so
+    n substeps here are bit-identical to n one-substep calls; only
+    loop-invariant constants are hoisted. Returns g, s1, s2, x, q and t at
+    the end.
     """
     neg_p1, g_b, neg_p2, p2_s_i, tau, tau_v_i, ra_gain, v_g, neg_k_abs = \
         constants
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     isfinite = math.isfinite
-    if settle is None and not isfinite(g + s1 + s2 + x + q):
+    if not isfinite(g + s1 + s2 + x + q):
         PatientState(g, s1, s2, x, q, t, clock).check_finite()
 
     for k in range(len(carbs)):
@@ -293,9 +339,6 @@ def _rk4(g, s1, s2, x, q, t, constants, infusion, dt, carbs, noise, sigma,
         if noise is not None:
             g += sigma * noise[k]
         t = t + dt
-        if settle is not None:
-            g, s1, s2, x, q = settle(g, s1, s2, x, q, t)
-            continue
         # Written out, these are exactly max(v, floor), NaN and -0.0 included.
         if 1.0 > g:
             g = 1.0
@@ -332,6 +375,6 @@ def step_physiology(state: PatientState, params: PatientParams, rate: float,
         sigma = params.noise_sigma * math.sqrt(dt)
     *fields, t = _rk4(state.g, state.s1, state.s2, state.x, state.q_gut,
                       state.t_elapsed, params.rk4_constants, rate / 60.0, dt,
-                      ((),), noise, sigma, None, state.clock)
+                      ((),), noise, sigma, state.clock)
     # The clock advances per control interval, not here.
     return PatientState(*fields, t_elapsed=t, clock=state.clock)

@@ -745,26 +745,28 @@ def test_a_lane_builds_one_patient_state(monkeypatch):
 
 def test_a_round_is_one_kernel_call_on_the_arrays_the_last_one_left(
         monkeypatch):
-    cores, calls = [], []
+    cores, calls, shapes = [], [], set()
     init = env.Columns.__init__
 
     def recording_init(self, rows):
         cores.append(self)
         init(self, rows)
 
-    def recording(rk4):
-        def _rk4(g, *args):
+    def recording(integrate_lanes):
+        def recorded(fields, *args):
+            shapes.update(f.shape for f in fields)
+            g = fields[0]
             in_store = np.shares_memory(g, cores[0].lane)
             g_in = g.copy()
-            out = rk4(g, *args)
+            out, errors = integrate_lanes(fields, *args)
             calls.append((g_in, in_store, out[0]))
-            return out
-        return _rk4
+            return out, errors
+        return recorded
 
     monkeypatch.setattr(env.Columns, "__init__", recording_init)
-    _full_protocol_run(monkeypatch, patients, "_rk4", recording)
+    _full_protocol_run(monkeypatch, patients, "integrate_lanes", recording)
     assert len(cores) == 1 and len(calls) == 64
-    assert all(g.shape == (240,) for g, _, _ in calls)
+    assert shapes == {(240,)}       # every field of every call
     # Each round integrates the glucose column of the core's one store, and
     # no lane ends before round 64, so that column holds what the round
     # before it left.

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dosebench import patients
@@ -177,7 +177,7 @@ def _integrate(state, params, rate, dt, carbs, noise):
     *fields, t = patients._rk4(
         state.g, state.s1, state.s2, state.x, state.q_gut, state.t_elapsed,
         params.rk4_constants, rate / 60.0, dt, carbs, noise,
-        params.noise_sigma * math.sqrt(dt), None, state.clock)
+        params.noise_sigma * math.sqrt(dt), state.clock)
     return PatientState(*fields, t_elapsed=t, clock=state.clock)
 
 
@@ -250,22 +250,63 @@ def _lanes(draw):
     for _ in range(draw(st.integers(1, 45))):
         case = draw(_kernel_cases())
         carbs = case["carbs"][:n] + [()] * (n - len(case["carbs"]))
-        state = replace(case["state"], clock=clock)
-        fault = draw(st.sampled_from(
-            [None] * 6 + ["nan", "inf", "overflow", "-0.0", "no-noise"]))
-        if fault == "nan":
-            state = replace(state, x=float("nan"))
-        elif fault == "inf":
-            state = replace(state, g=float("inf"))
-        elif fault == "overflow":        # non-finite in a later substep
-            carbs = carbs[:-1] + [(1e308,)]
-        elif fault == "-0.0":
-            state = replace(state, s1=-0.0, s2=-0.0, x=-0.0, q_gut=-0.0)
-        noise = None
-        if fault != "no-noise" and case["noise"]:
-            noise = np.random.default_rng(case["seed"]).standard_normal(n)
-        lanes.append((state, case["params"], case["rate"], carbs, noise))
+        fault = draw(st.sampled_from([None] * 6 + list(_FAULTS)))
+        lanes.append(_lane(case["state"], case["params"], case["rate"], carbs,
+                           case["seed"] if case["noise"] else None, fault,
+                           clock))
     return dt, clock, lanes
+
+
+_FAULTS = ("nan", "inf", "overflow", "-0.0", "no-noise")
+
+
+def _lane(state, params, rate, carbs, seed, fault, clock):
+    """One lane's float kernel arguments at ``clock`` with ``fault`` planted:
+    noise from ``seed`` (None: no noise), one draw per substep."""
+    state = replace(state, clock=clock)
+    if fault == "nan":
+        state = replace(state, x=float("nan"))
+    elif fault == "inf":
+        state = replace(state, g=float("inf"))
+    elif fault == "overflow":        # non-finite in a later substep
+        carbs = carbs[:-1] + [(1e308,)]
+    elif fault == "-0.0":
+        state = replace(state, s1=-0.0, s2=-0.0, x=-0.0, q_gut=-0.0)
+    noise = None
+    if fault != "no-noise" and seed is not None:
+        noise = np.random.default_rng(seed).standard_normal(len(carbs))
+    return state, params, rate, carbs, noise
+
+
+def _protocol_width_lanes():
+    """The 240 lanes of the paper's protocol, in _lanes's form: every
+    patient, every fault kind beside clean lanes, meals in one substep for
+    some lanes (one meal or two) and elsewhere or none for the rest, and
+    glucose driven to its floor in every seventh lane."""
+    n, clock = 15, 420
+    rng = np.random.default_rng(240)
+    faults = (None,) * 5 + _FAULTS
+    lanes = []
+    for i in range(240):
+        params = make_cohort(list(Cohort)[i % 3])[i // 3 % 4]
+        state = PatientState(
+            g=rng.uniform(40.0, 400.0), s1=rng.uniform(0.0, 5.0),
+            s2=rng.uniform(0.0, 5.0), x=rng.uniform(0.0, 0.05),
+            q_gut=rng.uniform(0.0, 80.0), t_elapsed=15.0 * (i % 64),
+            clock=clock)
+        if i % 7 == 0:                  # a crushing dose
+            state = replace(state, g=5.0, s1=30.0, s2=30.0, x=0.5, q_gut=0.0)
+        carbs = [()] * n
+        meal = i % 4                    # with faults, every pairing by i % 20
+        if meal == 0:
+            carbs[6] = (rng.uniform(10.0, 90.0),)
+        elif meal == 1:
+            carbs[6] = (20.0, 7.5)
+        elif meal == 2:
+            carbs[i % n] = (30.0,)
+        lanes.append(_lane(state, params, rng.uniform(0.0, 9.0), carbs,
+                           i, faults[i % len(faults)], clock))
+    return 1.0, clock, lanes
 
 
 def _integrate_or_raise(state, params, rate, dt, carbs, noise):
@@ -277,6 +318,7 @@ def _integrate_or_raise(state, params, rate, dt, carbs, noise):
 
 
 @given(_lanes())
+@example(_protocol_width_lanes())
 def test_integrate_lanes_equals_one_integrate_per_lane(lanes):
     dt, clock, lanes = lanes
     n = len(lanes[0][3])
