@@ -5,14 +5,17 @@ episode starts at 05:00 with glucose drawn in 120-180 mg/dL and follows the
 cohort's ``meal_plan``, each meal moved by up to +-30 min and +-20% carbs.
 The protocol hash covers these constants.
 
-An episode covers 16 hours (64 control steps). Its reset draws all of its
-noise from two streams of its seed, one array draw each: 15 process-noise
-values per step and one sensor-noise value per measurement. Each step
-integrates the patient physiology at 1-minute RK4 substeps in one kernel
-call, with any meal falling in the interval entering before its substep, and
-scores the resulting true glucose with the risk reward. Observations report
-sensor glucose (true + Gaussian noise); reward and termination always use
-true glucose.
+An episode covers 16 hours (64 control steps). Everything it draws is a
+function of its seed alone, drawn at its start by ``episode_draws``: its
+noise from two streams of the seed, one array draw each (15 process-noise
+values per step and one sensor-noise value per measurement), its initial
+glucose and its meal jitter. Episodes of one seed share these draws, so a
+lock-step evaluation draws each seed once for all the patients that run it.
+Each step integrates the patient physiology at 1-minute RK4 substeps in one
+kernel call, with any meal falling in the interval entering before its
+substep, and scores the resulting true glucose with the risk reward.
+Observations report sensor glucose (true + Gaussian noise); reward and
+termination always use true glucose.
 
 There is one simulator core, ``Columns``: the lanes of a lock-step round,
 which keep each lane's episode (noise, patient state, meals, observation
@@ -24,9 +27,10 @@ in the lane's row, decides termination for all lanes in one comparison and
 scores them in one pass.
 An env is a lane of one in a core of its own, built once with the env, and
 a lock-step evaluation episode (``harness.Lane``) is a lane of the round's
-core; either way ``step`` checks the rate, reads the lane's outcome from the
-core and keeps the step count, truncation and termination cause. An env's
-``history`` reads its row of the core's arrays.
+core, started on its seed's shared draws; either way ``step`` checks the
+rate, reads the lane's outcome from the core and keeps the step count,
+truncation and termination cause. An env's ``history`` reads its row of the
+core's arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,17 +193,53 @@ def row_stacked(observations) -> np.ndarray:
     return featurize(observations)[:, None, :]
 
 
+class EpisodeDraws(NamedTuple):
+    """Everything an episode draws at its start, a function of its seed
+    alone: the (MAX_STEPS, CONTROL_INTERVAL_MIN) process noise, the
+    MAX_STEPS + 1 sensor-noise values, the initial glucose and each planned
+    meal's (minutes, carbs share) jitter, in plan order."""
+
+    noise: np.ndarray
+    sensor_noise: np.ndarray
+    bg0: float
+    jitter: tuple[tuple[float, float], ...]
+
+
+def episode_draws(ss: np.random.SeedSequence) -> EpisodeDraws:
+    """The draws of the episode seeded by ``ss``, from four streams of it.
+
+    One array draw per noise stream gives the values of as many scalar
+    draws: one process-noise value per substep and one sensor-noise value
+    per measurement. Episodes with the same seed (every patient of one
+    protocol (seed, repeat)) share these draws, so one call serves them all.
+    """
+    init_ss, jitter_ss, noise_ss, sensor_ss = ss.spawn(4)
+    noise = np.random.default_rng(noise_ss).standard_normal(
+        (MAX_STEPS, CONTROL_INTERVAL_MIN))
+    sensor_noise = np.random.default_rng(sensor_ss).standard_normal(
+        MAX_STEPS + 1)
+    bg0 = float(np.random.default_rng(init_ss).uniform(*INITIAL_BG_RANGE))
+    jitter_rng = np.random.default_rng(jitter_ss)
+    jitter = tuple((jitter_rng.uniform(-MEAL_JITTER_MIN, MEAL_JITTER_MIN),
+                    jitter_rng.uniform(-MEAL_JITTER_CARB_FRAC,
+                                       MEAL_JITTER_CARB_FRAC))
+                   for _ in _MEALS)
+    return EpisodeDraws(noise, sensor_noise, bg0, jitter)
+
+
 class GlucoseEnv:
     """Single-patient simulation environment; owns its random streams.
 
     The env is row ``row`` of its ``core``, a one-row ``Columns`` built with
-    it: reset draws the episode's noise into that row and writes its first
-    measurement and observation window there, and each step advances the
-    core by one interval, which records and scores the interval in the
-    row. ``history`` reads the episode from the row, and ``state`` is the
-    patient state the episode started in. A lock-step lane
-    (``harness.Lane``) is a row of its round's core instead, which the round
-    advances before its lanes step.
+    it: reset draws the episode (``episode_draws``) and ``begin`` copies its
+    noise into that row and writes its first measurement and observation
+    window there, and each step advances the core by one interval, which
+    records and scores the interval in the row. ``history`` reads the
+    episode from the row, and ``state`` is the patient state the episode
+    started in. A lock-step lane (``harness.Lane``) is a row of its round's
+    core instead, which the round advances before its lanes step; it starts
+    with ``begin`` on the draws its seed shares with the other lanes of that
+    seed.
     """
 
     def __init__(self, cohort: Cohort, patient_id: int):
@@ -221,27 +262,24 @@ class GlucoseEnv:
         return History(self)
 
     def reset(self, seed) -> np.ndarray:
-        """Start an episode. `seed` is an int or a numpy SeedSequence."""
+        """Start an episode. `seed` is an int or a numpy SeedSequence; the
+        episode's draws are ``episode_draws`` of it, and the returned
+        observation is a copy of the env's row of its core's window."""
         ss = seed if isinstance(seed, np.random.SeedSequence) \
             else np.random.SeedSequence(int(seed))
-        init_ss, jitter_ss, noise_ss, sensor_ss = ss.spawn(4)
-        # One array draw per stream gives the values of as many scalar draws:
-        # one process-noise value per substep and one sensor-noise value per
-        # measurement.
+        self.begin(episode_draws(ss))
+        return build_observation(self.core.window[self.row])
+
+    def begin(self, draws: EpisodeDraws):
+        """Start an episode on ``draws``: copy its noise into the env's row
+        of its core, place the jittered meals and write the first
+        measurement and observation window there."""
         core, row = self.core, self.row
-        np.random.default_rng(noise_ss).standard_normal(out=core.noise[row])
-        np.random.default_rng(sensor_ss).standard_normal(
-            out=core.sensor_noise[row])
-
-        init_rng = np.random.default_rng(init_ss)
-        bg0 = float(init_rng.uniform(*INITIAL_BG_RANGE))
-
-        jitter_rng = np.random.default_rng(jitter_ss)
+        core.noise[row] = draws.noise
+        core.sensor_noise[row] = draws.sensor_noise
+        bg0 = draws.bg0
         self._meals = []
-        for meal in self._plan:
-            dt = jitter_rng.uniform(-MEAL_JITTER_MIN, MEAL_JITTER_MIN)
-            dc = jitter_rng.uniform(-MEAL_JITTER_CARB_FRAC,
-                                    MEAL_JITTER_CARB_FRAC)
+        for meal, (dt, dc) in zip(self._plan, draws.jitter):
             t = min(max(meal.time_offset + dt, 0.0), 959.0)
             self._meals.append(MealEvent(time_offset=t,
                                          carbs=max(meal.carbs * (1 + dc), 1.0)))
@@ -252,7 +290,7 @@ class GlucoseEnv:
         self._step_count = 0
         self._done = False
         self.termination_cause = None
-        noise = self.params.cgm_sigma * float(core.sensor_noise[row, 0])
+        noise = self.params.cgm_sigma * float(draws.sensor_noise[0])
         sensor0 = max(bg0 + noise, 1.0)
         core.bg_true[row, 0] = bg0
         core.bg_sensor[row, 0] = sensor0
@@ -260,7 +298,6 @@ class GlucoseEnv:
         window[:] = 0.0
         window[::3] = sensor0
         core.interval = 0       # the episode's first interval comes next
-        return build_observation(window)
 
     def step(self, action: float) -> StepResult:
         if self.state is None:
@@ -300,19 +337,20 @@ class Columns:
     episodes run together (an env on its own is a round of one lane).
 
     The core keeps each lane's episode in its row of one store of arrays. A
-    lane's reset draws its episode's noise into ``noise`` and
-    ``sensor_noise``, writes its first measurement into column 0 of
-    ``bg_true`` and ``bg_sensor`` and its first observations into
-    ``window``, the (lanes, OBS_DIM) observations a policy reads; ``start``
-    writes its patient state, RK4 constants, noise scales and meals into
-    ``lane``. A round (``advance``) runs one control interval of every lane
-    and rolls the window. It records the interval in each lane's row: the
-    rate in column k of ``rate``, and the true glucose, sensor reading, grams
-    eaten and reward of the measurement that ends it in column k + 1 of
-    ``bg_true``, ``bg_sensor``, ``meal_carbs`` and ``reward``. It leaves
-    each lane's outcome in ``ended`` (glucose outside the termination band),
-    ``rewards`` and ``failed`` (lane -> the error of a lane whose state
-    became non-finite). ``keep`` drops the lanes that ended, with their rows.
+    lane's start (``GlucoseEnv.begin``) copies its episode's noise into
+    ``noise`` and ``sensor_noise``, writes its first measurement into
+    column 0 of ``bg_true`` and ``bg_sensor`` and its first observations
+    into ``window``, the (lanes, OBS_DIM) observations a policy reads;
+    ``start`` writes its patient state, RK4 constants, noise scales and
+    meals into ``lane``. A round (``advance``) runs one control interval of
+    every lane and rolls the window. It records the interval in each lane's
+    row: the rate in column k of ``rate``, and the true glucose, sensor
+    reading, grams eaten and reward of the measurement that ends it in
+    column k + 1 of ``bg_true``, ``bg_sensor``, ``meal_carbs`` and
+    ``reward``. It leaves each lane's outcome in ``ended`` (glucose outside
+    the termination band), ``rewards`` and ``failed`` (lane -> the error of a
+    lane whose state became non-finite). ``keep`` drops the lanes that
+    ended, with their rows.
 
     Below ``patients.ARRAY_MIN_LANES`` lanes a round places the meals, runs
     the kernel and reads the sensor per lane on floats, one read of a lane's
@@ -347,9 +385,9 @@ class Columns:
                                         for name, a in arrays.items()})
 
     def start(self, envs: list[GlucoseEnv]):
-        """Take the episodes of ``envs``, the lanes whose reset succeeded, in
+        """Take the episodes of ``envs``, the lanes whose start succeeded, in
         that order."""
-        if len(envs) < len(self.noise):     # a lane failed its reset
+        if len(envs) < len(self.noise):     # a lane failed its start
             self.keep([env.row for env in envs], envs)
         lane = []
         for env in envs:

@@ -8,7 +8,14 @@ repeats of a deterministic policy would be vacuous.
 The episodes run in lock-step, one round per control interval: every live
 episode is a ``Lane`` (its env, key and policy stream) and a row of the
 round's ``env.Columns``, the simulator core that training envs run as lanes
-of one. A round asks the policy for all live lanes' rates in one
+of one. An episode's streams depend only on its (seed, repeat), so all
+patients of one (seed, repeat) see the same noise, initial glucose and meal
+jitter (common random numbers): a run draws each (seed, repeat)'s episode
+draws (``env.episode_draws``) once, and each of its lanes copies them into
+its row and makes its own generator of the shared policy seed. The draws
+live for the run only.
+
+A round asks the policy for all live lanes' rates in one
 ``Policy.act(obs, lanes)`` call on the core's window, advances the core by
 one interval (on arrays from ``patients.ARRAY_MIN_LANES`` live lanes on, on
 each lane's floats below), which also records, scores and judges every
@@ -35,7 +42,8 @@ from . import metrics, nets
 from .dqn import N_ACTIONS, bin_to_rate
 from .env import (ACTION_HIGH, ACTION_LOW, INITIAL_BG_RANGE,
                   MEAL_JITTER_CARB_FRAC, MEAL_JITTER_MIN, OBS_DIM,
-                  START_CLOCK, Columns, GlucoseEnv, meal_plan, row_stacked)
+                  START_CLOCK, Columns, EpisodeDraws, GlucoseEnv,
+                  episode_draws, meal_plan, row_stacked)
 from .patients import Cohort
 
 DEFAULT_SEEDS = (1, 100, 1000, 10000)
@@ -299,14 +307,17 @@ class Lane(GlucoseEnv):
     """One protocol episode in lock-step: its patient's env, its key and its
     policy stream, in ``row`` of the round's core ``columns``, which the
     round advances, records and scores before its lanes step. ``slot`` is
-    the episode's place in the protocol, the row it was built in."""
+    the episode's place in the protocol, the row it was built in. The lane
+    starts on ``draws``, its (seed, repeat)'s episode draws, and its policy
+    stream is a generator of ``policy_ss``, its (seed, repeat)'s policy
+    seed."""
 
-    def __init__(self, key: EpisodeKey, columns: Columns, row: int):
+    def __init__(self, key: EpisodeKey, columns: Columns, row: int,
+                 draws: EpisodeDraws, policy_ss: np.random.SeedSequence):
         self._join(key.cohort, key.patient_id, columns, row)
         self.key, self.slot = key, row
-        env_ss, policy_ss = episode_seed_sequence(key.seed, key.repeat).spawn(2)
         self.rng = np.random.default_rng(policy_ss)
-        self.reset(env_ss)
+        self.begin(draws)
 
     def record(self, truncated: bool) -> EpisodeRecord:
         """The episode's record, sliced from the lane's row of the core."""
@@ -330,16 +341,22 @@ def _play(policy: Policy, keys: list[EpisodeKey]) -> list[EpisodeRecord]:
 
     A round asks the policy for every live lane's rate at once, advances
     the lanes' ``Columns`` by one interval, and steps each lane's env. A lane
-    whose reset, rate or step raises fails its own episode; the other lanes
+    whose start, rate or step raises fails its own episode; the other lanes
     go on. An exception raised by the ``act`` call itself, or an answer that
     is not one rate per lane, fails every lane of the round. Each record
-    stays in its key's place, so a repeated key keeps both episodes.
+    stays in its key's place, so a repeated key keeps both episodes. Each
+    (seed, repeat) of ``keys`` is drawn once, for all of its lanes.
     """
     records, lanes = [None] * len(keys), []
     columns = Columns(len(keys))
+    shared = {}     # (seed, repeat) -> (its episode draws, its policy seed)
     for slot, key in enumerate(keys):
         try:
-            lanes.append(Lane(key, columns, slot))
+            group = key.seed, key.repeat
+            if group not in shared:
+                env_ss, policy_ss = episode_seed_sequence(*group).spawn(2)
+                shared[group] = episode_draws(env_ss), policy_ss
+            lanes.append(Lane(key, columns, slot, *shared[group]))
         except Exception as exc:  # noqa: BLE001 - recorded per episode
             records[slot] = _failed(key, exc)
     if lanes:
@@ -393,8 +410,9 @@ def run_protocol(policy_spec: PolicySpec,
 
     The policy is resolved once, so a checkpoint that cannot be loaded raises
     here. The episodes run together in one lock-step (``_play``). Every
-    lane has its own streams, so against a server whose reply depends only
-    on the prompt the records do not depend on ``LlmConfig.workers``.
+    lane has its own policy generator, so against a server whose reply
+    depends only on the prompt the records do not depend on
+    ``LlmConfig.workers``.
     """
     policy = policy_spec.resolve()
     keys = [EpisodeKey(cohort.value, pid, seed, repeat)

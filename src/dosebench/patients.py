@@ -21,8 +21,8 @@ operations, on a (5, lanes) stack of a lock-step round's state columns
 (``env.Columns`` chooses by lane count, ``ARRAY_MIN_LANES``, and keeps the
 lanes' state in one store that either call reads and is written back to). A
 meal enters the gut before the substep it falls in; process noise enters
-after each substep, from standard normal draws the caller passes in (the env
-draws an episode's at its reset).
+after each substep, from standard normal draws the caller passes in (an
+episode's are drawn once, at its start: ``env.episode_draws``).
 """
 
 from __future__ import annotations

@@ -625,17 +625,18 @@ def test_a_non_finite_lane_fails_only_its_own_episode(min_lanes, monkeypatch):
     # exception, and the other lanes run on. With 40 lanes to a round on
     # arrays, the child protocol's 40 lanes take round 1 on arrays and the
     # 20 left take every later round on floats.
-    reset = env.GlucoseEnv.reset
+    # Both a lock-step lane and the per-episode loop's reset start their
+    # episode with ``begin``.
+    begin = env.GlucoseEnv.begin
 
-    def faulty_reset(self, seed):
-        obs = reset(self, seed)
+    def faulty_begin(self, draws):
+        begin(self, draws)
         if self.params.patient_id == 1:
             self.state.q_gut = 1e308
         elif self.params.patient_id == 2:
             self.state.g = float("nan")
-        return obs
 
-    monkeypatch.setattr(env.GlucoseEnv, "reset", faulty_reset)
+    monkeypatch.setattr(env.GlucoseEnv, "begin", faulty_begin)
     monkeypatch.setattr(patients, "ARRAY_MIN_LANES", min_lanes)
     rounds = _recording_rounds(monkeypatch)
     protocol = harness.EvalProtocol(cohorts=(Cohort.CHILD,), seeds=(1, 100))
@@ -776,7 +777,9 @@ def test_a_round_is_one_kernel_call_on_the_arrays_the_last_one_left(
 
 
 def test_rounds_draw_no_noise(monkeypatch):
-    draws = {"reset": 0, "round": 0}
+    # Every draw is an episode's start: one noise and one sensor draw per
+    # distinct (seed, repeat), which its 12 lanes share.
+    draws = {"start": 0, "round": 0}
     phase = ["round"]
 
     class Counting:
@@ -792,11 +795,11 @@ def test_rounds_draw_no_noise(monkeypatch):
         def __getattr__(self, name):
             return getattr(self._rng, name)
 
-    def in_reset(reset):
-        def traced(self, seed):
-            phase[0] = "reset"
+    def in_start(start):
+        def traced(*args):
+            phase[0] = "start"
             try:
-                return reset(self, seed)
+                return start(*args)
             finally:
                 phase[0] = "round"
         return traced
@@ -804,8 +807,31 @@ def test_rounds_draw_no_noise(monkeypatch):
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *a: Counting(default_rng(*a)))
-    _full_protocol_run(monkeypatch, env.GlucoseEnv, "reset", in_reset)
-    assert draws == {"reset": 2 * 240, "round": 0}
+    monkeypatch.setattr(env.GlucoseEnv, "begin",
+                        in_start(env.GlucoseEnv.begin))
+    _full_protocol_run(monkeypatch, harness, "episode_draws", in_start)
+    assert draws == {"start": 2 * 4 * 5, "round": 0}
+
+
+def test_a_run_draws_each_seed_and_repeat_once(monkeypatch):
+    # The 12 lanes of a (seed, repeat) copy one draw of its episode streams,
+    # and the draws last one run: the next run draws them again.
+    drawn = []
+    episode_draws = harness.episode_draws
+
+    def recording(ss):
+        drawn.append(tuple(ss.entropy))
+        return episode_draws(ss)
+
+    monkeypatch.setattr(harness, "episode_draws", recording)
+    spec = harness.PolicySpec(kind="scripted", scripted_name="constant:1.2")
+    for runs in (1, 2):
+        records = harness.run_protocol(spec, harness.EvalProtocol())
+        assert all(r.error is None for r in records)
+        groups = {(r.seed, r.repeat) for r in records}
+        assert len(groups) == 20
+        assert sorted(drawn) == sorted(
+            [(seed, repeat, 0xE7A1) for seed, repeat in groups] * runs)
 
 
 @pytest.mark.parametrize("name", ["dqn0", "ppo-tanh"])

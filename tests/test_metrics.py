@@ -97,6 +97,21 @@ def test_bootstrap_is_deterministic_and_ordered():
     assert c != a
 
 
+@pytest.mark.parametrize("n", [1, 7, 240])
+@pytest.mark.parametrize("resamples", [1, 63, 64, 65, 1000])
+def test_bootstrap_in_blocks_has_the_bytes_of_one_draw(resamples, n):
+    # The whole (resamples, n) index draw at once: the blocks draw the same
+    # integers and take the same row means.
+    data = np.random.default_rng(n).normal(50, 5, size=n)
+    idx = np.random.default_rng(11).integers(0, n, size=(resamples, n))
+    means = data[idx].mean(axis=1)
+    expected = metrics.MetricSummary(
+        mean=float(means.mean()), ci_low=float(np.percentile(means, 2.5)),
+        ci_high=float(np.percentile(means, 97.5)), n=n)
+    got = metrics.bootstrap_ci(data, resamples=resamples, seed=11)
+    assert repr(got) == repr(expected)
+
+
 def test_bootstrap_degenerate_samples_zero_width():
     s = metrics.bootstrap_ci([5.0] * 30, resamples=1000, seed=0)
     assert s.mean == 5.0
